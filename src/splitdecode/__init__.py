@@ -10,7 +10,7 @@ brute-force security harness checks the attack-success bounds.
 """
 
 from .model import ModelConfig, init_model
-from .numerics import matmul, seeded_matrix, stable_softmax_stats
+from .numerics import seeded_matrix, stable_softmax_stats
 from .obfuscation import ObfuscationConfig, TaggedPrompt, gqs
 from .partition import merge_partials, private_partial, public_partial
 
@@ -23,7 +23,6 @@ __all__ = [
     "__version__",
     "gqs",
     "init_model",
-    "matmul",
     "merge_partials",
     "private_partial",
     "public_partial",

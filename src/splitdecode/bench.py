@@ -19,15 +19,13 @@ from .langmodel import NgramModel
 from .model import (
     KvCache,
     ModelConfig,
-    _rms_norm,
-    _silu,
-    attention_reference,
+    cache_attention,
     decode_step_monolithic,
     init_model,
     prefill,
     reset_weight_alloc_count,
-    rotary_encode,
     sample_token,
+    trunk,
     weight_alloc_count,
 )
 from .obfuscation import ObfuscationConfig, TaggedPrompt
@@ -144,36 +142,13 @@ class _MonoBatchState:
         idx = self.active()
         if not idx:
             return
-        c, w = self.c, self.w
-        positions = np.array([self.caches[i].length for i in idx])
-        x = w.embed[[self.tokens[i][-1] for i in idx]]
-        B = x.shape[0]
-        scale = c.head_dim**-0.5
-        for layer in range(c.n_layers):
-            lw = w.layers[layer]
-            h = _rms_norm(x, lw.gain_attn)
-            q = rotary_encode(
-                (h @ lw.wq).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2), positions
-            ) * scale
-            k = rotary_encode(
-                (h @ lw.wk).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2), positions
-            )
-            v = (h @ lw.wv).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2)
-            merged = np.empty((B, c.d_model))
-            for b, i in enumerate(idx):
-                cache = self.caches[i]
-                pos = cache.length
-                cache.store(layer, pos, k[:, b, :], v[:, b, :])
-                heads = [
-                    attention_reference(
-                        q[head, b], cache.keys(layer, head, pos + 1), cache.values(layer, head, pos + 1)
-                    )[0]
-                    for head in range(c.n_heads)
-                ]
-                merged[b] = np.concatenate(heads)
-            x = x + merged @ lw.wo
-            x = x + _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
-        logits = _rms_norm(x, w.final_gain) @ w.unembed
+        caches = [self.caches[i] for i in idx]
+        logits = trunk(
+            self.w,
+            [self.tokens[i][-1] for i in idx],
+            [cache.length for cache in caches],
+            cache_attention(caches),
+        )
         for b, i in enumerate(idx):
             self.caches[i].length += 1
             self.tokens[i].append(sample_token(logits[b]))

@@ -9,6 +9,10 @@ Rotary encoding at projection time means cached K rows are already
 position-encoded; splitting a cache by position therefore needs no
 re-encoding on either side of the split.
 
+Every forward pass (full recompute, prefill, cached decode, and the
+two-party decode in the protocol module) runs through ``trunk``; they
+differ only in the attention callback they hand it.
+
 Weight file format (save_weights/load_weights): magic bytes ``OSPDW1``,
 then the seven config integers (n_layers, n_heads, d_model, head_dim,
 vocab_size, max_seq, seed) as little-endian int32, then every tensor in
@@ -34,6 +38,8 @@ __all__ = [
     "ModelConfig",
     "Weights",
     "attention_reference",
+    "cache_attention",
+    "causal_attention",
     "decode_step_monolithic",
     "full_forward",
     "greedy_decode",
@@ -43,6 +49,7 @@ __all__ = [
     "reset_weight_alloc_count",
     "sample_token",
     "save_weights",
+    "trunk",
     "weight_alloc_count",
 ]
 
@@ -219,12 +226,6 @@ class KvCache:
         self.k[layer, :, pos, :] = k_heads
         self.v[layer, :, pos, :] = v_heads
 
-    def keys(self, layer: int, head: int, upto: int | None = None) -> np.ndarray:
-        return self.k[layer, head, : (self.length if upto is None else upto)]
-
-    def values(self, layer: int, head: int, upto: int | None = None) -> np.ndarray:
-        return self.v[layer, head, : (self.length if upto is None else upto)]
-
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
@@ -279,55 +280,81 @@ def attention_reference(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarr
     return out
 
 
-def _project_heads(x: np.ndarray, w: np.ndarray, config: ModelConfig) -> np.ndarray:
-    # (n, d) @ (d, d) -> (n, n_heads, head_dim)
-    return (x @ w).reshape(x.shape[0], config.n_heads, config.head_dim)
+def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """attention_reference for every head at once.
+
+    q is (n_heads, n_q, head_dim), k and v are (n_heads, n_k, head_dim);
+    query row i sees keys up to n_k - n_q + i, so a single query row sees
+    every key. Returns (n_heads, n_q, head_dim).
+    """
+    scores = q @ k.transpose(0, 2, 1)
+    n_q, n_k = scores.shape[-2:]
+    if n_q > 1:
+        scores[:, ~np.tri(n_q, n_k, n_k - n_q, dtype=bool)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)) @ v
 
 
-def _attention_block(
-    weights: Weights,
-    layer: int,
-    x: np.ndarray,
-    positions: np.ndarray,
-    cache: KvCache | None,
-) -> np.ndarray:
-    """Causal multi-head attention over x itself, optionally filling cache."""
+def trunk(weights: Weights, tokens, positions, attend) -> np.ndarray:
+    """The decoder: one logits row per token, with attention left to attend.
+
+    Every layer runs RMS norm, Q/K/V projection with rotary encoding at the
+    given positions, then attend(layer, q, k, v) on (n_heads, n, head_dim)
+    arrays (q already scaled by head_dim**-0.5), which returns the
+    per-head attention output of the same shape; then the output
+    projection and the MLP, each with its residual. attend is the only
+    place callers differ: prefill, monolithic decode and two-party decode
+    all share this trunk.
+    """
     c = weights.config
-    lw = weights.layers[layer]
-    h = _rms_norm(x, lw.gain_attn)
-    q = rotary_encode(
-        _project_heads(h, lw.wq, c).transpose(1, 0, 2), positions
-    ) * c.head_dim**-0.5
-    k = rotary_encode(_project_heads(h, lw.wk, c).transpose(1, 0, 2), positions)
-    v = _project_heads(h, lw.wv, c).transpose(1, 0, 2)
-    if cache is not None:
-        for pos in range(x.shape[0]):
-            cache.store(layer, pos, k[:, pos, :], v[:, pos, :])
-    heads = [
-        attention_reference(q[head], k[head], v[head]) for head in range(c.n_heads)
-    ]
-    merged = np.concatenate(heads, axis=-1)
-    return x + merged @ lw.wo
+    positions = np.asarray(positions)
+    x = weights.embed[list(tokens)]
+    n = x.shape[0]
+
+    def heads(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # (n, d) @ (d, d) -> (n_heads, n, head_dim)
+        return (h @ w).reshape(n, c.n_heads, c.head_dim).transpose(1, 0, 2)
+
+    for layer, lw in enumerate(weights.layers):
+        h = _rms_norm(x, lw.gain_attn)
+        q = rotary_encode(heads(h, lw.wq), positions) * c.head_dim**-0.5
+        k = rotary_encode(heads(h, lw.wk), positions)
+        v = heads(h, lw.wv)
+        out = attend(layer, q, k, v)
+        x = x + out.transpose(1, 0, 2).reshape(n, c.d_model) @ lw.wo
+        x = x + _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
+    return _rms_norm(x, weights.final_gain) @ weights.unembed
 
 
-def _mlp_block(weights: Weights, layer: int, x: np.ndarray) -> np.ndarray:
-    lw = weights.layers[layer]
-    h = _rms_norm(x, lw.gain_mlp)
-    return x + _silu(h @ lw.w_in) @ lw.w_out
+def cache_attention(caches: list[KvCache]):
+    """attend for a decode step of several sessions, one token each.
+
+    Token b writes its K/V at row caches[b].length of its own cache and
+    attends over that cache's rows up to and including it; callers
+    advance the lengths after the step.
+    """
+
+    def attend(layer, q, k, v):
+        out = np.empty_like(q)
+        for b, cache in enumerate(caches):
+            pos = cache.length
+            cache.store(layer, pos, k[:, b], v[:, b])
+            out[:, b : b + 1] = causal_attention(
+                q[:, b : b + 1], cache.k[layer, :, : pos + 1], cache.v[layer, :, : pos + 1]
+            )
+        return out
+
+    return attend
 
 
 def full_forward(weights: Weights, tokens) -> np.ndarray:
     """Logits for every position of tokens, recomputed from scratch."""
-    c = weights.config
     tokens = list(tokens)
-    if not 1 <= len(tokens) <= c.max_seq:
-        raise ValueError(f"sequence length must be in [1, {c.max_seq}]")
-    positions = np.arange(len(tokens))
-    x = weights.embed[tokens]
-    for layer in range(c.n_layers):
-        x = _attention_block(weights, layer, x, positions, cache=None)
-        x = _mlp_block(weights, layer, x)
-    return _rms_norm(x, weights.final_gain) @ weights.unembed
+    if not 1 <= len(tokens) <= weights.config.max_seq:
+        raise ValueError(f"sequence length must be in [1, {weights.config.max_seq}]")
+    return trunk(
+        weights, tokens, np.arange(len(tokens)), lambda layer, q, k, v: causal_attention(q, k, v)
+    )
 
 
 def prefill(weights: Weights, tokens) -> tuple[KvCache, np.ndarray]:
@@ -338,19 +365,21 @@ def prefill(weights: Weights, tokens) -> tuple[KvCache, np.ndarray]:
     """
     c = weights.config
     tokens = list(tokens)
-    if len(tokens) == 0:
+    n = len(tokens)
+    if n == 0:
         raise ValueError("cannot prefill an empty prompt")
-    if len(tokens) > c.max_seq:
-        raise CacheFullError(f"prompt of {len(tokens)} tokens exceeds max_seq={c.max_seq}")
+    if n > c.max_seq:
+        raise CacheFullError(f"prompt of {n} tokens exceeds max_seq={c.max_seq}")
     cache = KvCache(config=c)
-    positions = np.arange(len(tokens))
-    x = weights.embed[tokens]
-    for layer in range(c.n_layers):
-        x = _attention_block(weights, layer, x, positions, cache=cache)
-        x = _mlp_block(weights, layer, x)
-    cache.length = len(tokens)
-    logits = (_rms_norm(x, weights.final_gain) @ weights.unembed)[-1]
-    return cache, logits
+
+    def attend(layer, q, k, v):
+        cache.k[layer, :, :n] = k
+        cache.v[layer, :, :n] = v
+        return causal_attention(q, k, v)
+
+    logits = trunk(weights, tokens, np.arange(n), attend)
+    cache.length = n
+    return cache, logits[-1]
 
 
 def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.ndarray:
@@ -364,36 +393,20 @@ def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.n
         raise ValueError("decode requires a prefilled cache")
     if cache.length >= c.max_seq:
         raise CacheFullError(f"cache full at max_seq={c.max_seq}")
-    pos = cache.length
-    positions = np.array([pos])
-    x = weights.embed[[token]]
-    for layer in range(c.n_layers):
-        lw = weights.layers[layer]
-        h = _rms_norm(x, lw.gain_attn)
-        q = rotary_encode(
-            _project_heads(h, lw.wq, c).transpose(1, 0, 2), positions
-        ) * c.head_dim**-0.5
-        k = rotary_encode(_project_heads(h, lw.wk, c).transpose(1, 0, 2), positions)
-        v = _project_heads(h, lw.wv, c).transpose(1, 0, 2)
-        cache.store(layer, pos, k[:, 0, :], v[:, 0, :])
-        heads = [
-            attention_reference(
-                q[head, 0], cache.keys(layer, head, pos + 1), cache.values(layer, head, pos + 1)
-            )[0]
-            for head in range(c.n_heads)
-        ]
-        x = x + np.concatenate(heads)[None, :] @ lw.wo
-        x = _mlp_block(weights, layer, x)
-    cache.length = pos + 1
-    return (_rms_norm(x, weights.final_gain) @ weights.unembed)[0]
+    logits = trunk(weights, [token], [cache.length], cache_attention([cache]))
+    cache.length += 1
+    return logits[0]
 
 
-def sample_token(logits: np.ndarray, temperature: float | None = None, seed: int = 0) -> int:
+def sample_token(
+    logits: np.ndarray, temperature: float | None = None, seed: int | list[int] = 0
+) -> int:
     """Pick the next token: greedy argmax by default, seeded sampling if
     a temperature is given.
 
     Greedy ties break to the lowest token index. Temperature sampling with
-    the same seed is reproducible.
+    the same seed (an int or a list of ints, as SeedSequence takes) is
+    reproducible.
     """
     logits = np.asarray(logits, dtype=np.float64).reshape(-1)
     if temperature is None:

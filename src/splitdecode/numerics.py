@@ -1,7 +1,6 @@
-"""Dense float64 linear algebra and stable softmax statistics.
+"""Seeded float64 matrices and stable softmax statistics.
 
-Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects of dtype
-float64; ``matmul`` and ``seeded_matrix`` enforce that representation.
+Matrices are plain 2-D ``numpy.ndarray`` objects of dtype float64.
 Randomness comes from numpy's Philox 4x64 counter-based generator seeded
 through ``SeedSequence``, which gives identical streams on every platform.
 """
@@ -16,8 +15,6 @@ __all__ = [
     "DimensionError",
     "EmptyPartitionError",
     "SoftmaxStats",
-    "as_matrix",
-    "matmul",
     "seeded_matrix",
     "stable_softmax_stats",
 ]
@@ -29,31 +26,6 @@ class DimensionError(ValueError):
 
 class EmptyPartitionError(ValueError):
     """An operation that needs at least one score/row got none."""
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a 2-D float64 C-contiguous array, validating finiteness."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking.
-
-    Raises DimensionError on inner-dimension mismatch. Bit-for-bit
-    reproducible across runs on the same platform.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def seeded_matrix(seed: int, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:

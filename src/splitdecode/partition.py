@@ -60,16 +60,17 @@ class PartialAttention:
 
 @dataclass
 class KvPartition:
-    """Per-layer, per-head K/V rows labeled private or public.
+    """K/V rows of every layer and head, labeled private or public.
 
-    k[layer][head] and v[layer][head] are (n, head_dim) arrays of equal
-    row count. Private partitions are confined to the user party by
-    construction: no serializer in this package accepts one.
+    k and v are (n_layers, n_heads, n, head_dim) arrays of equal shape, so
+    k[layer][head] is that head's (n, head_dim) key rows. Private
+    partitions are confined to the user party by construction: no
+    serializer in this package accepts one.
     """
 
     label: str
-    k: list[list[np.ndarray]]
-    v: list[list[np.ndarray]]
+    k: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         if self.label not in (PRIVATE, PUBLIC):
@@ -79,78 +80,85 @@ class KvPartition:
     def single_head(cls, label: str, K, V) -> "KvPartition":
         K = np.atleast_2d(np.asarray(K, dtype=np.float64))
         V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-        return cls(label=label, k=[[K]], v=[[V]])
-
-    @classmethod
-    def empty(cls, label: str, n_layers: int, n_heads: int, head_dim: int) -> "KvPartition":
-        mk = lambda: np.zeros((0, head_dim))
-        return cls(
-            label=label,
-            k=[[mk() for _ in range(n_heads)] for _ in range(n_layers)],
-            v=[[mk() for _ in range(n_heads)] for _ in range(n_layers)],
-        )
+        return cls(label=label, k=K[None, None], v=V[None, None])
 
     def rows(self, layer: int = 0, head: int = 0) -> int:
         return self.k[layer][head].shape[0]
 
-    def append(self, layer: int, head: int, k_row: np.ndarray, v_row: np.ndarray):
-        self.k[layer][head] = np.vstack([self.k[layer][head], k_row])
-        self.v[layer][head] = np.vstack([self.v[layer][head], v_row])
 
-
-def _partial(q: np.ndarray, K: np.ndarray, V: np.ndarray) -> PartialAttention:
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
+def _head_rows(part: KvPartition, label: str, layer: int, head: int, width: int):
+    """(K, V) of one head, checked against the label and the query width."""
+    if part.label != label:
+        raise ValueError(f"expected a {label} partition, got a {part.label} one")
+    K, V = part.k[layer, head], part.v[layer, head]
     if K.shape[0] != V.shape[0]:
         raise DimensionError("K and V row counts differ")
+    if K.shape[0] > 0 and K.shape[1] != width:
+        raise DimensionError(f"key width {K.shape[1]} does not match query width {width}")
+    return K, V
+
+
+def _softmax_partial(qs, K, V, lengths=None):
+    """The partial kernel: (a, gamma, m) of queries qs (..., d) against
+    their keys and values (..., n, d). With lengths, query row i sees only
+    its first lengths[i] keys; every row must see at least one."""
+    scores = (K @ qs[..., None])[..., 0]
+    if lengths is not None:
+        scores[np.arange(scores.shape[-1]) >= lengths[:, None]] = -np.inf
+    m = scores.max(axis=-1)
+    e = np.exp(scores - m[..., None])
+    gamma = e.sum(axis=-1)
+    a = ((e / gamma[..., None])[..., None, :] @ V)[..., 0, :]
+    return a, gamma, m
+
+
+def _one_partial(q, part: KvPartition, label: str, layer: int, head: int) -> PartialAttention:
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    K, V = _head_rows(part, label, layer, head, q.size)
     if K.shape[0] == 0:
-        return PartialAttention.empty(V.shape[1] if V.ndim == 2 else q.size)
-    if K.shape[1] != q.size:
-        raise DimensionError(f"query width {q.size} vs key width {K.shape[1]}")
-    # inline softmax statistics; scores here are always finite 1-D float64
-    scores = K @ q
-    m = scores.max()
-    e = np.exp(scores - m)
-    gamma = e.sum()
-    return PartialAttention(a=(e / gamma) @ V, gamma=float(gamma), m=float(m))
+        return PartialAttention.empty(V.shape[1])
+    a, gamma, m = _softmax_partial(q, K, V)
+    return PartialAttention(a=a, gamma=float(gamma), m=float(m))
 
 
 def private_partial(
     q: np.ndarray, part: KvPartition, layer: int = 0, head: int = 0
 ) -> PartialAttention:
     """The user party's softmax-weighted V contribution over its private rows."""
-    if part.label != PRIVATE:
-        raise ValueError("private_partial requires a private partition")
-    return _partial(q, part.k[layer][head], part.v[layer][head])
+    return _one_partial(q, part, PRIVATE, layer, head)
 
 
 def public_partial(
     q: np.ndarray, part: KvPartition, layer: int = 0, head: int = 0
 ) -> PartialAttention:
     """The model party's contribution over the generated-token rows."""
-    if part.label != PUBLIC:
-        raise ValueError("public_partial requires a public partition")
-    return _partial(q, part.k[layer][head], part.v[layer][head])
+    return _one_partial(q, part, PUBLIC, layer, head)
 
 
-def merge_partials(pvt: PartialAttention, pub: PartialAttention) -> np.ndarray:
-    """Combine two partial results into the full attention output.
+def merge_partials(pvt, pub) -> np.ndarray:
+    """Combine private and public partials into the full attention output.
 
-    Both denominators are rescaled to the shared max before mixing, so the
-    coefficients gamma_pvt/(gamma_pvt + alpha*gamma_pub) and its mirror are
-    evaluated without overflowing either exponential. An empty partial
-    contributes nothing; the other side's vector is returned exactly.
+    pvt and pub are one PartialAttention each, or equal-length sequences
+    of them merged pairwise into one output row per pair. Both
+    denominators are rescaled to the shared max before mixing, so the
+    coefficients gamma_pvt/(gamma_pvt + alpha*gamma_pub) and its mirror
+    are evaluated without overflowing either exponential. The empty
+    partial (gamma 0, m -inf) is the identity: its weight is exactly 0,
+    and the other side's vector comes back exactly.
     """
-    if pvt.is_empty and pub.is_empty:
+    single = isinstance(pvt, PartialAttention)
+    pvt, pub = ([pvt], [pub]) if single else (pvt, pub)
+    a1, a2 = np.stack([p.a for p in pvt]), np.stack([p.a for p in pub])
+    m1, m2 = np.array([p.m for p in pvt]), np.array([p.m for p in pub])
+    g1, g2 = np.array([p.gamma for p in pvt]), np.array([p.gamma for p in pub])
+    if np.any((g1 == 0.0) & (g2 == 0.0)):
         raise EmptyPartitionError("cannot merge two empty partials")
-    if pub.is_empty:
-        return pvt.a.copy()
-    if pvt.is_empty:
-        return pub.a.copy()
-    m = max(pvt.m, pub.m)
-    g_pvt = pvt.gamma * np.exp(pvt.m - m)
-    g_pub = pub.gamma * np.exp(pub.m - m)
-    total = g_pvt + g_pub
-    return (g_pvt / total) * pvt.a + (g_pub / total) * pub.a
+    m = np.maximum(m1, m2)
+    g1 = g1 * np.exp(m1 - m)
+    g2 = g2 * np.exp(m2 - m)
+    total = g1 + g2
+    out = (g1 / total)[:, None] * a1 + (g2 / total)[:, None] * a2
+    return out[0] if single else out
 
 
 def batched_public_partials(
@@ -168,47 +176,16 @@ def batched_public_partials(
     qs = np.atleast_2d(np.asarray(qs, dtype=np.float64))
     if len(parts) == 0 or qs.shape[0] != len(parts):
         raise ValueError("need one query row per partition")
-    head_dim = qs.shape[1]
-    ks, vs, lengths = [], [], []
-    for part in parts:
-        if part.label != PUBLIC:
-            raise ValueError("batched_public_partials requires public partitions")
-        K, V = part.k[layer][head], part.v[layer][head]
-        if K.shape[0] != V.shape[0]:
-            raise DimensionError("K and V row counts differ")
-        if K.shape[0] > 0 and K.shape[1] != head_dim:
-            raise DimensionError(
-                f"key width {K.shape[1]} does not match query width {head_dim}"
-            )
-        ks.append(K)
-        vs.append(V)
-        lengths.append(K.shape[0])
-
-    n_max = max(lengths)
-    if n_max == 0:
-        return [PartialAttention.empty(head_dim) for _ in parts]
-    batch = len(parts)
-    K_pad = np.zeros((batch, n_max, head_dim))
-    V_pad = np.zeros((batch, n_max, head_dim))
-    for i, (K, V) in enumerate(zip(ks, vs)):
-        K_pad[i, : lengths[i]] = K
-        V_pad[i, : lengths[i]] = V
-    mask = np.arange(n_max)[None, :] < np.asarray(lengths)[:, None]
-
-    scores = np.einsum("bnd,bd->bn", K_pad, qs)
-    scores = np.where(mask, scores, -np.inf)
-    m = np.max(scores, axis=1)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    e = np.where(mask, np.exp(scores - safe_m[:, None]), 0.0)
-    gamma = e.sum(axis=1)
-    out = []
-    for i in range(batch):
-        if lengths[i] == 0:
-            out.append(PartialAttention.empty(head_dim))
-        else:
-            out.append(
-                PartialAttention(
-                    a=(e[i] / gamma[i]) @ V_pad[i], gamma=float(gamma[i]), m=float(m[i])
-                )
-            )
-    return out
+    d = qs.shape[1]
+    rows = [_head_rows(part, PUBLIC, layer, head, d) for part in parts]
+    lengths = np.array([K.shape[0] for K, _ in rows])
+    seen = np.flatnonzero(lengths)  # rows with no keys get the empty partial
+    found = iter(())
+    if len(seen):
+        K_pad = np.zeros((len(seen), lengths.max(), d))
+        V_pad = np.zeros_like(K_pad)
+        for j, i in enumerate(seen):
+            K_pad[j, : lengths[i]], V_pad[j, : lengths[i]] = rows[i]
+        a, gamma, m = _softmax_partial(qs[seen], K_pad, V_pad, lengths[seen])
+        found = (PartialAttention(a[j], float(gamma[j]), float(m[j])) for j in range(len(seen)))
+    return [next(found) if n else PartialAttention.empty(d) for n in lengths]

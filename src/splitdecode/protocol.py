@@ -20,6 +20,7 @@ over localhost stream sockets via SocketLink/serve_user_party.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import socket
 import struct
@@ -29,15 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    ModelConfig,
-    Weights,
-    _rms_norm,
-    _silu,
-    prefill,
-    rotary_encode,
-    sample_token,
-)
+from .model import ModelConfig, Weights, prefill, sample_token, trunk
 from .numerics import stable_softmax_stats
 from .obfuscation import (
     ObfuscationConfig,
@@ -53,15 +46,19 @@ from .partition import (
     KvPartition,
     PartialAttention,
     batched_public_partials,
+    merge_partials,
     private_partial,
 )
 from .wire import (
+    MAX_BODY,
     TAG_ABORT,
     TAG_CONTROL,
     TAG_FINAL_Y,
+    TAG_NAMES,
     TAG_PARTIAL,
     TAG_QUERY,
     TAG_TOKEN,
+    FrameError,
     ProtocolMessage,
     decode_f64s,
     decode_token,
@@ -151,8 +148,6 @@ class TranscriptEntry:
 
     @property
     def tag_name(self) -> str:
-        from .wire import TAG_NAMES
-
         return TAG_NAMES.get(self.tag, f"0x{self.tag:02x}")
 
 
@@ -216,22 +211,32 @@ class InProcLink:
         return frame
 
 
+_RECV_CHUNK = 1 << 16
+
+
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+    chunks = []
+    while n > 0:
+        chunk = sock.recv(min(n, _RECV_CHUNK))
         if not chunk:
             return None
-        buf += chunk
-    return buf
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
 
 
 def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one length-prefixed frame; None on clean EOF."""
+    """Read one length-prefixed frame; None on clean EOF.
+
+    A length prefix above the largest legal frame body raises FrameError
+    before any of the body is read.
+    """
     head = _read_exact(sock, 4)
     if head is None:
         return None
     (body_len,) = struct.unpack("<I", head)
+    if body_len > MAX_BODY:
+        raise FrameError(f"length prefix {body_len} exceeds the largest frame body {MAX_BODY}")
     body = _read_exact(sock, body_len)
     if body is None:
         raise ProtocolError("socket closed mid-frame")
@@ -297,7 +302,15 @@ class _UserStream:
     stream_id: int
     private: KvPartition
     tokens: list
+    sample_key: int  # digest of the stream's virtual prompt
     alive: bool = True
+
+
+def _prompt_digest(tokens) -> int:
+    """A 64-bit key of a token sequence; the same prompt always gets the
+    same key, whatever else the party decodes alongside it."""
+    data = np.asarray(tokens, dtype="<u8").tobytes()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 class UserParty:
@@ -330,7 +343,6 @@ class UserParty:
         self.pending_setup: list[ProtocolMessage] = []
         self._outward: deque = deque()
         self._outward_lock = threading.Lock()
-        self._sample_counter = 0
 
     def take_outward(self) -> list[ProtocolMessage]:
         with self._outward_lock:
@@ -342,14 +354,14 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
-    def _sample(self, logits: np.ndarray) -> int:
+    def _sample(self, stream: _UserStream, logits: np.ndarray) -> int:
+        """The stream's next token. A sampled draw is keyed by the sample
+        seed, the stream's prompt and its token count, so a stream samples
+        the same tokens however many decoys or other users share the run."""
         if self.temperature is None:
             return sample_token(logits)
-        token = sample_token(
-            logits, self.temperature, seed=self.sample_seed + self._sample_counter
-        )
-        self._sample_counter += 1
-        return token
+        seed = [self.sample_seed, stream.sample_key, len(stream.tokens)]
+        return sample_token(logits, self.temperature, seed=seed)
 
     def authentic_response(self) -> list[int]:
         """Winnow: the response stream at the PRF-derived index."""
@@ -364,20 +376,10 @@ class UserParty:
         if msg.tag == TAG_QUERY:
             q = decode_f64s(msg.payload)
             pa = private_partial(q, stream.private, msg.layer, msg.head)
-            return [
-                serialize(
-                    ProtocolMessage(
-                        tag=TAG_PARTIAL,
-                        session_id=msg.session_id,
-                        layer=msg.layer,
-                        head=msg.head,
-                        payload=encode_f64s(pa.scalars()),
-                    )
-                )
-            ]
+            return [_frame(TAG_PARTIAL, msg.session_id, msg.layer, msg.head, pa.scalars())]
         if msg.tag == TAG_FINAL_Y:
             logits = decode_f64s(msg.payload)
-            token = self._sample(logits)
+            token = self._sample(stream, logits)
             stream.tokens.append(token)
             token_msg = ProtocolMessage(
                 tag=TAG_TOKEN, session_id=msg.session_id, payload=encode_token(token)
@@ -422,24 +424,15 @@ def user_prefill(
         raise ValueError("need one stream id per prompt")
 
     messages = []
-    c = weights.config
     for stream_id, tokens in zip(stream_ids, prompts):
+        n = len(tokens)
         cache, logits = prefill(weights, list(tokens))
-        private = KvPartition(
-            label=PRIVATE,
-            k=[
-                [cache.k[layer, head, : len(tokens)].copy() for head in range(c.n_heads)]
-                for layer in range(c.n_layers)
-            ],
-            v=[
-                [cache.v[layer, head, : len(tokens)].copy() for head in range(c.n_heads)]
-                for layer in range(c.n_layers)
-            ],
-        )
-        first = party._sample(logits)
-        party.streams[stream_id] = _UserStream(
-            stream_id=stream_id, private=private, tokens=[first]
-        )
+        # copy the prompt rows so the max_seq-row cache can be freed
+        private = KvPartition(PRIVATE, k=cache.k[:, :, :n].copy(), v=cache.v[:, :, :n].copy())
+        stream = _UserStream(stream_id, private, tokens=[], sample_key=_prompt_digest(tokens))
+        first = party._sample(stream, logits)
+        stream.tokens.append(first)
+        party.streams[stream_id] = stream
         token_msg = ProtocolMessage(
             tag=TAG_TOKEN, session_id=stream_id, payload=encode_token(first)
         )
@@ -474,6 +467,9 @@ class Controller:
     one unverified token per stream is let through. Under non-greedy
     sampling (mode="support") the gate checks membership in the
     positive-probability support instead of exact equality.
+
+    The model party hands over each round's logits through expect(); the
+    controller derives the check from them itself.
     """
 
     def __init__(self, mode: str = "exact"):
@@ -489,6 +485,14 @@ class Controller:
 
     def register_expected(self, stream_id: int, token: int, support=None):
         self.expected[stream_id].append((token, support))
+
+    def expect(self, stream_id: int, logits: np.ndarray):
+        """Queue the ground truth for the stream's next token: the argmax
+        of logits, plus the positive-probability support in support mode."""
+        support = None
+        if self.mode == "support":
+            support = set(np.flatnonzero(stable_softmax_stats(logits).weights > 0).tolist())
+        self.register_expected(stream_id, sample_token(logits), support)
 
     def kill(self, stream_id: int, reason: str):
         self.killed[stream_id] = reason
@@ -536,23 +540,26 @@ class _ModelStream:
     stream_id: int
     prompt_len: int
     pos: int  # absolute position of the next token to process
-    public: KvPartition
-    # public K/V live in preallocated buffers; the partition holds views
-    kbuf: np.ndarray = field(repr=False, default=None)
-    vbuf: np.ndarray = field(repr=False, default=None)
+    # public K/V live in preallocated (n_layers, n_heads, rows, head_dim)
+    # buffers; the partition is a view of the rows written so far
+    kbuf: np.ndarray = field(repr=False)
+    vbuf: np.ndarray = field(repr=False)
+    public: KvPartition = None
     public_len: int = 0
     pending_token: int | None = None
     tokens: list = field(default_factory=list)
     done: bool = False
 
+    def open_round(self):
+        """Point the public partition at the rows of every earlier token
+        plus the one this round appends."""
+        n = self.public_len + 1
+        self.public = KvPartition(PUBLIC, k=self.kbuf[:, :, :n], v=self.vbuf[:, :, :n])
+
     def append_public(self, layer: int, k_heads: np.ndarray, v_heads: np.ndarray):
-        """Write one position's K/V for all heads and refresh the views."""
-        col = self.public_len
-        self.kbuf[layer, :, col] = k_heads
-        self.vbuf[layer, :, col] = v_heads
-        for head in range(self.kbuf.shape[1]):
-            self.public.k[layer][head] = self.kbuf[layer, head, : col + 1]
-            self.public.v[layer][head] = self.vbuf[layer, head, : col + 1]
+        """Write this round's K/V of one layer, for all heads."""
+        self.kbuf[layer, :, self.public_len] = k_heads
+        self.vbuf[layer, :, self.public_len] = v_heads
 
 
 class ModelParty:
@@ -579,7 +586,6 @@ class ModelParty:
                 stream_id=msg.session_id,
                 prompt_len=prompt_len,
                 pos=prompt_len,
-                public=KvPartition.empty(PUBLIC, c.n_layers, c.n_heads, c.head_dim),
                 kbuf=np.zeros(shape),
                 vbuf=np.zeros(shape),
             )
@@ -611,45 +617,29 @@ class ModelParty:
         return list(self.streams[stream_id].tokens)
 
 
-def _expect_partial(link, stream_id: int, layer: int, head: int) -> PartialAttention:
+def _frame(tag: int, stream_id: int, layer: int = 0, head: int = 0, values=()) -> bytes:
+    """One serialized frame whose payload is the float64 values."""
+    return serialize(
+        ProtocolMessage(
+            tag=tag, session_id=stream_id, layer=layer, head=head, payload=encode_f64s(values)
+        )
+    )
+
+
+def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> bytes:
+    """The payload of the next reply, which must be tag for stream_id/layer/head."""
     msg = deserialize(link.recv())
-    if (
-        msg.tag != TAG_PARTIAL
-        or msg.session_id != stream_id
-        or msg.layer != layer
-        or msg.head != head
-    ):
+    if (msg.tag, msg.session_id, msg.layer, msg.head) != (tag, stream_id, layer, head):
         raise ProtocolError(
-            f"out-of-order reply: expected PARTIAL {stream_id}/{layer}/{head}, "
+            f"out-of-order reply: expected {TAG_NAMES[tag]} {stream_id}/{layer}/{head}, "
             f"got {msg.tag_name} {msg.session_id}/{msg.layer}/{msg.head}"
         )
-    scalars = decode_f64s(msg.payload)
+    return msg.payload
+
+
+def _expect_partial(link, stream_id: int, layer: int, head: int) -> PartialAttention:
+    scalars = decode_f64s(_expect(link, TAG_PARTIAL, stream_id, layer, head))
     return PartialAttention(a=scalars[:-2], gamma=float(scalars[-2]), m=float(scalars[-1]))
-
-
-def _merge_batch(pvt: list[PartialAttention], pub: list[PartialAttention]) -> np.ndarray:
-    """Vectorized merge of per-stream partial pairs; same arithmetic as
-    merge_partials, which the in-protocol partials (both sides non-empty)
-    always satisfy."""
-    a1 = np.stack([p.a for p in pvt])
-    a2 = np.stack([p.a for p in pub])
-    m1 = np.array([p.m for p in pvt])
-    m2 = np.array([p.m for p in pub])
-    m = np.maximum(m1, m2)
-    g1 = np.array([p.gamma for p in pvt]) * np.exp(m1 - m)
-    g2 = np.array([p.gamma for p in pub]) * np.exp(m2 - m)
-    total = g1 + g2
-    return (g1 / total)[:, None] * a1 + (g2 / total)[:, None] * a2
-
-
-def _expect_token(link, stream_id: int) -> int:
-    msg = deserialize(link.recv())
-    if msg.tag != TAG_TOKEN or msg.session_id != stream_id:
-        raise ProtocolError(
-            f"out-of-order reply: expected TOKEN for {stream_id}, "
-            f"got {msg.tag_name} {msg.session_id}"
-        )
-    return decode_token(msg.payload)
 
 
 def model_batch_step(
@@ -661,13 +651,13 @@ def model_batch_step(
     """Advance every listed (stream_id, link) pair by one token in one
     batched pass.
 
-    All per-stream trunk math (projections, merge, MLP, logits) runs
-    stacked across streams, and public partials go through
-    batched_public_partials; the resulting tokens are identical to running
-    each stream alone. Returns the token each user party fed back.
+    The streams run through the model trunk stacked; at each layer the
+    attention callback appends the public K/V, sends one QUERY per stream
+    and head, collects the PARTIAL replies, and merges them with the
+    public partials. The resulting tokens are identical to running each
+    stream alone. Returns the token each user party fed back.
     """
     c = model.config
-    w = model.weights
     live = [
         (sid, link)
         for sid, link in sessions
@@ -681,76 +671,38 @@ def model_batch_step(
     for st in states:
         if st.pos >= c.max_seq:
             raise ProtocolError(f"stream {st.stream_id} ran past max_seq")
+        st.open_round()
     for _, link in live:
         link.step = step
 
-    positions = np.array([st.pos for st in states])
-    x = w.embed[[st.pending_token for st in states]]
-    for st in states:
-        st.pending_token = None
-    B = x.shape[0]
-    scale = c.head_dim**-0.5
-
-    for layer in range(c.n_layers):
-        lw = w.layers[layer]
-        h = _rms_norm(x, lw.gain_attn)
-        q = rotary_encode(
-            (h @ lw.wq).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2), positions
-        ) * scale
-        k = rotary_encode(
-            (h @ lw.wk).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2), positions
-        )
-        v = (h @ lw.wv).reshape(B, c.n_heads, c.head_dim).transpose(1, 0, 2)
-
+    def attend(layer, q, k, v):
         for i, st in enumerate(states):
             st.append_public(layer, k[:, i], v[:, i])
-
         for i, (sid, link) in enumerate(live):
             for head in range(c.n_heads):
-                link.send(
-                    serialize(
-                        ProtocolMessage(
-                            tag=TAG_QUERY,
-                            session_id=sid,
-                            layer=layer,
-                            head=head,
-                            payload=encode_f64s(q[head, i]),
-                        )
-                    )
-                )
-        pvt = {
-            (sid, head): _expect_partial(link, sid, layer, head)
-            for (sid, link) in live
-            for head in range(c.n_heads)
-        }
-
-        merged = np.empty((B, c.d_model))
+                link.send(_frame(TAG_QUERY, sid, layer, head, q[head, i]))
+        pvt = [
+            [_expect_partial(link, sid, layer, head) for head in range(c.n_heads)]
+            for sid, link in live
+        ]
+        out = np.empty_like(q)
         for head in range(c.n_heads):
             pub = batched_public_partials(q[head], [st.public for st in states], layer, head)
-            pvt_head = [pvt[(sid, head)] for sid, _ in live]
-            merged[:, head * c.head_dim : (head + 1) * c.head_dim] = _merge_batch(
-                pvt_head, pub
-            )
-        x = x + merged @ lw.wo
-        x = x + _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
+            out[head] = merge_partials([p[head] for p in pvt], pub)
+        return out
 
-    logits = _rms_norm(x, w.final_gain) @ w.unembed
+    tokens = [st.pending_token for st in states]
+    for st in states:
+        st.pending_token = None
+    logits = trunk(model.weights, tokens, [st.pos for st in states], attend)
 
     returned: dict[int, int] = {}
     for i, (sid, link) in enumerate(live):
         st = states[i]
         if controller is not None:
-            expected = sample_token(logits[i])
-            support = set(np.nonzero(stable_softmax_stats(logits[i]).weights > 0)[0].tolist())
-            controller.register_expected(sid, expected, support)
-        link.send(
-            serialize(
-                ProtocolMessage(
-                    tag=TAG_FINAL_Y, session_id=sid, payload=encode_f64s(logits[i])
-                )
-            )
-        )
-        token = _expect_token(link, sid)
+            controller.expect(sid, logits[i])
+        link.send(_frame(TAG_FINAL_Y, sid, values=logits[i]))
+        token = decode_token(_expect(link, TAG_TOKEN, sid))
         model._accept_token(st, token)
         st.pos += 1
         st.public_len += 1
@@ -783,8 +735,40 @@ def _route_outward(user: UserParty, ctrl: Controller, transcript: Transcript, st
 def _abort_stream(model: ModelParty, user: UserParty, link, stream_id: int):
     if stream_id in model.streams:
         model.streams[stream_id].done = True
-    abort = serialize(ProtocolMessage(tag=TAG_ABORT, session_id=stream_id))
-    link.send(abort)
+    link.send(_frame(TAG_ABORT, stream_id))
+
+
+def _inproc_setup(user: UserParty, link, transcript: Transcript) -> list[ProtocolMessage]:
+    """Hand over the prefill messages directly, recording them as u2m."""
+    msgs, user.pending_setup = user.pending_setup, []
+    for msg in msgs:
+        transcript.record("u2m", 0, serialize(msg))
+    return msgs
+
+
+def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> Transcript:
+    """Ingest each user's setup messages (from receive_setup), then
+    advance all active streams in lockstep rounds until EOS/max_tokens."""
+    link_of: dict[int, object] = {}
+    for user, link in users_links:
+        for msg in receive_setup(user, link, transcript):
+            model.handle_user_frame(msg)
+            if msg.tag == TAG_CONTROL:
+                ctrl.open_stream(msg.session_id)
+        for sid in user.streams:
+            link_of[sid] = link
+        for sid in _route_outward(user, ctrl, transcript, 0):
+            _abort_stream(model, user, link, sid)
+
+    for step in range(1, max_tokens + 1):
+        pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
+        if not pairs:
+            break
+        model_batch_step(model, pairs, controller=ctrl, step=step)
+        for user, link in users_links:
+            for sid in _route_outward(user, ctrl, transcript, step):
+                _abort_stream(model, user, link, sid)
+    return transcript
 
 
 def run_sessions(
@@ -800,28 +784,7 @@ def run_sessions(
     messages are ingested here, then each round advances all active
     streams of all users in one batched model step.
     """
-    link_of: dict[int, object] = {}
-    for user, link in users_links:
-        for msg in user.pending_setup:
-            transcript.record("u2m", 0, serialize(msg))
-            model.handle_user_frame(msg)
-            if msg.tag == TAG_CONTROL:
-                ctrl.open_stream(msg.session_id)
-        user.pending_setup = []
-        for sid in user.streams:
-            link_of[sid] = link
-        for sid in _route_outward(user, ctrl, transcript, 0):
-            _abort_stream(model, user, link, sid)
-
-    for step in range(1, max_tokens + 1):
-        pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
-        if not pairs:
-            break
-        model_batch_step(model, pairs, controller=ctrl, step=step)
-        for user, link in users_links:
-            for sid in _route_outward(user, ctrl, transcript, step):
-                _abort_stream(model, user, link, sid)
-    return transcript
+    return _drive(model, ctrl, users_links, max_tokens, transcript, _inproc_setup)
 
 
 def run_decode_session(
@@ -853,32 +816,21 @@ def run_decode_session(
         with conn:
             serve_user_party(user, conn)
 
+    def socket_setup(user, link, transcript):
+        # the serve loop announces the prefill messages over the wire;
+        # link.recv records them as u2m traffic
+        return [deserialize(link.recv()) for _ in range(setup_count)]
+
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     client = socket.create_connection(("127.0.0.1", port))
     try:
         link = SocketLink(client, transcript)
-        # the serve loop announces the prefill messages over the wire;
-        # link.recv records them as u2m traffic
-        setup_msgs = [deserialize(link.recv()) for _ in range(setup_count)]
-        for msg in setup_msgs:
-            model.handle_user_frame(msg)
-            if msg.tag == TAG_CONTROL:
-                ctrl.open_stream(msg.session_id)
-        for sid in _route_outward(user, ctrl, transcript, 0):
-            _abort_stream(model, user, link, sid)
-        for step in range(1, max_tokens + 1):
-            pairs = [(sid, link) for sid in model.active_streams() if sid in user.streams]
-            if not pairs:
-                break
-            model_batch_step(model, pairs, controller=ctrl, step=step)
-            for sid in _route_outward(user, ctrl, transcript, step):
-                _abort_stream(model, user, link, sid)
+        return _drive(model, ctrl, [(user, link)], max_tokens, transcript, socket_setup)
     finally:
         client.close()
         thread.join(timeout=5)
         listener.close()
-    return transcript
 
 
 # -- communication accounting -------------------------------------------

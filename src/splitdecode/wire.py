@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "FrameError",
+    "MAX_BODY",
     "ProtocolMessage",
     "TAG_ABORT",
     "TAG_CONTROL",
@@ -59,6 +60,8 @@ TAG_NAMES = {
 
 _HEADER = struct.Struct("<BIHHI")  # tag, session, layer, head, payload length
 MAX_PAYLOAD = 1 << 30
+# the largest legal value of the u32 length prefix
+MAX_BODY = _HEADER.size + MAX_PAYLOAD
 
 
 class FrameError(ValueError):

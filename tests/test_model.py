@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from splitdecode.model import (
+    RMS_EPS,
     CacheFullError,
     ConfigError,
     FileFormatError,
     ModelConfig,
     attention_reference,
+    causal_attention,
     decode_step_monolithic,
     full_forward,
     greedy_decode,
     init_model,
     load_weights,
     prefill,
+    rotary_encode,
     sample_token,
     save_weights,
 )
@@ -38,6 +41,33 @@ def naive_softmax_attention(Q, K, V, causal):
             for d in range(V.shape[1]):
                 out[i, d] += (exps[j] / z) * V[j, d]
     return out
+
+
+def reference_forward(weights, tokens):
+    """Logits of every position, attending one head and one query row at a
+    time through attention_reference."""
+    c = weights.config
+    n = len(tokens)
+    positions = np.arange(n)
+
+    def rms(x, gain):
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * gain
+
+    x = weights.embed[tokens]
+    for lw in weights.layers:
+        h = rms(x, lw.gain_attn)
+        heads = []
+        for head in range(c.n_heads):
+            cols = slice(head * c.head_dim, (head + 1) * c.head_dim)
+            q = rotary_encode(h @ lw.wq[:, cols], positions) * c.head_dim**-0.5
+            k = rotary_encode(h @ lw.wk[:, cols], positions)
+            v = h @ lw.wv[:, cols]
+            rows = [attention_reference(q[i], k[: i + 1], v[: i + 1])[0] for i in range(n)]
+            heads.append(np.stack(rows))
+        x = x + np.concatenate(heads, axis=1) @ lw.wo
+        g = rms(x, lw.gain_mlp) @ lw.w_in
+        x = x + (g / (1.0 + np.exp(-g))) @ lw.w_out
+    return rms(x, weights.final_gain) @ weights.unembed
 
 
 class TestConfig:
@@ -106,6 +136,29 @@ class TestAttentionReference:
             attention_reference(np.zeros((2, 4)), np.zeros((3, 5)), np.zeros((3, 4)))
         with pytest.raises(DimensionError):
             attention_reference(np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((2, 4)))
+
+
+class TestVectorizedCausalPath:
+    @pytest.mark.parametrize("length", [1, 2, 7, 33, "max_seq"])
+    def test_logits_match_row_by_row_oracle(self, small_weights, length):
+        c = small_weights.config
+        n = c.max_seq if length == "max_seq" else length
+        prompt = rng(n).integers(0, c.vocab_size - 1, size=n).tolist()
+        want = reference_forward(small_weights, prompt)
+        assert np.max(np.abs(full_forward(small_weights, prompt) - want)) <= 1e-10
+        _, last = prefill(small_weights, prompt)
+        assert np.max(np.abs(last - want[-1])) <= 1e-10
+
+    @pytest.mark.parametrize("n_q,n_k", [(1, 1), (1, 6), (4, 4), (3, 7)])
+    def test_causal_attention_matches_reference_per_head(self, n_q, n_k):
+        g = rng(50 + n_q * n_k)
+        q = g.standard_normal((3, n_q, 8))
+        k = g.standard_normal((3, n_k, 8))
+        v = g.standard_normal((3, n_k, 8))
+        got = causal_attention(q, k, v)
+        for head in range(3):
+            want = attention_reference(q[head], k[head], v[head])
+            assert np.max(np.abs(got[head] - want)) <= 1e-12
 
 
 class TestPrefillDecode:

@@ -5,64 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitdecode.numerics import (
-    DimensionError,
-    EmptyPartitionError,
-    matmul,
-    seeded_matrix,
-    stable_softmax_stats,
-)
+from splitdecode.numerics import EmptyPartitionError, seeded_matrix, stable_softmax_stats
 
 from conftest import rng
-
-
-def triple_loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = rng(0).standard_normal((2, 5))
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        # numpy's accumulation order differs from a sequential loop, so
-        # agreement is to a few ulps rather than bit-exact
-        a = rng(123).standard_normal((8, 8))
-        b = rng(321).standard_normal((8, 8))
-        got = matmul(a, b)
-        want = triple_loop_matmul(a, b)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got - want)) <= 8 * np.finfo(np.float64).eps * scale
-
-    def test_deterministic_across_runs(self):
-        a = rng(5).standard_normal((13, 7))
-        b = rng(6).standard_normal((7, 9))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.inf], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            matmul(bad, np.eye(2))
 
 
 class TestStableSoftmaxStats:

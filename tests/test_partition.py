@@ -188,6 +188,16 @@ class TestMerge:
         want = attention_reference(q, K, V)[0]
         assert np.max(np.abs(merged - want)) <= 1e-9
 
+    def test_sequences_merge_pairwise(self):
+        pairs = [split_instance(300 + seed, 9, 4)[3:] for seed in range(6)]
+        pairs.append((PartialAttention.empty(4), pairs[0][1]))
+        merged = merge_partials([p for p, _ in pairs], [p for _, p in pairs])
+        assert merged.shape == (len(pairs), 4)
+        for row, (pvt, pub) in zip(merged, pairs):
+            assert np.max(np.abs(row - merge_partials(pvt, pub))) <= 1e-14
+        # the empty partial is the identity inside a batch too
+        assert np.array_equal(merged[-1], pairs[0][1].a)
+
     def test_coefficients_match_stated_form(self):
         # the overflow-safe evaluation must equal the direct coefficient
         # formulas wherever those are finite

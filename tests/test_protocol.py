@@ -1,3 +1,6 @@
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from splitdecode.protocol import (
     comm_accounting,
     controller_gate,
     model_batch_step,
+    read_frame,
     run_decode_session,
     run_sessions,
     user_prefill,
@@ -26,8 +30,10 @@ from splitdecode.wire import (
     TAG_PARTIAL,
     TAG_QUERY,
     TAG_TOKEN,
+    FrameError,
     ProtocolMessage,
     decode_token,
+    encode_f64s,
     encode_token,
     serialize,
 )
@@ -162,6 +168,81 @@ class TestVirtualPromptStreams:
         for i, sid in enumerate(user.streams):
             mono = greedy_decode(small_weights, list(user.vps.prompts[i]), 24)
             assert user.streams[sid].tokens == mono
+
+
+class TestSampledOutputInvariance:
+    """A sampled authentic response depends on the prompt and the sample
+    seed only: not on lambda, the transport, or who else is decoding."""
+
+    PROMPT = [7, 1, 2, 9]
+
+    def sampled_user(self, weights, lam, user_id=1, prompt=PROMPT):
+        from splitdecode.langmodel import NgramModel
+
+        oracle = NgramModel(order=1, vocab_size=weights.config.vocab_size)
+        user = UserParty(
+            user_id, WeightsHandle(weights), oracle=oracle, prf_key=b"k",
+            temperature=0.9, sample_seed=42,
+        )
+        obf = ObfuscationConfig(epsilon=1.0, lambda_max=lam + 1, prf_key=b"k") if lam else NO_OBF
+        spans = ((0, 1),) if lam else ()
+        user_prefill(user, TaggedPrompt(tokens=prompt, spans=spans), obf)
+        assert len(user.streams) == lam + 1
+        return user
+
+    def solo(self, weights, lam, transport="inproc"):
+        user = self.sampled_user(weights, lam)
+        ctrl = Controller(mode="support")
+        run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12, transport=transport)
+        assert not ctrl.killed
+        return user.authentic_response()
+
+    def test_same_response_for_every_lambda_transport_and_batch(self, small_weights):
+        reference = self.solo(small_weights, 0)
+        # sampling is on: the response is not the greedy one
+        assert reference != greedy_decode(small_weights, self.PROMPT, 12)
+        for lam in (0, 1, 3):
+            assert self.solo(small_weights, lam) == reference, lam
+            assert self.solo(small_weights, lam, transport="socket") == reference, lam
+
+        model = ModelParty(small_weights)
+        ctrl = Controller(mode="support")
+        transcript = Transcript(config=small_weights.config)
+        users = [
+            self.sampled_user(small_weights, 1, user_id=2, prompt=[3, 3, 8]),
+            self.sampled_user(small_weights, 3),
+        ]
+        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
+        run_sessions(model, ctrl, links, 12, transcript)
+        assert not ctrl.killed
+        assert users[1].authentic_response() == reference
+
+
+class TestReadFrame:
+    def test_oversized_length_prefix_rejected_before_the_body(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(b"\xff\xff\xff\xff")
+            with pytest.raises(FrameError):
+                read_frame(b)
+
+    def test_frames_round_trip(self):
+        # the larger frame spans several receive chunks
+        frames = [
+            serialize(ProtocolMessage(tag=TAG_QUERY, session_id=3, layer=1, head=2,
+                                      payload=encode_f64s(np.arange(float(n)))))
+            for n in (4, 20000)
+        ]
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            sender = threading.Thread(target=lambda: [a.sendall(f) for f in frames])
+            sender.start()
+            assert [read_frame(b) for _ in frames] == frames
+            sender.join()
+            a.shutdown(socket.SHUT_WR)
+            assert read_frame(b) is None
 
 
 class TestBatchedStep:
@@ -329,6 +410,17 @@ class TestController:
         assert sid not in ctrl.killed
         assert len(transcript.tokens[sid]) >= 1
         assert all(not g[2] is None for g in transcript.gate_log)
+
+    def test_expect_derives_the_check_from_logits(self):
+        logits = rng(5).standard_normal(16)
+        exact = Controller()
+        exact.open_stream(1)
+        exact.expect(1, logits)
+        assert list(exact.expected[1]) == [(int(np.argmax(logits)), None)]
+        support = Controller(mode="support")
+        support.open_stream(1)
+        support.expect(1, logits)
+        assert list(support.expected[1]) == [(int(np.argmax(logits)), set(range(16)))]
 
     def test_token_without_ground_truth_kills_after_first(self):
         ctrl = Controller()

@@ -3,9 +3,11 @@ decode, with weight-copy accounting.
 
 Latency is desk-scale wall clock on CPU, so only orderings and slopes are
 meaningful; a "round" advances every user by one token and its duration
-is the reported per-token latency. Weight copies are counted by the
-instrumented allocation counter in the model module: the sharing modes
-instantiate the weights once, full isolation once per user.
+is the reported per-token latency. spd runs through protocol.run_sessions,
+so its rounds include routing every token through the controller gate.
+Weight copies are counted by the instrumented allocation counter in the
+model module: the sharing modes instantiate the weights once, full
+isolation once per user.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import numpy as np
 
 from .langmodel import NgramModel
 from .model import (
-    KvCache,
     ModelConfig,
     cache_attention,
-    decode_step_monolithic,
     init_model,
     prefill,
     reset_weight_alloc_count,
@@ -36,11 +36,9 @@ from .protocol import (
     Transcript,
     UserParty,
     WeightsHandle,
-    model_batch_step,
-    new_stream_ids,
+    run_sessions,
     user_prefill,
 )
-from .wire import serialize
 
 __all__ = [
     "BenchConfig",
@@ -121,7 +119,7 @@ def _uniform_oracle(vocab_size: int) -> NgramModel:
 
 
 class _MonoBatchState:
-    """Shared-weights monolithic decode of several users, trunk batched."""
+    """Monolithic decode of several users over one weight copy, trunk batched."""
 
     def __init__(self, weights, prompts):
         self.w = weights
@@ -154,48 +152,30 @@ class _MonoBatchState:
             self.tokens[i].append(sample_token(logits[b]))
 
 
-def _run_no_protection(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]:
+def _run_monolithic(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]:
+    """no_protection decodes every user in one batch over shared weights;
+    full_isolation gives each user its own weight copy and batch of one."""
     start_allocs = weight_alloc_count()
-    weights = init_model(config.model)
-    state = _MonoBatchState(weights, prompts)
+    if config.mode == "no_protection":
+        states = [_MonoBatchState(init_model(config.model), prompts)]
+    else:
+        states = [_MonoBatchState(init_model(config.model), [prompt]) for prompt in prompts]
     round_times = []
     for _ in range(config.out_tokens - 1):
-        if not state.active():
+        live = [state for state in states if state.active()]
+        if not live:
             break
         t0 = time.perf_counter()
-        state.round()
+        for state in live:
+            state.round()
         round_times.append(time.perf_counter() - t0)
-    tokens = {i: list(t) for i, t in enumerate(state.tokens)}
+    tokens = dict(enumerate(t for state in states for t in state.tokens))
     return tokens, round_times, weight_alloc_count() - start_allocs, 0
 
 
-def _run_full_isolation(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]:
-    start_allocs = weight_alloc_count()
-    instances = [init_model(config.model) for _ in range(config.users)]
-    caches: list[KvCache] = []
-    tokens: dict[int, list[int]] = {}
-    for i, prompt in enumerate(prompts):
-        cache, logits = prefill(instances[i], prompt)
-        caches.append(cache)
-        tokens[i] = [sample_token(logits)]
-    round_times = []
-    for _ in range(config.out_tokens - 1):
-        idx = [i for i in range(config.users) if caches[i].length < config.model.max_seq]
-        if not idx:
-            break
-        t0 = time.perf_counter()
-        for i in idx:
-            logits = decode_step_monolithic(instances[i], caches[i], tokens[i][-1])
-            tokens[i].append(sample_token(logits))
-        round_times.append(time.perf_counter() - t0)
-    return tokens, round_times, weight_alloc_count() - start_allocs, 0
-
-
-def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]:
+def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, float]:
     start_allocs = weight_alloc_count()
     weights = init_model(config.model)
-    model = ModelParty(weights, stop_at_eos=False)
-    ctrl = Controller()
     transcript = Transcript(config=config.model)
     # the sampler's pool includes the authentic n-gram, so lam decoys
     # need a pool cap of lam + 1
@@ -205,47 +185,27 @@ def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]
         prf_key=b"bench",
     )
     oracle = _uniform_oracle(config.model.vocab_size)
-
-    users = []
-    link_of = {}
-    authentic_stream: dict[int, int] = {}
+    users_links = []
     for i, prompt in enumerate(prompts):
-        party = UserParty(
-            user_id=i, weights_handle=WeightsHandle(weights), oracle=oracle, prf_key=obf.prf_key
-        )
+        party = UserParty(user_id=i, weights_handle=WeightsHandle(weights), oracle=oracle)
         # one tagged token gives lam equal-length decoys under the uniform oracle
         tagged = TaggedPrompt(tokens=prompt, spans=((0, 1),) if config.lam > 0 else ())
-        stream_ids = new_stream_ids(config.lam + 1)
-        msgs = user_prefill(party, tagged, obf, stream_ids=stream_ids)
-        link = InProcLink(party.handle_frame, transcript)
-        for msg in msgs:
-            transcript.record("u2m", 0, serialize(msg))
-            model.handle_user_frame(msg)
-            ctrl.open_stream(msg.session_id)
-        for sid in party.streams:
-            link_of[sid] = link
-        authentic_stream[i] = stream_ids[party.vps.idx]
-        users.append(party)
+        user_prefill(party, tagged, obf)
+        users_links.append((party, InProcLink(party.handle_frame, transcript)))
+    model = ModelParty(weights, stop_at_eos=False)
+    run_sessions(model, Controller(), users_links, config.out_tokens - 1, transcript)
 
-    round_times = []
-    for step in range(1, config.out_tokens):
-        pairs = [(sid, link_of[sid]) for sid in model.active_streams()]
-        if not pairs:
-            break
-        t0 = time.perf_counter()
-        model_batch_step(model, pairs, controller=ctrl, step=step)
-        round_times.append(time.perf_counter() - t0)
-    tokens = {
-        i: list(users[i].streams[authentic_stream[i]].tokens) for i in range(config.users)
-    }
-    total_tokens = sum(len(s.tokens) for u in users for s in u.streams.values())
-    bytes_per_token = transcript.total_bytes() / max(total_tokens, 1)
-    return tokens, round_times, weight_alloc_count() - start_allocs, bytes_per_token
+    tokens = {i: list(party.authentic_response()) for i, (party, _) in enumerate(users_links)}
+    total_tokens = sum(len(s.tokens) for party, _ in users_links for s in party.streams.values())
+    # wire traffic only: the gate's out/blk records are not link bytes
+    wire_bytes = sum(e.nbytes for e in transcript.entries if e.direction in ("m2u", "u2m"))
+    copies = weight_alloc_count() - start_allocs
+    return tokens, transcript.round_s, copies, wire_bytes / max(total_tokens, 1)
 
 
 _RUNNERS = {
-    "no_protection": _run_no_protection,
-    "full_isolation": _run_full_isolation,
+    "no_protection": _run_monolithic,
+    "full_isolation": _run_monolithic,
     "spd": _run_spd,
 }
 

@@ -177,8 +177,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_run_config(args.config, seed=args.seed, out=args.out,
-                              verbosity=args.verbose)
+        cfg = load_run_config(args.config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

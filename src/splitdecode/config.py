@@ -92,14 +92,9 @@ class RunConfig:
     obfuscation: ObfuscationConfig
     demo: dict
     bench: dict
-    seed: int | None = None
-    out: str | None = None
-    verbosity: int = 0
 
 
-def parse_run_config(
-    raw: dict, seed: int | None = None, out: str | None = None, verbosity: int = 0
-) -> RunConfig:
+def parse_run_config(raw: dict, seed: int | None = None) -> RunConfig:
     _check_keys("config", raw, DEFAULTS)
     merged = _merge("config", DEFAULTS, raw)
     model_kwargs = dict(merged["model"])
@@ -115,20 +110,10 @@ def parse_run_config(
         bench["model"] = ModelConfig(**bench["model"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        model=model,
-        obfuscation=obf,
-        demo=merged["demo"],
-        bench=bench,
-        seed=seed,
-        out=out,
-        verbosity=verbosity,
-    )
+    return RunConfig(model=model, obfuscation=obf, demo=merged["demo"], bench=bench)
 
 
-def load_run_config(
-    path: str | None, seed: int | None = None, out: str | None = None, verbosity: int = 0
-) -> RunConfig:
+def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:
     raw = {}
     if path is not None:
         try:
@@ -140,7 +125,7 @@ def load_run_config(
             raise ConfigError(f"config file does not parse: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    return parse_run_config(raw, seed=seed, out=out, verbosity=verbosity)
+    return parse_run_config(raw, seed=seed)
 
 
 def default_run_config() -> RunConfig:

@@ -82,9 +82,6 @@ class KvPartition:
         V = np.atleast_2d(np.asarray(V, dtype=np.float64))
         return cls(label=label, k=K[None, None], v=V[None, None])
 
-    def rows(self, layer: int = 0, head: int = 0) -> int:
-        return self.k[layer][head].shape[0]
-
 
 def _head_rows(part: KvPartition, label: str, layer: int, head: int, width: int):
     """(K, V) of one head, checked against the label and the query width."""

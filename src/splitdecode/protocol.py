@@ -25,6 +25,7 @@ import itertools
 import socket
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -158,6 +159,7 @@ class Transcript:
     tokens: dict = field(default_factory=dict)  # stream -> gate-passed tokens
     killed: dict = field(default_factory=dict)  # stream -> reason
     gate_log: list = field(default_factory=list)  # (step, stream, passed, reason)
+    round_s: list = field(default_factory=list)  # wall seconds of each decode round
 
     def record(self, direction: str, step: int, frame: bytes):
         tag, session_id, layer, head, payload_len = parse_header(frame)
@@ -613,9 +615,6 @@ class ModelParty:
             if not s.done and s.pending_token is not None and s.pos < self.config.max_seq
         ]
 
-    def ground_truth(self, stream_id: int) -> list[int]:
-        return list(self.streams[stream_id].tokens)
-
 
 def _frame(tag: int, stream_id: int, layer: int = 0, head: int = 0, values=()) -> bytes:
     """One serialized frame whose payload is the float64 values."""
@@ -748,7 +747,10 @@ def _inproc_setup(user: UserParty, link, transcript: Transcript) -> list[Protoco
 
 def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> Transcript:
     """Ingest each user's setup messages (from receive_setup), then
-    advance all active streams in lockstep rounds until EOS/max_tokens."""
+    advance all active streams in lockstep rounds until EOS/max_tokens.
+
+    Each round's wall time, the batched model step plus gate routing, is
+    appended to transcript.round_s."""
     link_of: dict[int, object] = {}
     for user, link in users_links:
         for msg in receive_setup(user, link, transcript):
@@ -764,10 +766,12 @@ def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> T
         pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
         if not pairs:
             break
+        t0 = time.perf_counter()
         model_batch_step(model, pairs, controller=ctrl, step=step)
         for user, link in users_links:
             for sid in _route_outward(user, ctrl, transcript, step):
                 _abort_stream(model, user, link, sid)
+        transcript.round_s.append(time.perf_counter() - t0)
     return transcript
 
 
@@ -785,6 +789,9 @@ def run_sessions(
     streams of all users in one batched model step.
     """
     return _drive(model, ctrl, users_links, max_tokens, transcript, _inproc_setup)
+
+
+_USER_JOIN_S = 5.0  # how long a socket session waits for its user thread to end
 
 
 def run_decode_session(
@@ -810,11 +817,15 @@ def run_decode_session(
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     setup_count = len(user.pending_setup)
+    errors: list[Exception] = []
 
     def serve():
-        conn, _ = listener.accept()
-        with conn:
-            serve_user_party(user, conn)
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                serve_user_party(user, conn)
+        except Exception as exc:  # the model side only sees EOF; keep the cause
+            errors.append(exc)
 
     def socket_setup(user, link, transcript):
         # the serve loop announces the prefill messages over the wire;
@@ -829,8 +840,12 @@ def run_decode_session(
         return _drive(model, ctrl, [(user, link)], max_tokens, transcript, socket_setup)
     finally:
         client.close()
-        thread.join(timeout=5)
+        thread.join(timeout=_USER_JOIN_S)
         listener.close()
+        if thread.is_alive():
+            raise ProtocolError(f"user party thread still running after {_USER_JOIN_S} s")
+        if errors:
+            raise ProtocolError(f"user party failed: {errors[0]!r}") from errors[0]
 
 
 # -- communication accounting -------------------------------------------

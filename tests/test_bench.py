@@ -1,5 +1,6 @@
 import pytest
 
+from splitdecode import protocol
 from splitdecode.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -100,6 +101,23 @@ class TestRunMode:
         # the authentic stream is unchanged by the decoys
         assert records[1].tokens[0] == records[0].tokens[0]
         assert records[2].tokens[0] == records[0].tokens[0]
+
+    def test_every_spd_token_passes_the_gate(self, bench_model, monkeypatch):
+        decisions = []
+        gate = protocol.controller_gate
+
+        def counting_gate(ctrl, outbound):
+            decision = gate(ctrl, outbound)
+            decisions.append((outbound.session_id, decision.passed))
+            return decision
+
+        monkeypatch.setattr(protocol, "controller_gate", counting_gate)
+        cfg = config_for(bench_model, "spd", users=2, lam=3)
+        run_mode(cfg)
+        streams = cfg.users * (cfg.lam + 1)
+        assert len({sid for sid, _ in decisions}) == streams
+        assert len(decisions) == streams * cfg.out_tokens * cfg.repetitions
+        assert all(passed for _, passed in decisions)
 
 
 class TestSweep:

@@ -1,9 +1,12 @@
+import itertools
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from splitdecode import protocol
 from splitdecode.model import ModelConfig, greedy_decode, init_model
 from splitdecode.obfuscation import ObfuscationConfig, TaggedPrompt
 from splitdecode.protocol import (
@@ -100,6 +103,23 @@ class TestSingleSession:
         model, ctrl, user = make_session(small_weights, [5, 6])
         with pytest.raises(ValueError):
             run_decode_session(user, model, ctrl, 1, transport="carrier-pigeon")
+
+    def test_socket_user_failure_is_the_cause(self, small_weights):
+        model, ctrl, user = make_session(small_weights, [9, 4, 4, 1])
+        handle = user.handle_frame
+        frames = itertools.count(1)
+
+        def failing(frame):
+            if next(frames) == 5:
+                raise ValueError("user party broke on frame 5")
+            return handle(frame)
+
+        user.handle_frame = failing
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="frame 5") as info:
+            run_decode_session(user, model, ctrl, max_tokens=8, transport="socket")
+        assert time.perf_counter() - t0 < protocol._USER_JOIN_S
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestWeightsHandle:
@@ -504,6 +524,20 @@ class TestCommAccounting:
         narrow_report = self.run_report(init_model(small_config), [1, 2, 3])
         wide_report = self.run_report(wide, [1, 2, 3])
         assert wide_report.query_scalars_per_round == 2 * narrow_report.query_scalars_per_round
+
+    @pytest.mark.parametrize("driver", ["run_sessions", "inproc", "socket"])
+    def test_one_round_time_per_decode_round(self, small_weights, driver):
+        model, ctrl, user = make_session(small_weights, [1, 2, 3])
+        if driver == "run_sessions":
+            transcript = Transcript(config=small_weights.config)
+            link = InProcLink(user.handle_frame, transcript)
+            run_sessions(model, ctrl, [(user, link)], 8, transcript)
+        else:
+            transcript = run_decode_session(user, model, ctrl, max_tokens=8, transport=driver)
+        steps = comm_accounting(transcript).steps
+        assert steps > 0
+        assert len(transcript.round_s) == steps
+        assert all(s > 0 for s in transcript.round_s)
 
     def test_report_documents_the_extra_scalars(self, small_weights):
         report = self.run_report(small_weights, [4, 5])

@@ -21,7 +21,6 @@ over localhost stream sockets via SocketLink/serve_user_party.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import socket
 import struct
 import threading
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelConfig, Weights, prefill, sample_token, trunk
-from .numerics import stable_softmax_stats
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -78,6 +76,7 @@ __all__ = [
     "ModelParty",
     "ProtocolError",
     "SocketLink",
+    "TokenRule",
     "Transcript",
     "UserParty",
     "WeightsHandle",
@@ -85,18 +84,11 @@ __all__ = [
     "comm_accounting",
     "controller_gate",
     "model_batch_step",
-    "new_stream_ids",
     "run_decode_session",
     "run_sessions",
     "serve_user_party",
     "user_prefill",
 ]
-
-_stream_id_counter = itertools.count(1)
-
-
-def new_stream_ids(count: int) -> list[int]:
-    return [next(_stream_id_counter) for _ in range(count)]
 
 
 class ProtocolError(RuntimeError):
@@ -299,12 +291,29 @@ def decode_setup(payload: bytes) -> int:
 # -- user party ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TokenRule:
+    """How a stream turns logits into its token number t: the argmax, or
+    with a temperature a draw seeded by (seed, key, t). The user party
+    draws with it and commits it to the controller, which recomputes each
+    decoded token. key is a digest of the stream's virtual prompt."""
+
+    temperature: float | None = None
+    seed: int = 0
+    key: int = 0
+
+    def token(self, logits: np.ndarray, t: int) -> int:
+        if self.temperature is None:
+            return sample_token(logits)
+        return sample_token(logits, self.temperature, seed=[self.seed, self.key, t])
+
+
 @dataclass
 class _UserStream:
     stream_id: int
     private: KvPartition
     tokens: list
-    sample_key: int  # digest of the stream's virtual prompt
+    rule: TokenRule
     alive: bool = True
 
 
@@ -356,15 +365,6 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
-    def _sample(self, stream: _UserStream, logits: np.ndarray) -> int:
-        """The stream's next token. A sampled draw is keyed by the sample
-        seed, the stream's prompt and its token count, so a stream samples
-        the same tokens however many decoys or other users share the run."""
-        if self.temperature is None:
-            return sample_token(logits)
-        seed = [self.sample_seed, stream.sample_key, len(stream.tokens)]
-        return sample_token(logits, self.temperature, seed=seed)
-
     def authentic_response(self) -> list[int]:
         """Winnow: the response stream at the PRF-derived index."""
         idx = self.vps.idx if self.vps is not None else 0
@@ -381,7 +381,7 @@ class UserParty:
             return [_frame(TAG_PARTIAL, msg.session_id, msg.layer, msg.head, pa.scalars())]
         if msg.tag == TAG_FINAL_Y:
             logits = decode_f64s(msg.payload)
-            token = self._sample(stream, logits)
+            token = stream.rule.token(logits, len(stream.tokens))
             stream.tokens.append(token)
             token_msg = ProtocolMessage(
                 tag=TAG_TOKEN, session_id=msg.session_id, payload=encode_token(token)
@@ -431,8 +431,9 @@ def user_prefill(
         cache, logits = prefill(weights, list(tokens))
         # copy the prompt rows so the max_seq-row cache can be freed
         private = KvPartition(PRIVATE, k=cache.k[:, :, :n].copy(), v=cache.v[:, :, :n].copy())
-        stream = _UserStream(stream_id, private, tokens=[], sample_key=_prompt_digest(tokens))
-        first = party._sample(stream, logits)
+        rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
+        stream = _UserStream(stream_id, private, tokens=[], rule=rule)
+        first = rule.token(logits, 0)
         stream.tokens.append(first)
         party.streams[stream_id] = stream
         token_msg = ProtocolMessage(
@@ -460,41 +461,42 @@ class GateDecision:
     reason: str
 
 
+@dataclass
+class _GateStream:
+    rule: TokenRule
+    expected: deque = field(default_factory=deque)
+    decoded: int = 0  # tokens decoded so far; the prefill token is number 0
+    first_passed: bool = False
+
+
 class Controller:
     """Token inspector at the boundary: only TOKEN frames whose value
-    matches the model party's ground truth may exit.
+    equals the model party's ground truth may exit.
 
-    The very first token of each stream is produced by the user party
-    during prefill, before the model has any ground truth for it; exactly
-    one unverified token per stream is let through. Under non-greedy
-    sampling (mode="support") the gate checks membership in the
-    positive-probability support instead of exact equality.
-
-    The model party hands over each round's logits through expect(); the
-    controller derives the check from them itself.
+    Each stream is opened with the token rule its user committed (greedy
+    when none is given); expect() recomputes the stream's exact token
+    from each round's logits with that rule, sampled or greedy alike.
+    The first token of each stream is drawn by the user party during
+    prefill, before the model has any ground truth for it; exactly one
+    unverified token per stream is let through.
     """
 
-    def __init__(self, mode: str = "exact"):
-        if mode not in ("exact", "support"):
-            raise ValueError("mode must be 'exact' or 'support'")
-        self.mode = mode
-        self.expected: dict[int, deque] = {}
-        self.first_passed: set[int] = set()
+    def __init__(self):
+        self.streams: dict[int, _GateStream] = {}
         self.killed: dict[int, str] = {}
 
-    def open_stream(self, stream_id: int):
-        self.expected.setdefault(stream_id, deque())
+    def open_stream(self, stream_id: int, rule: TokenRule = TokenRule()):
+        self.streams.setdefault(stream_id, _GateStream(rule))
 
-    def register_expected(self, stream_id: int, token: int, support=None):
-        self.expected[stream_id].append((token, support))
+    def register_expected(self, stream_id: int, token: int):
+        self.streams[stream_id].expected.append(token)
 
     def expect(self, stream_id: int, logits: np.ndarray):
-        """Queue the ground truth for the stream's next token: the argmax
-        of logits, plus the positive-probability support in support mode."""
-        support = None
-        if self.mode == "support":
-            support = set(np.flatnonzero(stable_softmax_stats(logits).weights > 0).tolist())
-        self.register_expected(stream_id, sample_token(logits), support)
+        """Queue the ground truth for the stream's next token: the
+        committed rule applied to logits at the stream's token count."""
+        stream = self.streams[stream_id]
+        stream.decoded += 1
+        stream.expected.append(stream.rule.token(logits, stream.decoded))
 
     def kill(self, stream_id: int, reason: str):
         self.killed[stream_id] = reason
@@ -505,25 +507,21 @@ class Controller:
         stream_id = outbound.session_id
         if stream_id in self.killed:
             return GateDecision(False, "session killed")
-        if stream_id not in self.expected:
+        stream = self.streams.get(stream_id)
+        if stream is None:
             return GateDecision(False, "unknown session")
         try:
             token = decode_token(outbound.payload)
         except Exception:
             self.kill(stream_id, "malformed token payload")
             return GateDecision(False, "malformed token payload")
-        queue = self.expected[stream_id]
-        if not queue:
-            if stream_id not in self.first_passed:
-                self.first_passed.add(stream_id)
+        if not stream.expected:
+            if not stream.first_passed:
+                stream.first_passed = True
                 return GateDecision(True, "first token (pre-decode)")
             self.kill(stream_id, "token without ground truth")
             return GateDecision(False, "token without ground truth")
-        expected_token, support = queue.popleft()
-        if self.mode == "support" and support is not None:
-            if token in support:
-                return GateDecision(True, "in support")
-        elif token == expected_token:
+        if token == stream.expected.popleft():
             return GateDecision(True, "matches ground truth")
         self.kill(stream_id, "token mismatch")
         return GateDecision(False, "token mismatch")
@@ -636,8 +634,11 @@ def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> by
     return msg.payload
 
 
-def _expect_partial(link, stream_id: int, layer: int, head: int) -> PartialAttention:
+def _expect_partial(link, stream_id: int, layer: int, head: int, head_dim: int) -> PartialAttention:
     scalars = decode_f64s(_expect(link, TAG_PARTIAL, stream_id, layer, head))
+    if scalars.size != head_dim + 2:
+        raise ProtocolError(f"PARTIAL {stream_id}/{layer}/{head} carries "
+                            f"{scalars.size} scalars, not head_dim + 2 = {head_dim + 2}")
     return PartialAttention(a=scalars[:-2], gamma=float(scalars[-2]), m=float(scalars[-1]))
 
 
@@ -681,7 +682,7 @@ def model_batch_step(
             for head in range(c.n_heads):
                 link.send(_frame(TAG_QUERY, sid, layer, head, q[head, i]))
         pvt = [
-            [_expect_partial(link, sid, layer, head) for head in range(c.n_heads)]
+            [_expect_partial(link, sid, layer, head, c.head_dim) for head in range(c.n_heads)]
             for sid, link in live
         ]
         out = np.empty_like(q)
@@ -755,10 +756,10 @@ def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> T
     for user, link in users_links:
         for msg in receive_setup(user, link, transcript):
             model.handle_user_frame(msg)
-            if msg.tag == TAG_CONTROL:
-                ctrl.open_stream(msg.session_id)
-        for sid in user.streams:
+        for sid, stream in user.streams.items():
             link_of[sid] = link
+            # the rule goes to the controller directly, never over the link
+            ctrl.open_stream(sid, stream.rule)
         for sid in _route_outward(user, ctrl, transcript, 0):
             _abort_stream(model, user, link, sid)
 
@@ -824,6 +825,8 @@ def run_decode_session(
             conn, _ = listener.accept()
             with conn:
                 serve_user_party(user, conn)
+        except ConnectionError:
+            pass  # the model side hung up first and raises its own error
         except Exception as exc:  # the model side only sees EOF; keep the cause
             errors.append(exc)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpora import zipf_corpus
-from .langmodel import train_ngram
+from .langmodel import NgramModel, train_ngram
 from .model import ModelConfig, attention_reference, greedy_decode, init_model
 from .obfuscation import (
     ObfuscationConfig,
@@ -35,6 +35,7 @@ from .partition import (
 from .protocol import (
     Controller,
     ModelParty,
+    TokenRule,
     UserParty,
     WeightsHandle,
     controller_gate,
@@ -195,6 +196,25 @@ def suite_protocol() -> list[Check]:
               mismatches == 0, f"{mismatches} mismatching streams of 2")
     )
 
+    responses, killed = [], 0
+    for lam in (0, 3):
+        ctrl = Controller()
+        user = UserParty(user_id=1, weights_handle=WeightsHandle(weights),
+                         oracle=NgramModel(order=1, vocab_size=config.vocab_size),
+                         temperature=0.9, sample_seed=42)
+        spans, obf = ((0, 1),), ObfuscationConfig(1.0, lam + 1, prf_key=b"verify")
+        if not lam:
+            spans, obf = (), ObfuscationConfig(0.0, 0)
+        user_prefill(user, TaggedPrompt(tokens=prompt, spans=spans), obf)
+        run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12)
+        killed += len(ctrl.killed)
+        responses.append(user.authentic_response())
+    checks.append(
+        Check("sampled two-party decode passes the exact gate, same at lambda 0 and 3",
+              killed == 0 and responses[0] == responses[1] and len(user.streams) == 4,
+              f"{killed} streams killed; responses {responses[0]} and {responses[1]}")
+    )
+
     ctrl = Controller()
     ctrl.open_stream(77)
     rng = _rng(13)
@@ -218,6 +238,20 @@ def suite_protocol() -> list[Check]:
     checks.append(
         Check("a flipped token is blocked and the session killed",
               (not decision.passed) and 5 in ctrl.killed, decision.reason)
+    )
+
+    rule = TokenRule(temperature=0.9, seed=42, key=7)
+    logits = _rng(21).standard_normal(32)
+    ctrl = Controller()
+    ctrl.open_stream(6, rule)
+    ctrl.expect(6, logits)
+    flipped = ProtocolMessage(
+        tag=TAG_TOKEN, session_id=6, payload=encode_token(rule.token(logits, 1) ^ 1)
+    )
+    decision = controller_gate(ctrl, flipped)
+    checks.append(
+        Check("a flipped sampled token is blocked and the session killed",
+              (not decision.passed) and 6 in ctrl.killed, decision.reason)
     )
     return checks
 

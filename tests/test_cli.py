@@ -81,7 +81,7 @@ class TestDemoCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["theorem1", "bounds"])
+    @pytest.mark.parametrize("suite", ["theorem1", "bounds", "protocol"])
     def test_suites_pass(self, suite, capsys):
         assert main(["verify", suite]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import socket
 import threading
@@ -7,13 +8,20 @@ import numpy as np
 import pytest
 
 from splitdecode import protocol
-from splitdecode.model import ModelConfig, greedy_decode, init_model
+from splitdecode.model import (
+    ModelConfig,
+    decode_step_monolithic,
+    greedy_decode,
+    init_model,
+    prefill,
+)
 from splitdecode.obfuscation import ObfuscationConfig, TaggedPrompt
 from splitdecode.protocol import (
     Controller,
     InProcLink,
     ModelParty,
     ProtocolError,
+    TokenRule,
     Transcript,
     UserParty,
     WeightsHandle,
@@ -52,6 +60,31 @@ def make_session(weights, prompt, user_id=1, obf=NO_OBF, oracle=None):
     user = UserParty(user_id=user_id, weights_handle=WeightsHandle(weights), oracle=oracle)
     user_prefill(user, TaggedPrompt(tokens=prompt), obf)
     return model, ctrl, user
+
+
+def assert_flip_kills(user, model, ctrl, honest, flip_at=3):
+    """Adversarial harness: the user party flips one bit of its outward
+    token number flip_at. The gate must block it and kill the stream, and
+    only the honest tokens before it may leave."""
+    original_queue = user._queue_outward
+
+    def evil_queue(msg):
+        if len(user.streams[msg.session_id].tokens) - 1 == flip_at:
+            msg = ProtocolMessage(
+                tag=msg.tag,
+                session_id=msg.session_id,
+                payload=encode_token(decode_token(msg.payload) ^ 1),
+            )
+        original_queue(msg)
+
+    user._queue_outward = evil_queue
+    transcript = run_decode_session(user, model, ctrl, max_tokens=len(honest) - 1)
+    sid = next(iter(user.streams))
+    assert sid in ctrl.killed
+    assert sid in transcript.killed
+    assert transcript.tokens[sid] == honest[:flip_at]
+    blocked = [g for g in transcript.gate_log if not g[2]]
+    assert blocked and blocked[0][3] == "token mismatch"
 
 
 class TestSingleSession:
@@ -192,9 +225,11 @@ class TestVirtualPromptStreams:
 
 class TestSampledOutputInvariance:
     """A sampled authentic response depends on the prompt and the sample
-    seed only: not on lambda, the transport, or who else is decoding."""
+    seed only: not on lambda, the transport, or who else is decoding. The
+    gate recomputes every sampled token exactly from the committed rule."""
 
     PROMPT = [7, 1, 2, 9]
+    LAMBDAS = (0, 1, 3, 7)
 
     def sampled_user(self, weights, lam, user_id=1, prompt=PROMPT):
         from splitdecode.langmodel import NgramModel
@@ -210,32 +245,82 @@ class TestSampledOutputInvariance:
         assert len(user.streams) == lam + 1
         return user
 
-    def solo(self, weights, lam, transport="inproc"):
-        user = self.sampled_user(weights, lam)
-        ctrl = Controller(mode="support")
-        run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12, transport=transport)
+    @staticmethod
+    def authentic_sid(user):
+        return list(user.streams)[user.vps.idx]
+
+    @staticmethod
+    def monolithic(weights, prompt, rule, max_tokens):
+        """One-party sampled decode: prefill, then cached monolithic steps,
+        each token drawn with rule, as greedy_decode does with the argmax."""
+        cache, logits = prefill(weights, list(prompt))
+        out = [rule.token(logits, 0)]
+        while len(out) <= max_tokens and out[-1] != weights.config.eos_token:
+            out.append(rule.token(decode_step_monolithic(weights, cache, out[-1]), len(out)))
+        return out
+
+    def reference(self, weights):
+        user = self.sampled_user(weights, 0)
+        rule = user.streams[self.authentic_sid(user)].rule
+        return self.monolithic(weights, self.PROMPT, rule, 12)
+
+    def assert_authentic(self, users, ctrl, transcript, reference):
         assert not ctrl.killed
-        return user.authentic_response()
+        for user in users:
+            assert user.authentic_response() == reference
+            # the gate released exactly the authentic response
+            assert transcript.tokens[self.authentic_sid(user)] == reference
 
     def test_same_response_for_every_lambda_transport_and_batch(self, small_weights):
-        reference = self.solo(small_weights, 0)
+        reference = self.reference(small_weights)
         # sampling is on: the response is not the greedy one
         assert reference != greedy_decode(small_weights, self.PROMPT, 12)
-        for lam in (0, 1, 3):
-            assert self.solo(small_weights, lam) == reference, lam
-            assert self.solo(small_weights, lam, transport="socket") == reference, lam
+        for lam in self.LAMBDAS:
+            for transport in ("inproc", "socket"):
+                user = self.sampled_user(small_weights, lam)
+                ctrl = Controller()
+                transcript = run_decode_session(
+                    user, ModelParty(small_weights), ctrl, max_tokens=12, transport=transport
+                )
+                self.assert_authentic([user], ctrl, transcript, reference)
 
         model = ModelParty(small_weights)
-        ctrl = Controller(mode="support")
+        ctrl = Controller()
         transcript = Transcript(config=small_weights.config)
-        users = [
-            self.sampled_user(small_weights, 1, user_id=2, prompt=[3, 3, 8]),
-            self.sampled_user(small_weights, 3),
-        ]
-        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
+        other = self.sampled_user(small_weights, 1, user_id=9, prompt=[3, 3, 8])
+        users = [self.sampled_user(small_weights, lam, user_id=lam + 1) for lam in self.LAMBDAS]
+        links = [(u, InProcLink(u.handle_frame, transcript)) for u in [other, *users]]
         run_sessions(model, ctrl, links, 12, transcript)
+        self.assert_authentic(users, ctrl, transcript, reference)
+
+    def test_flipped_sampled_token_blocks_and_kills(self, small_weights):
+        user = self.sampled_user(small_weights, 0)
+        assert_flip_kills(user, ModelParty(small_weights), Controller(),
+                          self.reference(small_weights))
+
+    def draw_with(self, weights, seed):
+        """Decode a user that commits sample seed 42 at setup but then
+        draws with seed."""
+        user = self.sampled_user(weights, 0)
+        honest = user.handle_frame
+
+        def cheat(frame):
+            for stream in user.streams.values():
+                stream.rule = dataclasses.replace(stream.rule, seed=seed)
+            return honest(frame)
+
+        user.handle_frame = cheat
+        ctrl = Controller()
+        transcript = run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12)
+        return ctrl, transcript, next(iter(user.streams))
+
+    def test_drawing_with_an_uncommitted_seed_kills(self, small_weights):
+        ctrl, _, _ = self.draw_with(small_weights, 42)
         assert not ctrl.killed
-        assert users[1].authentic_response() == reference
+        ctrl, transcript, sid = self.draw_with(small_weights, 43)
+        assert ctrl.killed == {sid: "token mismatch"}
+        # the prefill token passed; the first decoded token was blocked
+        assert [g[:3] for g in transcript.gate_log] == [(0, sid, True), (1, sid, False)]
 
 
 class TestReadFrame:
@@ -346,6 +431,31 @@ class TestOutOfOrder:
             user.handle_frame(bad)
 
 
+class TestMalformedPartial:
+    # small_config has head_dim 8, so a PARTIAL must carry 10 scalars
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("count", [3, 0, 8 + 3])
+    def test_wrong_scalar_count_raises(self, small_weights, transport, count):
+        assert small_weights.config.head_dim == 8
+        model, ctrl, user = make_session(small_weights, [5, 3, 8])
+        honest = user.handle_frame
+
+        def short_or_long(frame):
+            msg = protocol.deserialize(frame)
+            if msg.tag != TAG_QUERY or msg.layer != 1:
+                return honest(frame)
+            return [serialize(ProtocolMessage(
+                tag=TAG_PARTIAL, session_id=msg.session_id, layer=1, head=msg.head,
+                payload=encode_f64s(np.zeros(count)),
+            ))]
+
+        user.handle_frame = short_or_long
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=f"carries {count} scalars"):
+            run_decode_session(user, model, ctrl, max_tokens=4, transport=transport)
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+
+
 class TestController:
     def test_non_token_blocked(self):
         ctrl = Controller()
@@ -361,31 +471,9 @@ class TestController:
         assert controller_gate(ctrl, msg).passed
 
     def test_flipped_token_blocks_and_kills(self, small_weights):
-        # adversarial harness: the user party flips one outward token bit
         prompt = [2, 4, 6]
         model, ctrl, user = make_session(small_weights, prompt)
-        flip_at = {"step": 3, "done": False}
-        original_queue = user._queue_outward
-
-        def evil_queue(msg):
-            if not flip_at["done"] and len(user.streams[msg.session_id].tokens) - 1 == flip_at["step"]:
-                flip_at["done"] = True
-                msg = ProtocolMessage(
-                    tag=msg.tag,
-                    session_id=msg.session_id,
-                    payload=encode_token(decode_token(msg.payload) ^ 1),
-                )
-            original_queue(msg)
-
-        user._queue_outward = evil_queue
-        transcript = run_decode_session(user, model, ctrl, max_tokens=16)
-        sid = next(iter(user.streams))
-        assert sid in ctrl.killed
-        assert sid in transcript.killed
-        # only the honest tokens before the flip made it out
-        assert transcript.tokens[sid] == greedy_decode(small_weights, prompt, 16)[: flip_at["step"]]
-        blocked = [g for g in transcript.gate_log if not g[2]]
-        assert blocked and blocked[0][3] == "token mismatch"
+        assert_flip_kills(user, model, ctrl, greedy_decode(small_weights, prompt, 16))
 
     def test_fuzzed_frames_never_pass(self, small_weights):
         ctrl = Controller()
@@ -405,42 +493,41 @@ class TestController:
                 non_token_passes += 1
         assert non_token_passes == 0
 
-    def test_support_mode_accepts_support_members(self):
-        ctrl = Controller(mode="support")
-        ctrl.open_stream(2)
-        ctrl.register_expected(2, 5, support={4, 5, 6})
-        ok = ProtocolMessage(tag=TAG_TOKEN, session_id=2, payload=encode_token(6))
-        assert controller_gate(ctrl, ok).passed
-        ctrl.register_expected(2, 5, support={4, 5, 6})
-        bad = ProtocolMessage(tag=TAG_TOKEN, session_id=2, payload=encode_token(9))
-        assert not controller_gate(ctrl, bad).passed
-
-    def test_non_greedy_session_under_support_mode(self, small_weights):
-        # documented relaxation: with sampling on, the gate checks support
-        # membership instead of exact ground truth
+    def test_non_greedy_session_under_exact_gate(self, small_weights):
+        # with sampling on, the gate recomputes each sampled token from the
+        # rule the user committed and checks it for equality
         prompt = [6, 2, 9]
         model = ModelParty(small_weights)
-        ctrl = Controller(mode="support")
+        ctrl = Controller()
         user = UserParty(
             4, WeightsHandle(small_weights), temperature=0.8, sample_seed=123
         )
         user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
         transcript = run_decode_session(user, model, ctrl, max_tokens=12)
         sid = next(iter(user.streams))
-        assert sid not in ctrl.killed
-        assert len(transcript.tokens[sid]) >= 1
-        assert all(not g[2] is None for g in transcript.gate_log)
+        assert not ctrl.killed
+        assert transcript.tokens[sid] == user.streams[sid].tokens
+        assert [g[3] for g in transcript.gate_log] == (
+            ["first token (pre-decode)"] + ["matches ground truth"] * 12
+        )
 
     def test_expect_derives_the_check_from_logits(self):
         logits = rng(5).standard_normal(16)
-        exact = Controller()
-        exact.open_stream(1)
-        exact.expect(1, logits)
-        assert list(exact.expected[1]) == [(int(np.argmax(logits)), None)]
-        support = Controller(mode="support")
-        support.open_stream(1)
-        support.expect(1, logits)
-        assert list(support.expected[1]) == [(int(np.argmax(logits)), set(range(16)))]
+
+        def outbound(value):
+            return ProtocolMessage(tag=TAG_TOKEN, session_id=1, payload=encode_token(value))
+
+        for rule in (TokenRule(), TokenRule(temperature=0.9, seed=42, key=7)):
+            ctrl = Controller()
+            ctrl.open_stream(1, rule)
+            assert controller_gate(ctrl, outbound(0)).passed  # the prefill token
+            # token number t is the rule applied at t
+            for t in (1, 2, 3):
+                ctrl.expect(1, logits)
+                assert controller_gate(ctrl, outbound(rule.token(logits, t))).passed
+            ctrl.expect(1, logits)
+            assert not controller_gate(ctrl, outbound(rule.token(logits, 4) ^ 1)).passed
+            assert ctrl.killed == {1: "token mismatch"}
 
     def test_token_without_ground_truth_kills_after_first(self):
         ctrl = Controller()

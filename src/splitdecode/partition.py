@@ -24,6 +24,7 @@ __all__ = [
     "KvPartition",
     "PartialAttention",
     "batched_public_partials",
+    "merge_partial_arrays",
     "merge_partials",
     "private_partial",
     "public_partial",
@@ -97,15 +98,17 @@ def _head_rows(part: KvPartition, label: str, layer: int, head: int, width: int)
 
 def _softmax_partial(qs, K, V, lengths=None):
     """The partial kernel: (a, gamma, m) of queries qs (..., d) against
-    their keys and values (..., n, d). With lengths, query row i sees only
-    its first lengths[i] keys; every row must see at least one."""
+    their keys and values (..., n, d). lengths, broadcast against
+    qs.shape[:-1], limits each query row to its first lengths keys; every
+    row must see at least one."""
     scores = (K @ qs[..., None])[..., 0]
-    if lengths is not None:
-        scores[np.arange(scores.shape[-1]) >= lengths[:, None]] = -np.inf
+    n = scores.shape[-1]
+    if lengths is not None and np.any(lengths < n):
+        scores = np.where(np.arange(n) >= lengths[..., None], -np.inf, scores)
     m = scores.max(axis=-1)
     e = np.exp(scores - m[..., None])
     gamma = e.sum(axis=-1)
-    a = ((e / gamma[..., None])[..., None, :] @ V)[..., 0, :]
+    a = (e[..., None, :] @ V)[..., 0, :] / gamma[..., None]
     return a, gamma, m
 
 
@@ -132,29 +135,39 @@ def public_partial(
     return _one_partial(q, part, PUBLIC, layer, head)
 
 
-def merge_partials(pvt, pub) -> np.ndarray:
-    """Combine private and public partials into the full attention output.
+def merge_partial_arrays(a1, g1, m1, a2, g2, m2) -> np.ndarray:
+    """Combine private (a1, g1, m1) and public (a2, g2, m2) partials held
+    as arrays: a of shape (..., head_dim), gamma and m of shape (...).
 
-    pvt and pub are one PartialAttention each, or equal-length sequences
-    of them merged pairwise into one output row per pair. Both
-    denominators are rescaled to the shared max before mixing, so the
+    Both denominators are rescaled to the shared max before mixing, so the
     coefficients gamma_pvt/(gamma_pvt + alpha*gamma_pub) and its mirror
     are evaluated without overflowing either exponential. The empty
     partial (gamma 0, m -inf) is the identity: its weight is exactly 0,
     and the other side's vector comes back exactly.
     """
-    single = isinstance(pvt, PartialAttention)
-    pvt, pub = ([pvt], [pub]) if single else (pvt, pub)
-    a1, a2 = np.stack([p.a for p in pvt]), np.stack([p.a for p in pub])
-    m1, m2 = np.array([p.m for p in pvt]), np.array([p.m for p in pub])
-    g1, g2 = np.array([p.gamma for p in pvt]), np.array([p.gamma for p in pub])
     if np.any((g1 == 0.0) & (g2 == 0.0)):
         raise EmptyPartitionError("cannot merge two empty partials")
     m = np.maximum(m1, m2)
     g1 = g1 * np.exp(m1 - m)
     g2 = g2 * np.exp(m2 - m)
     total = g1 + g2
-    out = (g1 / total)[:, None] * a1 + (g2 / total)[:, None] * a2
+    return (g1 / total)[..., None] * a1 + (g2 / total)[..., None] * a2
+
+
+def merge_partials(pvt, pub) -> np.ndarray:
+    """merge_partial_arrays over PartialAttention values.
+
+    pvt and pub are one PartialAttention each, or equal-length sequences
+    of them merged pairwise into one output row per pair.
+    """
+    single = isinstance(pvt, PartialAttention)
+    pvt, pub = ([pvt], [pub]) if single else (pvt, pub)
+
+    def fields(side):
+        return (np.stack([p.a for p in side]), np.array([p.gamma for p in side]),
+                np.array([p.m for p in side]))
+
+    out = merge_partial_arrays(*fields(pvt), *fields(pub))
     return out[0] if single else out
 
 

@@ -3,12 +3,15 @@ rows, user parties that own prompts and private KV rows, and a controller
 that lets only ground-truth-matching tokens leave the boundary.
 
 Per generated token, per layer, the model party projects the incoming
-token, appends its K/V to the public partition, and sends one QUERY per
-head. The user party answers each with a PARTIAL (weighted values,
-denominator, running max); the model merges, finishes the layer, and
-after the last layer returns the next-token distribution (FINAL_Y). The
-user samples and emits the token both back to the model and outward
-through the controller gate.
+tokens of every live stream, appends their K/V to its public-KV slot
+arena, and sends each user link one QUERY carrying every head of every
+stream of that user. The user party answers with one PARTIAL (per stream
+and head: weighted values, denominator, running max), computed in one
+kernel call over its padded private rows; the model merges it with its
+own public partials, finishes the layer, and after the last layer
+returns each stream's next-token distribution (FINAL_Y). The user
+samples and emits the token both back to the model and outward through
+the controller gate.
 
 User parties never touch weights after prefill (the handle is released
 and any later access faults), and private partitions never serialize:
@@ -41,14 +44,15 @@ from .obfuscation import (
 )
 from .partition import (
     PRIVATE,
-    PUBLIC,
     KvPartition,
-    PartialAttention,
-    batched_public_partials,
-    merge_partials,
-    private_partial,
+    _softmax_partial,
+    merge_partial_arrays,
 )
+# perfbench's tracer wraps these per-head kernels by their names in this
+# module; the batched exchange no longer calls them
+from .partition import batched_public_partials, private_partial  # noqa: F401
 from .wire import (
+    HEADER_SIZE,
     MAX_BODY,
     TAG_ABORT,
     TAG_CONTROL,
@@ -60,9 +64,11 @@ from .wire import (
     FrameError,
     ProtocolMessage,
     decode_f64s,
+    decode_query,
     decode_token,
     deserialize,
     encode_f64s,
+    encode_query,
     encode_token,
     parse_header,
     serialize,
@@ -138,6 +144,7 @@ class TranscriptEntry:
     head: int
     payload_len: int
     nbytes: int
+    streams: tuple = ()  # the stream ids a batched QUERY names
 
     @property
     def tag_name(self) -> str:
@@ -155,6 +162,9 @@ class Transcript:
 
     def record(self, direction: str, step: int, frame: bytes):
         tag, session_id, layer, head, payload_len = parse_header(frame)
+        streams = ()
+        if tag == TAG_QUERY and payload_len >= 4 * head:
+            streams = tuple(np.frombuffer(frame, "<u4", count=head, offset=HEADER_SIZE).tolist())
         self.entries.append(
             TranscriptEntry(
                 direction=direction,
@@ -165,6 +175,7 @@ class Transcript:
                 head=head,
                 payload_len=payload_len,
                 nbytes=len(frame),
+                streams=streams,
             )
         )
 
@@ -237,10 +248,17 @@ def read_frame(sock: socket.socket) -> bytes | None:
     return head + body
 
 
+def _no_delay(sock: socket.socket):
+    """Send small frames at once: without TCP_NODELAY, Nagle's algorithm
+    holds each reply back until the peer's delayed ACK arrives."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class SocketLink:
     """Model-party end of a localhost stream socket carrying frames."""
 
     def __init__(self, sock: socket.socket, transcript: Transcript | None = None):
+        _no_delay(sock)
         self._sock = sock
         self.transcript = transcript
         self.step = 0
@@ -261,16 +279,18 @@ class SocketLink:
 
 def serve_user_party(user: "UserParty", sock: socket.socket):
     """Blocking loop for socket transport: announce the prefill messages,
-    then answer the model's frames until EOF."""
-    for msg in user.pending_setup:
-        sock.sendall(serialize(msg))
+    then answer the model's frames until EOF. The announcement, and the
+    replies to each frame, go out in one write each."""
+    _no_delay(sock)
+    sock.sendall(b"".join(serialize(msg) for msg in user.pending_setup))
     user.pending_setup = []
     while True:
         frame = read_frame(sock)
         if frame is None:
             return
-        for reply in user.handle_frame(frame):
-            sock.sendall(reply)
+        replies = user.handle_frame(frame)
+        if replies:
+            sock.sendall(b"".join(replies))
 
 
 # -- control payloads ---------------------------------------------------
@@ -311,7 +331,8 @@ class TokenRule:
 @dataclass
 class _UserStream:
     stream_id: int
-    private: KvPartition
+    index: int  # the stream's row in the party's private K/V arrays
+    private: KvPartition  # a view of those rows, unpadded
     tokens: list
     rule: TokenRule
     alive: bool = True
@@ -328,9 +349,12 @@ class UserParty:
     """Holds the prompt-side secrets of one user: virtual prompts, the
     authentic index, and per-stream private KV partitions.
 
-    During decode the party answers QUERY frames from its private rows and
-    samples from FINAL_Y distributions; it needs no weights, and its
-    weights handle is released at the end of prefill.
+    The private rows of all streams live in one pair of
+    (streams, n_layers, n_heads, rows, head_dim) arrays, zero-padded past
+    each stream's prompt length, so a batched QUERY is answered with one
+    masked kernel call. During decode the party answers QUERY frames from
+    these rows and samples from FINAL_Y distributions; it needs no
+    weights, and its weights handle is released at the end of prefill.
     """
 
     def __init__(
@@ -350,6 +374,9 @@ class UserParty:
         self.sample_seed = sample_seed
         self.config: ModelConfig | None = None
         self.streams: dict[int, _UserStream] = {}
+        self.private_k: np.ndarray | None = None
+        self.private_v: np.ndarray | None = None
+        self.private_lengths: np.ndarray | None = None  # prompt length per row
         self.vps: VirtualPromptSet | None = None
         self.pending_setup: list[ProtocolMessage] = []
         self._outward: deque = deque()
@@ -370,15 +397,17 @@ class UserParty:
         idx = self.vps.idx if self.vps is not None else 0
         return winnow([s.tokens for s in self.streams.values()], idx)
 
+    def _live_stream(self, stream_id: int) -> _UserStream:
+        stream = self.streams.get(stream_id)
+        if stream is None or not stream.alive:
+            raise ProtocolError(f"frame for unknown or dead stream {stream_id}")
+        return stream
+
     def handle_frame(self, frame: bytes) -> list[bytes]:
         msg = deserialize(frame)
-        stream = self.streams.get(msg.session_id)
-        if stream is None or not stream.alive:
-            raise ProtocolError(f"frame for unknown or dead stream {msg.session_id}")
+        stream = self._live_stream(msg.session_id)
         if msg.tag == TAG_QUERY:
-            q = decode_f64s(msg.payload)
-            pa = private_partial(q, stream.private, msg.layer, msg.head)
-            return [_frame(TAG_PARTIAL, msg.session_id, msg.layer, msg.head, pa.scalars())]
+            return [self._answer_query(msg)]
         if msg.tag == TAG_FINAL_Y:
             logits = decode_f64s(msg.payload)
             token = stream.rule.token(logits, len(stream.tokens))
@@ -392,6 +421,36 @@ class UserParty:
             stream.alive = False
             return []
         raise ProtocolError(f"user party cannot handle {msg.tag_name} frames")
+
+    def _answer_query(self, msg: ProtocolMessage) -> bytes:
+        """The PARTIAL for a batched QUERY: the private partial of every
+        head of every named stream, in one kernel call."""
+        c, count = self.config, msg.head
+        width = c.n_heads * c.head_dim
+        if count == 0 or len(msg.payload) != count * (4 + 8 * width):
+            raise ProtocolError(
+                f"QUERY names {count} streams but its payload holds {len(msg.payload)} "
+                f"bytes, not streams * (4 + 8 * n_heads * head_dim) = {count * (4 + 8 * width)}"
+            )
+        if msg.layer >= c.n_layers:
+            raise ProtocolError(f"QUERY for layer {msg.layer} of a {c.n_layers}-layer model")
+        ids, qs = decode_query(msg.payload, count)
+        if ids[0] != msg.session_id or len(set(ids.tolist())) != count:
+            raise ProtocolError(
+                f"QUERY {msg.session_id} names the streams {ids.tolist()}: the header "
+                "must name the first, and no stream may appear twice"
+            )
+        arena = _arena_rows([self._live_stream(int(sid)).index for sid in ids])
+        lengths = self.private_lengths[arena]
+        n = int(lengths.max())
+        a, gamma, m = _softmax_partial(
+            qs.reshape(count, c.n_heads, c.head_dim),
+            self.private_k[arena, msg.layer, :, :n],
+            self.private_v[arena, msg.layer, :, :n],
+            lengths[:, None],
+        )
+        values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
+        return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
 
 
 def user_prefill(
@@ -407,8 +466,10 @@ def user_prefill(
     than lambda_min decoys exist; the weights handle stays valid in that
     case since no stream started.
     """
+    if party.streams:
+        raise ValueError("a user party prefills once")
     weights = party.weights_handle.get()
-    party.config = weights.config
+    party.config = c = weights.config
 
     if prompt.spans and config.lambda_max > 0 and config.epsilon > 0:
         fake_sets = multi_segment_gqs(prompt, config, party.oracle)
@@ -425,14 +486,18 @@ def user_prefill(
     if len(stream_ids) != len(prompts):
         raise ValueError("need one stream id per prompt")
 
+    party.private_lengths = np.array([len(tokens) for tokens in prompts])
+    shape = (len(prompts), c.n_layers, c.n_heads, party.private_lengths.max(), c.head_dim)
+    party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
     messages = []
-    for stream_id, tokens in zip(stream_ids, prompts):
+    for index, (stream_id, tokens) in enumerate(zip(stream_ids, prompts)):
         n = len(tokens)
         cache, logits = prefill(weights, list(tokens))
         # copy the prompt rows so the max_seq-row cache can be freed
-        private = KvPartition(PRIVATE, k=cache.k[:, :, :n].copy(), v=cache.v[:, :, :n].copy())
+        k, v = party.private_k[index, :, :, :n], party.private_v[index, :, :, :n]
+        k[...], v[...] = cache.k[:, :, :n], cache.v[:, :, :n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
-        stream = _UserStream(stream_id, private, tokens=[], rule=rule)
+        stream = _UserStream(stream_id, index, KvPartition(PRIVATE, k=k, v=v), tokens=[], rule=rule)
         first = rule.token(logits, 0)
         stream.tokens.append(first)
         party.streams[stream_id] = stream
@@ -540,54 +605,81 @@ class _ModelStream:
     stream_id: int
     prompt_len: int
     pos: int  # absolute position of the next token to process
-    # public K/V live in preallocated (n_layers, n_heads, rows, head_dim)
-    # buffers; the partition is a view of the rows written so far
+    slot: int  # the stream's slot in the model party's public-KV arena
+    # views of that slot, (n_layers, n_heads, rows, head_dim); the first
+    # public_len rows hold the K/V of every token processed so far
     kbuf: np.ndarray = field(repr=False)
     vbuf: np.ndarray = field(repr=False)
-    public: KvPartition = None
     public_len: int = 0
     pending_token: int | None = None
     tokens: list = field(default_factory=list)
     done: bool = False
 
-    def open_round(self):
-        """Point the public partition at the rows of every earlier token
-        plus the one this round appends."""
-        n = self.public_len + 1
-        self.public = KvPartition(PUBLIC, k=self.kbuf[:, :, :n], v=self.vbuf[:, :, :n])
 
-    def append_public(self, layer: int, k_heads: np.ndarray, v_heads: np.ndarray):
-        """Write this round's K/V of one layer, for all heads."""
-        self.kbuf[layer, :, self.public_len] = k_heads
-        self.vbuf[layer, :, self.public_len] = v_heads
+def _arena_rows(rows: list[int]):
+    """Index of the given arena rows: a slice, which reads a view, when
+    they are consecutive and ascending, else an array, which gathers."""
+    lo = rows[0]
+    if rows == list(range(lo, lo + len(rows))):
+        return slice(lo, lo + len(rows))
+    return np.array(rows)
 
 
 class ModelParty:
     """Owns the weights and, per stream, only public state: generated
     tokens and their KV rows. Never sees a private K/V row.
 
+    The public K/V of every stream live in one slot arena, public_k and
+    public_v of shape (slots, n_layers, n_heads, rows, head_dim), one slot
+    per registered stream in registration order. rows is max_seq minus
+    the shortest registered prompt, the most rows any stream can write.
+    Slots grow by doubling; growth copies only the rows written so far.
+
     stop_at_eos=False decodes fixed-length responses (bench workloads).
     """
 
     def __init__(self, weights: Weights, stop_at_eos: bool = True):
         self.weights = weights
-        self.config = weights.config
+        self.config = c = weights.config
         self.stop_at_eos = stop_at_eos
         self.streams: dict[int, _ModelStream] = {}
+        self.public_k = np.zeros((0, c.n_layers, c.n_heads, 1, c.head_dim))
+        self.public_v = np.zeros_like(self.public_k)
+
+    def _open_slot(self, prompt_len: int) -> int:
+        """The arena slot of a new stream whose prompt has prompt_len
+        tokens, growing the arena if the slot or its rows do not fit."""
+        c = self.config
+        slot = len(self.streams)
+        slots, rows = self.public_k.shape[0], self.public_k.shape[3]
+        need_rows = max(c.max_seq - prompt_len, 1)
+        if slot < slots and need_rows <= rows:
+            return slot
+        if slot >= slots:
+            slots = max(2 * slots, 1)
+        shape = (slots, c.n_layers, c.n_heads, max(rows, need_rows), c.head_dim)
+        written = max((s.public_len for s in self.streams.values()), default=0)
+        k, v = np.zeros(shape), np.zeros(shape)
+        k[:slot, :, :, :written] = self.public_k[:slot, :, :, :written]
+        v[:slot, :, :, :written] = self.public_v[:slot, :, :, :written]
+        self.public_k, self.public_v = k, v
+        for s in self.streams.values():
+            s.kbuf, s.vbuf = self.public_k[s.slot], self.public_v[s.slot]
+        return slot
 
     def handle_user_frame(self, msg: ProtocolMessage):
-        c = self.config
         if msg.tag == TAG_CONTROL:
             if msg.session_id in self.streams:
                 raise ProtocolError(f"stream {msg.session_id} registered twice")
             prompt_len = decode_setup(msg.payload)
-            shape = (c.n_layers, c.n_heads, max(c.max_seq - prompt_len, 1), c.head_dim)
+            slot = self._open_slot(prompt_len)
             self.streams[msg.session_id] = _ModelStream(
                 stream_id=msg.session_id,
                 prompt_len=prompt_len,
                 pos=prompt_len,
-                kbuf=np.zeros(shape),
-                vbuf=np.zeros(shape),
+                slot=slot,
+                kbuf=self.public_k[slot],
+                vbuf=self.public_v[slot],
             )
             return
         if msg.tag == TAG_TOKEN:
@@ -623,6 +715,15 @@ def _frame(tag: int, stream_id: int, layer: int = 0, head: int = 0, values=()) -
     )
 
 
+def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
+    """The batched QUERY naming stream_ids, with their (S, n_heads,
+    head_dim) queries."""
+    return serialize(ProtocolMessage(
+        tag=TAG_QUERY, session_id=stream_ids[0], layer=layer, head=len(stream_ids),
+        payload=encode_query(stream_ids, qs),
+    ))
+
+
 def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> bytes:
     """The payload of the next reply, which must be tag for stream_id/layer/head."""
     msg = deserialize(link.recv())
@@ -634,12 +735,17 @@ def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> by
     return msg.payload
 
 
-def _expect_partial(link, stream_id: int, layer: int, head: int, head_dim: int) -> PartialAttention:
-    scalars = decode_f64s(_expect(link, TAG_PARTIAL, stream_id, layer, head))
-    if scalars.size != head_dim + 2:
-        raise ProtocolError(f"PARTIAL {stream_id}/{layer}/{head} carries "
-                            f"{scalars.size} scalars, not head_dim + 2 = {head_dim + 2}")
-    return PartialAttention(a=scalars[:-2], gamma=float(scalars[-2]), m=float(scalars[-1]))
+def _expect_partials(link, stream_ids: list[int], layer: int, c: ModelConfig) -> np.ndarray:
+    """The (S, n_heads, head_dim + 2) reply to the QUERY naming stream_ids."""
+    count = len(stream_ids)
+    payload = _expect(link, TAG_PARTIAL, stream_ids[0], layer, count)
+    want = count * c.n_heads * (c.head_dim + 2)
+    if len(payload) != 8 * want:
+        raise ProtocolError(
+            f"PARTIAL for {count} stream(s) at layer {layer} carries {len(payload) / 8:g} "
+            f"scalars, not streams * n_heads * (head_dim + 2) = {want}"
+        )
+    return decode_f64s(payload).reshape(count, c.n_heads, c.head_dim + 2)
 
 
 def model_batch_step(
@@ -651,11 +757,12 @@ def model_batch_step(
     """Advance every listed (stream_id, link) pair by one token in one
     batched pass.
 
-    The streams run through the model trunk stacked; at each layer the
-    attention callback appends the public K/V, sends one QUERY per stream
-    and head, collects the PARTIAL replies, and merges them with the
-    public partials. The resulting tokens are identical to running each
-    stream alone. Returns the token each user party fed back.
+    The streams run through the model trunk stacked. At each layer the
+    attention callback writes the public K/V into the arena, sends each
+    link one QUERY for all of its streams, computes every stream's public
+    partial in one kernel call over the arena slots, and merges them with
+    the PARTIAL replies. The resulting tokens are identical to running
+    each stream alone. Returns the token each user party fed back.
     """
     c = model.config
     live = [
@@ -671,25 +778,32 @@ def model_batch_step(
     for st in states:
         if st.pos >= c.max_seq:
             raise ProtocolError(f"stream {st.stream_id} ran past max_seq")
-        st.open_round()
-    for _, link in live:
+    by_link: dict[int, tuple[object, list[int]]] = {}
+    for i, (_, link) in enumerate(live):
         link.step = step
+        by_link.setdefault(id(link), (link, []))[1].append(i)
+    batches = [(link, rows, [live[i][0] for i in rows]) for link, rows in by_link.values()]
+    slots = [st.slot for st in states]
+    lens = np.array([st.public_len for st in states])
+    arena = _arena_rows(slots)
+    n = int(lens.max()) + 1
 
     def attend(layer, q, k, v):
-        for i, st in enumerate(states):
-            st.append_public(layer, k[:, i], v[:, i])
-        for i, (sid, link) in enumerate(live):
-            for head in range(c.n_heads):
-                link.send(_frame(TAG_QUERY, sid, layer, head, q[head, i]))
-        pvt = [
-            [_expect_partial(link, sid, layer, head, c.head_dim) for head in range(c.n_heads)]
-            for sid, link in live
-        ]
-        out = np.empty_like(q)
-        for head in range(c.n_heads):
-            pub = batched_public_partials(q[head], [st.public for st in states], layer, head)
-            out[head] = merge_partials([p[head] for p in pvt], pub)
-        return out
+        qs = q.transpose(1, 0, 2)  # (streams, heads, head_dim), the wire's order
+        model.public_k[slots, layer, :, lens] = k.transpose(1, 0, 2)
+        model.public_v[slots, layer, :, lens] = v.transpose(1, 0, 2)
+        for link, rows, sids in batches:
+            link.send(_query_frame(sids, layer, qs[rows]))
+        # the public side runs while socket peers compute their partials
+        pub = _softmax_partial(
+            qs, model.public_k[arena, layer, :, :n], model.public_v[arena, layer, :, :n],
+            lens[:, None] + 1,
+        )
+        pvt = np.empty((len(live), c.n_heads, c.head_dim + 2))
+        for link, rows, sids in batches:
+            pvt[rows] = _expect_partials(link, sids, layer, c)
+        out = merge_partial_arrays(pvt[..., :-2], pvt[..., -2], pvt[..., -1], *pub)
+        return out.transpose(1, 0, 2)
 
     tokens = [st.pending_token for st in states]
     for st in states:
@@ -856,17 +970,18 @@ def run_decode_session(
 
 @dataclass
 class CommReport:
-    """Exact message/byte/scalar accounting of one transcript.
+    """Exact message/byte/scalar accounting of one transcript, per stream
+    and decode round.
 
-    rows: (step, stream, layer, direction, messages, scalars, bytes) for
-    the attention exchange (QUERY and PARTIAL frames). A per-head PARTIAL
-    carries head_dim + 2 scalars — the weighted-value vector plus the
-    softmax denominator and its running max; the running max rides along
-    so the merge can rescale safely, which is why each round costs
+    A batched QUERY or PARTIAL carries every head of S streams; each
+    stream is charged 1/S of its float64 scalars (a QUERY's u32 stream
+    ids are not scalars). Per head, a stream's PARTIAL share is
+    head_dim + 2 scalars — the weighted-value vector plus the softmax
+    denominator and its running max; the running max rides along so the
+    merge can rescale safely, which is why each round costs
     2*head_dim + 2 scalars per head rather than a bare 2*head_dim + 1.
     """
 
-    rows: list
     query_scalars_per_round: int
     partial_scalars_per_round: int
     round_scalars_per_round: int
@@ -897,45 +1012,37 @@ class CommReport:
 
 
 def comm_accounting(transcript: Transcript) -> CommReport:
-    """Tally per-token, per-layer, per-direction traffic of the decode
-    rounds and check that the per-round scalar count is constant."""
-    per_cell: dict[tuple, list] = {}
+    """Tally the scalars each stream sends and receives per decode round
+    and check that the per-round count is constant."""
     per_round: dict[tuple, dict] = {}
+    # (step, session_id, layer) of a QUERY -> the streams it and its PARTIAL carry
+    carried: dict[tuple, tuple] = {}
     total_bytes = 0
     for e in transcript.entries:
         total_bytes += e.nbytes
-        if e.step < 1 or e.tag not in (TAG_QUERY, TAG_PARTIAL, TAG_FINAL_Y):
+        if e.step < 1:
             continue
-        scalars = e.payload_len // 8
-        key = (e.step, e.session_id)
-        agg = per_round.setdefault(key, {"query": 0, "partial": 0, "final": 0})
-        if e.tag == TAG_QUERY:
-            agg["query"] += scalars
+        if e.tag == TAG_FINAL_Y:
+            kind, streams, scalars = "final", (e.session_id,), e.payload_len // 8
+        elif e.tag == TAG_QUERY:
+            kind, streams = "query", e.streams
+            carried[(e.step, e.session_id, e.layer)] = streams
+            scalars = (e.payload_len - 4 * len(streams)) // 8
         elif e.tag == TAG_PARTIAL:
-            agg["partial"] += scalars
+            kind, streams = "partial", carried.get((e.step, e.session_id, e.layer), ())
+            scalars = e.payload_len // 8
         else:
-            agg["final"] += scalars
-        if e.tag in (TAG_QUERY, TAG_PARTIAL):
-            cell = per_cell.setdefault(
-                (e.step, e.session_id, e.layer, e.direction), [0, 0, 0]
-            )
-            cell[0] += 1
-            cell[1] += scalars
-            cell[2] += e.nbytes
+            continue
+        for sid in streams:
+            agg = per_round.setdefault((e.step, sid), {"query": 0, "partial": 0, "final": 0})
+            agg[kind] += scalars // len(streams)
 
-    rows = [
-        (step, stream, layer, direction, msgs, scalars, nbytes)
-        for (step, stream, layer, direction), (msgs, scalars, nbytes) in sorted(
-            per_cell.items()
-        )
-    ]
     queries = {agg["query"] for agg in per_round.values()}
     partials = {agg["partial"] for agg in per_round.values()}
     finals = {agg["final"] for agg in per_round.values()}
     constant = len(queries) <= 1 and len(partials) <= 1 and len(finals) <= 1
     steps = len({step for step, _ in per_round})
     return CommReport(
-        rows=rows,
         query_scalars_per_round=next(iter(queries), 0),
         partial_scalars_per_round=next(iter(partials), 0),
         round_scalars_per_round=next(iter(queries), 0) + next(iter(partials), 0),

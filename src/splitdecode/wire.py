@@ -10,7 +10,21 @@ Frame layout, all little-endian:
     u32 payload length
     ... payload bytes
 
-Attention payloads are packed float64 scalars; TOKEN payloads are one
+The attention exchange is batched: per decode round and layer, the
+model party sends one QUERY to each user link and gets one PARTIAL back.
+Both carry every head of every stream of that user on the link, stream
+by stream and head by head within a stream (stream-major, then head):
+
+    QUERY    session_id = the first stream's id, head = S (stream count);
+             payload = S u32 stream ids, then S * n_heads * head_dim
+             float64 queries, shape (S, n_heads, head_dim)
+    PARTIAL  the same session_id, layer and head = S; payload =
+             S * n_heads * (head_dim + 2) float64, shape
+             (S, n_heads, head_dim + 2): per head the weighted values,
+             the softmax denominator and its running max, in the
+             QUERY's stream order
+
+FINAL_Y payloads are one stream's float64 logits; TOKEN payloads are one
 u64. The serializer accepts only ProtocolMessage values — there is
 deliberately no code path that turns a KV partition into a frame.
 """
@@ -24,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "FrameError",
+    "HEADER_SIZE",
     "MAX_BODY",
     "ProtocolMessage",
     "TAG_ABORT",
@@ -34,9 +49,11 @@ __all__ = [
     "TAG_QUERY",
     "TAG_TOKEN",
     "decode_f64s",
+    "decode_query",
     "decode_token",
     "deserialize",
     "encode_f64s",
+    "encode_query",
     "encode_token",
     "parse_header",
     "serialize",
@@ -59,6 +76,8 @@ TAG_NAMES = {
 }
 
 _HEADER = struct.Struct("<BIHHI")  # tag, session, layer, head, payload length
+# bytes before the payload: the length prefix and the header
+HEADER_SIZE = 4 + _HEADER.size
 MAX_PAYLOAD = 1 << 30
 # the largest legal value of the u32 length prefix
 MAX_BODY = _HEADER.size + MAX_PAYLOAD
@@ -150,6 +169,21 @@ def decode_f64s(payload: bytes) -> np.ndarray:
     if len(payload) % 8 != 0:
         raise FrameError("float payload length not a multiple of 8")
     return np.frombuffer(payload, dtype="<f8").astype(np.float64)
+
+
+def encode_query(stream_ids, queries) -> bytes:
+    """Payload of a batched QUERY: the S stream ids as u32, then the
+    (S, n_heads, head_dim) queries as float64."""
+    return np.asarray(stream_ids, dtype="<u4").tobytes() + encode_f64s(queries)
+
+
+def decode_query(payload: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(stream ids, flat float64 queries) of a batched QUERY payload that
+    names count streams."""
+    if len(payload) < 4 * count or (len(payload) - 4 * count) % 8 != 0:
+        raise FrameError(f"QUERY payload of {len(payload)} bytes cannot name {count} streams")
+    ids = np.frombuffer(payload, dtype="<u4", count=count)
+    return ids, np.frombuffer(payload, dtype="<f8", offset=4 * count).astype(np.float64)
 
 
 def encode_token(token: int) -> bytes:

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from splitdecode import protocol
@@ -92,15 +94,18 @@ class TestRunMode:
         assert record.bytes_per_token == 0
 
     def test_spd_latency_nondecreasing_in_lambda(self, bench_model):
-        records = [
-            run_mode(config_for(bench_model, "spd", users=1, lam=lam))
-            for lam in (0, 7, 15)
-        ]
-        meds = [r.ms_per_token_med for r in records]
+        # one wall-clock ordering, made robust to machine-speed phases: the
+        # lambdas run interleaved, five times each, and their medians compare
+        lams = (0, 7, 15)
+        records = {lam: [] for lam in lams}
+        for _ in range(5):
+            for lam in lams:
+                records[lam].append(run_mode(config_for(bench_model, "spd", users=1, lam=lam)))
+        meds = [statistics.median(r.ms_per_token_med for r in records[lam]) for lam in lams]
         assert meds == sorted(meds)
         # the authentic stream is unchanged by the decoys
-        assert records[1].tokens[0] == records[0].tokens[0]
-        assert records[2].tokens[0] == records[0].tokens[0]
+        assert records[7][0].tokens[0] == records[0][0].tokens[0]
+        assert records[15][0].tokens[0] == records[0][0].tokens[0]
 
     def test_every_spd_token_passes_the_gate(self, bench_model, monkeypatch):
         decisions = []

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import socket
@@ -45,6 +46,7 @@ from splitdecode.wire import (
     ProtocolMessage,
     decode_token,
     encode_f64s,
+    encode_query,
     encode_token,
     serialize,
 )
@@ -154,6 +156,21 @@ class TestSingleSession:
         assert time.perf_counter() - t0 < protocol._USER_JOIN_S
         assert isinstance(info.value.__cause__, ValueError)
 
+    def test_socket_ends_set_no_delay(self, small_weights, monkeypatch):
+        # both ends read frames through read_frame: note TCP_NODELAY there
+        seen = {}
+        read = protocol.read_frame
+
+        def noting_read(sock):
+            seen[sock.getsockname()] = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            return read(sock)
+
+        monkeypatch.setattr(protocol, "read_frame", noting_read)
+        model, ctrl, user = make_session(small_weights, [9, 4, 4, 1])
+        run_decode_session(user, model, ctrl, max_tokens=2, transport="socket")
+        assert len(seen) == 2  # the model's and the user's end
+        assert all(seen.values())
+
 
 class TestWeightsHandle:
     def test_released_after_prefill(self, small_weights):
@@ -188,6 +205,11 @@ class TestVirtualPromptStreams:
         assert user.streams == {}
         assert user.pending_setup == []
         assert not user.weights_handle.released
+
+    def test_a_party_prefills_once(self, small_weights):
+        model, ctrl, user = make_session(small_weights, [1, 2, 3])
+        with pytest.raises(ValueError, match="prefills once"):
+            user_prefill(user, TaggedPrompt(tokens=[4, 5]), NO_OBF)
 
     def test_bad_setup_payload_rejected(self, small_weights):
         from splitdecode.protocol import decode_setup
@@ -431,13 +453,27 @@ class TestOutOfOrder:
             user.handle_frame(bad)
 
 
+def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8)):
+    """A greedy user party with lam decoys, so lam + 1 streams."""
+    from splitdecode.langmodel import NgramModel
+
+    oracle = NgramModel(order=1, vocab_size=weights.config.vocab_size)
+    obf = ObfuscationConfig(epsilon=1.0, lambda_max=lam + 1, prf_key=b"d") if lam else NO_OBF
+    user = UserParty(user_id, WeightsHandle(weights), oracle=oracle)
+    user_prefill(user, TaggedPrompt(tokens=list(prompt), spans=((0, 1),) if lam else ()), obf)
+    assert len(user.streams) == lam + 1
+    return user
+
+
 class TestMalformedPartial:
-    # small_config has head_dim 8, so a PARTIAL must carry 10 scalars
+    # small_config has n_heads 2 and head_dim 8, so a PARTIAL for the two
+    # streams of a lambda=1 user must carry 2 * 2 * 10 = 40 scalars
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("count", [3, 0, 8 + 3])
     def test_wrong_scalar_count_raises(self, small_weights, transport, count):
         assert small_weights.config.head_dim == 8
-        model, ctrl, user = make_session(small_weights, [5, 3, 8])
+        user = decoy_user(small_weights, 1)
+        model, ctrl = ModelParty(small_weights), Controller()
         honest = user.handle_frame
 
         def short_or_long(frame):
@@ -451,9 +487,75 @@ class TestMalformedPartial:
 
         user.handle_frame = short_or_long
         start = time.monotonic()
-        with pytest.raises(ProtocolError, match=f"carries {count} scalars"):
+        with pytest.raises(ProtocolError, match=f"for 2 stream.* at layer 1 carries {count} scalars"):
             run_decode_session(user, model, ctrl, max_tokens=4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
+
+
+def _kill_second(user, ids):
+    user.streams[ids[1]].alive = False
+    return ids
+
+
+class TestMalformedQuery:
+    """A QUERY that names an unknown, dead or repeated stream, or whose
+    stream count disagrees with its payload, is a typed error at the user
+    party, on either transport."""
+
+    # case -> (edit of the honest stream id list, expected message)
+    CASES = {
+        "unknown": (lambda user, ids: [ids[0], 424242], "unknown or dead stream 424242"),
+        "dead": (_kill_second, "unknown or dead stream"),
+        "repeated": (lambda user, ids: [ids[0], ids[0]], "no stream may appear twice"),
+    }
+
+    def run_with(self, weights, transport, monkeypatch, make_frame):
+        """Decode a lambda=1 user whose layer-1 QUERYs come from make_frame."""
+        user = decoy_user(weights, 1)
+        honest = protocol._query_frame
+
+        def patched(stream_ids, layer, qs):
+            if layer != 1:
+                return honest(stream_ids, layer, qs)
+            return make_frame(user, list(stream_ids), layer, qs)
+
+        monkeypatch.setattr(protocol, "_query_frame", patched)
+        start = time.monotonic()
+        try:
+            run_decode_session(user, ModelParty(weights), Controller(), max_tokens=4,
+                               transport=transport)
+        finally:
+            assert time.monotonic() - start < protocol._USER_JOIN_S
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_stream_list_raises(self, small_weights, transport, case, monkeypatch):
+        edit, message = self.CASES[case]
+
+        def make_frame(user, ids, layer, qs):
+            ids = edit(user, ids)
+            return serialize(ProtocolMessage(
+                tag=TAG_QUERY, session_id=ids[0], layer=layer, head=len(ids),
+                payload=encode_query(ids, qs),
+            ))
+
+        with pytest.raises(ProtocolError, match=message):
+            self.run_with(small_weights, transport, monkeypatch, make_frame)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_stream_count_disagreeing_with_payload_raises(
+        self, small_weights, transport, count, monkeypatch
+    ):
+        def make_frame(user, ids, layer, qs):
+            # both streams' ids and queries, under a header naming count streams
+            return serialize(ProtocolMessage(
+                tag=TAG_QUERY, session_id=ids[0], layer=layer, head=count,
+                payload=encode_query(ids, qs),
+            ))
+
+        with pytest.raises(ProtocolError, match=f"QUERY names {count} streams"):
+            self.run_with(small_weights, transport, monkeypatch, make_frame)
 
 
 class TestController:
@@ -537,6 +639,131 @@ class TestController:
         second = ProtocolMessage(tag=TAG_TOKEN, session_id=3, payload=encode_token(1))
         assert not controller_gate(ctrl, second).passed
         assert 3 in ctrl.killed
+
+
+def run_socket_sessions(model, ctrl, users, max_tokens):
+    """run_sessions with one localhost TCP link per user, each user party
+    served by serve_user_party on its own thread."""
+    transcript = Transcript(config=model.config)
+    setup_counts = {u.user_id: len(u.pending_setup) for u in users}
+    threads, links = [], []
+
+    def serve(listener, user):
+        conn, _ = listener.accept()
+        with conn:
+            protocol.serve_user_party(user, conn)
+
+    with contextlib.ExitStack() as stack:
+        for user in users:
+            listener = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+            thread = threading.Thread(target=serve, args=(listener, user), daemon=True)
+            thread.start()
+            threads.append(thread)
+            client = stack.enter_context(socket.create_connection(listener.getsockname()[:2]))
+            links.append((user, protocol.SocketLink(client, transcript)))
+
+        def socket_setup(user, link, transcript):
+            return [protocol.deserialize(link.recv()) for _ in range(setup_counts[user.user_id])]
+
+        protocol._drive(model, ctrl, links, max_tokens, transcript, socket_setup)
+    for thread in threads:
+        thread.join(timeout=protocol._USER_JOIN_S)
+        assert not thread.is_alive()
+    return transcript
+
+
+class TestArena:
+    """Public K/V live in one slot arena; every stream's tokens equal its
+    solo greedy decode whichever way the arena is indexed or grown."""
+
+    def test_killed_stream_leaves_a_gather(self, small_weights, monkeypatch):
+        prompts = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]]
+        users = [decoy_user(small_weights, 0, user_id=u, prompt=p) for u, p in enumerate(prompts)]
+        victim = users[1]
+        original_queue = victim._queue_outward
+
+        def evil_queue(msg):  # flip decoded token 2 of user 1: the gate kills it
+            if len(victim.streams[msg.session_id].tokens) == 3:
+                msg = ProtocolMessage(tag=msg.tag, session_id=msg.session_id,
+                                      payload=encode_token(decode_token(msg.payload) ^ 1))
+            original_queue(msg)
+
+        victim._queue_outward = evil_queue
+        indexes = []
+        arena_rows = protocol._arena_rows
+
+        def noting_rows(rows):
+            indexes.append(arena_rows(rows))
+            return indexes[-1]
+
+        monkeypatch.setattr(protocol, "_arena_rows", noting_rows)
+        model, ctrl = ModelParty(small_weights), Controller()
+        transcript = Transcript(config=small_weights.config)
+        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
+        run_sessions(model, ctrl, links, 12, transcript)
+
+        assert list(ctrl.killed) == list(victim.streams)
+        # slots 0, 2, 3 stay live after the kill: the arena is gathered
+        assert any(isinstance(ix, slice) for ix in indexes)
+        assert any(isinstance(ix, np.ndarray) and ix.tolist() == [0, 2, 3] for ix in indexes)
+        for user, prompt in zip(users, prompts):
+            if user is not victim:
+                assert user.authentic_response() == greedy_decode(small_weights, prompt, 12)
+
+    def test_mixed_prompt_lengths_grow_the_rows(self, small_weights):
+        c = small_weights.config
+        prompts = [list(range(1, 9)), [4, 2, 7], [6] * 5]  # the shortest comes second
+        users = [decoy_user(small_weights, 0, user_id=u, prompt=p) for u, p in enumerate(prompts)]
+        model = ModelParty(small_weights)
+        transcript = Transcript(config=c)
+        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
+        run_sessions(model, Controller(), links, 16, transcript)
+        assert model.public_k.shape[:4] == (4, c.n_layers, c.n_heads, c.max_seq - 3)
+        for user, prompt in zip(users, prompts):
+            assert user.authentic_response() == greedy_decode(small_weights, prompt, 16)
+
+    def test_late_registration_copies_written_rows(self, small_weights):
+        c = small_weights.config
+        early, late = [5, 9, 2, 7, 7], [8, 1]
+        first = decoy_user(small_weights, 0, user_id=1, prompt=early)
+        model, ctrl = ModelParty(small_weights), Controller()
+        transcript = Transcript(config=c)
+        first_link = (first, InProcLink(first.handle_frame, transcript))
+        run_sessions(model, ctrl, [first_link], 6, transcript)
+        rows_before = model.public_k.shape[3]
+        written = model.public_k[0, :, :, :6].copy()
+
+        # a second user with a shorter prompt joins: slots and rows grow
+        second = decoy_user(small_weights, 1, user_id=2, prompt=late)
+        links = [first_link, (second, InProcLink(second.handle_frame, transcript))]
+        run_sessions(model, ctrl, links, 10, transcript)
+        assert model.public_k.shape[0] == 4 and model.public_k.shape[3] > rows_before
+        assert np.array_equal(model.public_k[0, :, :, :6], written)
+        assert not ctrl.killed
+        assert first.authentic_response() == greedy_decode(small_weights, early, 16)
+        for i, sid in enumerate(second.streams):
+            mono = greedy_decode(small_weights, list(second.vps.prompts[i]), 10)
+            assert second.streams[sid].tokens == mono
+
+
+    def test_private_rows_of_unequal_prompts_are_masked(self, small_weights, monkeypatch):
+        # virtual prompts share one length, but the user party's padded
+        # private arrays do not rely on it: a shorter stream is masked
+        import types
+
+        prompts = [(4, 8, 15, 16, 23), (4, 8), (42, 4, 8, 15)]
+        monkeypatch.setattr(
+            protocol, "build_virtual_prompts",
+            lambda *args: types.SimpleNamespace(prompts=prompts, idx=1, lam=2),
+        )
+        user = UserParty(1, WeightsHandle(small_weights))
+        user_prefill(user, TaggedPrompt(tokens=[4, 8]), NO_OBF)
+        assert user.private_k.shape[3] == 5
+        model, ctrl = ModelParty(small_weights), Controller()
+        run_decode_session(user, model, ctrl, max_tokens=12)
+        assert not ctrl.killed
+        for sid, prompt in zip(user.streams, prompts):
+            assert user.streams[sid].tokens == greedy_decode(small_weights, list(prompt), 12)
 
 
 class RecordingLink(InProcLink):
@@ -625,6 +852,25 @@ class TestCommAccounting:
         assert steps > 0
         assert len(transcript.round_s) == steps
         assert all(s > 0 for s in transcript.round_s)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_batched_frames_split_per_stream(self, small_weights, transport):
+        # two lambda=3 users: every QUERY and PARTIAL carries four streams
+        c = small_weights.config
+        users = [decoy_user(small_weights, 3, user_id=u, prompt=(u + 2, 7, 1)) for u in (1, 2)]
+        model = ModelParty(small_weights, stop_at_eos=False)
+        if transport == "inproc":
+            transcript = Transcript(config=c)
+            links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
+            run_sessions(model, Controller(), links, 6, transcript)
+        else:
+            transcript = run_socket_sessions(model, Controller(), users, 6)
+        queries = [e for e in transcript.entries if e.tag == TAG_QUERY]
+        assert queries and all(len(e.streams) == 4 for e in queries)
+        report = comm_accounting(transcript)
+        assert report.steps == 6
+        assert report.constant_per_round
+        assert report.round_scalars_per_round == c.n_layers * c.n_heads * (2 * c.head_dim + 2)
 
     def test_report_documents_the_extra_scalars(self, small_weights):
         report = self.run_report(small_weights, [4, 5])

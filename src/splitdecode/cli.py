@@ -91,7 +91,6 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
         user_id=int(cfg.demo["user_id"]),
         weights_handle=WeightsHandle(weights),
         oracle=oracle,
-        prf_key=cfg.obfuscation.prf_key,
     )
     max_tokens = int(cfg.demo["max_tokens"])
     try:

@@ -14,7 +14,6 @@ from .obfuscation import ObfuscationConfig
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "default_run_config",
     "load_run_config",
     "parse_run_config",
 ]
@@ -126,7 +125,3 @@ def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     return parse_run_config(raw, seed=seed)
-
-
-def default_run_config() -> RunConfig:
-    return parse_run_config({})

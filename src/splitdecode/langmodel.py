@@ -24,9 +24,6 @@ __all__ = [
     "TemperedOracle",
     "TransformerOracle",
     "apply_temperature",
-    "load_corpus",
-    "load_vocab",
-    "save_vocab",
     "seq_logprob",
     "tempered",
     "tokenize_text",
@@ -177,25 +174,3 @@ def tokenize_text(text: str) -> tuple[list[list[int]], dict[str, int]]:
             seq.append(vocab[word])
         sequences.append(seq)
     return sequences, vocab
-
-
-def load_corpus(path) -> tuple[list[list[int]], dict[str, int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tokenize_text(fh.read())
-
-
-def save_vocab(vocab: dict[str, int], path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for token, idx in sorted(vocab.items(), key=lambda kv: kv[1]):
-            fh.write(f"{token}\t{idx}\n")
-
-
-def load_vocab(path) -> dict[str, int]:
-    vocab: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            token, idx = line.rstrip("\n").split("\t")
-            vocab[token] = int(idx)
-    return vocab

@@ -37,7 +37,6 @@ __all__ = [
     "build_virtual_prompts",
     "dump_virtual_prompts",
     "gqs",
-    "load_tag_rules",
     "multi_segment_gqs",
     "parse_tag_rules",
     "prf_index",
@@ -119,11 +118,6 @@ def parse_tag_rules(text: str) -> list[TagRule]:
             raise ValueError(f"tag rule line {lineno}: expected category<TAB>pattern")
         rules.append(TagRule(category=category.strip(), pattern=re.compile(pattern.strip())))
     return rules
-
-
-def load_tag_rules(path) -> list[TagRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tag_rules(fh.read())
 
 
 def tag_sensitive(tokens, rules: list[TagRule], vocab: dict[str, int]) -> TaggedPrompt:
@@ -279,15 +273,7 @@ def multi_segment_gqs(
     return [gqs(prompt, span, per_segment, oracle) for span in prompt.spans]
 
 
-def _session_bytes(session_id) -> bytes:
-    if isinstance(session_id, bytes):
-        return session_id
-    if isinstance(session_id, int):
-        return session_id.to_bytes(8, "little", signed=False)
-    return str(session_id).encode("utf-8")
-
-
-def prf_index(key: bytes, session_id, lam: int) -> int:
+def prf_index(key: bytes, session_id: int, lam: int) -> int:
     """Keyed, uniform index in [0, lam] derived from the session id.
 
     HMAC-SHA256 output is consumed 8 bytes at a time with rejection
@@ -298,11 +284,10 @@ def prf_index(key: bytes, session_id, lam: int) -> int:
         raise ValueError("lam must be >= 0")
     n = lam + 1
     limit = (2**64 // n) * n
+    session = session_id.to_bytes(8, "little", signed=False)
     counter = 0
     while True:
-        digest = hmac.new(
-            key, _session_bytes(session_id) + counter.to_bytes(4, "little"), hashlib.sha256
-        ).digest()
+        digest = hmac.new(key, session + counter.to_bytes(4, "little"), hashlib.sha256).digest()
         for off in range(0, len(digest), 8):
             value = int.from_bytes(digest[off : off + 8], "little")
             if value < limit:

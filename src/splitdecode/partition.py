@@ -55,9 +55,6 @@ class PartialAttention:
     def is_empty(self) -> bool:
         return self.gamma == 0.0
 
-    def scalars(self) -> np.ndarray:
-        return np.concatenate([self.a, [self.gamma, self.m]])
-
 
 @dataclass
 class KvPartition:
@@ -154,21 +151,9 @@ def merge_partial_arrays(a1, g1, m1, a2, g2, m2) -> np.ndarray:
     return (g1 / total)[..., None] * a1 + (g2 / total)[..., None] * a2
 
 
-def merge_partials(pvt, pub) -> np.ndarray:
-    """merge_partial_arrays over PartialAttention values.
-
-    pvt and pub are one PartialAttention each, or equal-length sequences
-    of them merged pairwise into one output row per pair.
-    """
-    single = isinstance(pvt, PartialAttention)
-    pvt, pub = ([pvt], [pub]) if single else (pvt, pub)
-
-    def fields(side):
-        return (np.stack([p.a for p in side]), np.array([p.gamma for p in side]),
-                np.array([p.m for p in side]))
-
-    out = merge_partial_arrays(*fields(pvt), *fields(pub))
-    return out[0] if single else out
+def merge_partials(pvt: PartialAttention, pub: PartialAttention) -> np.ndarray:
+    """merge_partial_arrays of one private and one public PartialAttention."""
+    return merge_partial_arrays(pvt.a, pvt.gamma, pvt.m, pub.a, pub.gamma, pub.m)
 
 
 def batched_public_partials(
@@ -177,25 +162,8 @@ def batched_public_partials(
     layer: int = 0,
     head: int = 0,
 ) -> list[PartialAttention]:
-    """Public partials for a batch of users in one padded-matrix pass.
-
-    Users may have different public lengths; shorter ones are masked.
-    Elementwise identical (within 1e-12) to calling public_partial per
-    user, which the tests assert against a plain loop.
-    """
+    """public_partial of each query row against its partition."""
     qs = np.atleast_2d(np.asarray(qs, dtype=np.float64))
     if len(parts) == 0 or qs.shape[0] != len(parts):
         raise ValueError("need one query row per partition")
-    d = qs.shape[1]
-    rows = [_head_rows(part, PUBLIC, layer, head, d) for part in parts]
-    lengths = np.array([K.shape[0] for K, _ in rows])
-    seen = np.flatnonzero(lengths)  # rows with no keys get the empty partial
-    found = iter(())
-    if len(seen):
-        K_pad = np.zeros((len(seen), lengths.max(), d))
-        V_pad = np.zeros_like(K_pad)
-        for j, i in enumerate(seen):
-            K_pad[j, : lengths[i]], V_pad[j, : lengths[i]] = rows[i]
-        a, gamma, m = _softmax_partial(qs[seen], K_pad, V_pad, lengths[seen])
-        found = (PartialAttention(a[j], float(gamma[j]), float(m[j])) for j in range(len(seen)))
-    return [next(found) if n else PartialAttention.empty(d) for n in lengths]
+    return [public_partial(q, part, layer, head) for q, part in zip(qs, parts)]

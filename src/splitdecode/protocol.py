@@ -14,8 +14,8 @@ samples and emits the token both back to the model and outward through
 the controller gate.
 
 User parties never touch weights after prefill (the handle is released
-and any later access faults), and private partitions never serialize:
-the wire layer only moves ProtocolMessage frames.
+and any later access faults), and their private K/V rows never
+serialize: the wire layer only moves ProtocolMessage frames.
 
 Transport is an in-process frame conduit by default; the same frames run
 over localhost stream sockets via SocketLink/serve_user_party.
@@ -42,12 +42,7 @@ from .obfuscation import (
     multi_segment_gqs,
     winnow,
 )
-from .partition import (
-    PRIVATE,
-    KvPartition,
-    _softmax_partial,
-    merge_partial_arrays,
-)
+from .partition import _softmax_partial, merge_partial_arrays
 # perfbench's tracer wraps these per-head kernels by their names in this
 # module; the batched exchange no longer calls them
 from .partition import batched_public_partials, private_partial  # noqa: F401
@@ -332,7 +327,6 @@ class TokenRule:
 class _UserStream:
     stream_id: int
     index: int  # the stream's row in the party's private K/V arrays
-    private: KvPartition  # a view of those rows, unpadded
     tokens: list
     rule: TokenRule
     alive: bool = True
@@ -347,7 +341,7 @@ def _prompt_digest(tokens) -> int:
 
 class UserParty:
     """Holds the prompt-side secrets of one user: virtual prompts, the
-    authentic index, and per-stream private KV partitions.
+    authentic index, and the private K/V rows of every stream.
 
     The private rows of all streams live in one pair of
     (streams, n_layers, n_heads, rows, head_dim) arrays, zero-padded past
@@ -457,10 +451,10 @@ def user_prefill(
     party: UserParty,
     prompt: TaggedPrompt,
     config: ObfuscationConfig,
-    stream_ids: list[int] | None = None,
 ) -> list[ProtocolMessage]:
     """Build the virtual prompts, prefill them all, release the weights,
-    and emit per-stream setup plus first-token messages.
+    and emit per-stream setup plus first-token messages. Stream i of user
+    u has the id u * 2**16 + i.
 
     Raises InsufficientObfuscationError (the obfuscation abort) when fewer
     than lambda_min decoys exist; the weights handle stays valid in that
@@ -478,26 +472,22 @@ def user_prefill(
     party.vps = build_virtual_prompts(prompt, fake_sets, config, party.user_id)
 
     prompts = party.vps.prompts
-    if stream_ids is None:
-        # deterministic per user: stream i of user u is u*2^16 + i
-        if not 0 <= party.user_id < 2**16:
-            raise ValueError("default stream ids need user_id < 2^16")
-        stream_ids = [party.user_id * 2**16 + i for i in range(len(prompts))]
-    if len(stream_ids) != len(prompts):
-        raise ValueError("need one stream id per prompt")
+    if not 0 <= party.user_id < 2**16:
+        raise ValueError("stream ids need user_id < 2^16")
 
     party.private_lengths = np.array([len(tokens) for tokens in prompts])
     shape = (len(prompts), c.n_layers, c.n_heads, party.private_lengths.max(), c.head_dim)
     party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
     messages = []
-    for index, (stream_id, tokens) in enumerate(zip(stream_ids, prompts)):
+    for index, tokens in enumerate(prompts):
+        stream_id = party.user_id * 2**16 + index
         n = len(tokens)
         cache, logits = prefill(weights, list(tokens))
         # copy the prompt rows so the max_seq-row cache can be freed
-        k, v = party.private_k[index, :, :, :n], party.private_v[index, :, :, :n]
-        k[...], v[...] = cache.k[:, :, :n], cache.v[:, :, :n]
+        party.private_k[index, :, :, :n] = cache.k[:, :, :n]
+        party.private_v[index, :, :, :n] = cache.v[:, :, :n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
-        stream = _UserStream(stream_id, index, KvPartition(PRIVATE, k=k, v=v), tokens=[], rule=rule)
+        stream = _UserStream(stream_id, index, tokens=[], rule=rule)
         first = rule.token(logits, 0)
         stream.tokens.append(first)
         party.streams[stream_id] = stream
@@ -605,14 +595,10 @@ class _ModelStream:
     stream_id: int
     prompt_len: int
     pos: int  # absolute position of the next token to process
-    slot: int  # the stream's slot in the model party's public-KV arena
-    # views of that slot, (n_layers, n_heads, rows, head_dim); the first
-    # public_len rows hold the K/V of every token processed so far
-    kbuf: np.ndarray = field(repr=False)
-    vbuf: np.ndarray = field(repr=False)
-    public_len: int = 0
+    # the stream's slot in the model party's public-KV arena, whose first
+    # pos - prompt_len rows hold the K/V of every token processed so far
+    slot: int
     pending_token: int | None = None
-    tokens: list = field(default_factory=list)
     done: bool = False
 
 
@@ -626,8 +612,9 @@ def _arena_rows(rows: list[int]):
 
 
 class ModelParty:
-    """Owns the weights and, per stream, only public state: generated
-    tokens and their KV rows. Never sees a private K/V row.
+    """Owns the weights and, per stream, only public state: its position,
+    its pending token and the KV rows of its processed tokens. Never sees
+    a private K/V row.
 
     The public K/V of every stream live in one slot arena, public_k and
     public_v of shape (slots, n_layers, n_heads, rows, head_dim), one slot
@@ -658,13 +645,11 @@ class ModelParty:
         if slot >= slots:
             slots = max(2 * slots, 1)
         shape = (slots, c.n_layers, c.n_heads, max(rows, need_rows), c.head_dim)
-        written = max((s.public_len for s in self.streams.values()), default=0)
+        written = max((s.pos - s.prompt_len for s in self.streams.values()), default=0)
         k, v = np.zeros(shape), np.zeros(shape)
         k[:slot, :, :, :written] = self.public_k[:slot, :, :, :written]
         v[:slot, :, :, :written] = self.public_v[:slot, :, :, :written]
         self.public_k, self.public_v = k, v
-        for s in self.streams.values():
-            s.kbuf, s.vbuf = self.public_k[s.slot], self.public_v[s.slot]
         return slot
 
     def handle_user_frame(self, msg: ProtocolMessage):
@@ -672,14 +657,11 @@ class ModelParty:
             if msg.session_id in self.streams:
                 raise ProtocolError(f"stream {msg.session_id} registered twice")
             prompt_len = decode_setup(msg.payload)
-            slot = self._open_slot(prompt_len)
             self.streams[msg.session_id] = _ModelStream(
                 stream_id=msg.session_id,
                 prompt_len=prompt_len,
                 pos=prompt_len,
-                slot=slot,
-                kbuf=self.public_k[slot],
-                vbuf=self.public_v[slot],
+                slot=self._open_slot(prompt_len),
             )
             return
         if msg.tag == TAG_TOKEN:
@@ -694,7 +676,6 @@ class ModelParty:
 
     def _accept_token(self, stream: _ModelStream, token: int):
         stream.pending_token = token
-        stream.tokens.append(token)
         if self.stop_at_eos and token == self.config.eos_token:
             stream.done = True
 
@@ -751,11 +732,11 @@ def _expect_partials(link, stream_ids: list[int], layer: int, c: ModelConfig) ->
 def model_batch_step(
     model: ModelParty,
     sessions: list[tuple[int, object]],
-    controller: Controller | None = None,
+    controller: Controller,
     step: int = 1,
 ) -> dict[int, int]:
     """Advance every listed (stream_id, link) pair by one token in one
-    batched pass.
+    batched pass, queueing each stream's ground truth on the controller.
 
     The streams run through the model trunk stacked. At each layer the
     attention callback writes the public K/V into the arena, sends each
@@ -784,7 +765,7 @@ def model_batch_step(
         by_link.setdefault(id(link), (link, []))[1].append(i)
     batches = [(link, rows, [live[i][0] for i in rows]) for link, rows in by_link.values()]
     slots = [st.slot for st in states]
-    lens = np.array([st.public_len for st in states])
+    lens = np.array([st.pos - st.prompt_len for st in states])
     arena = _arena_rows(slots)
     n = int(lens.max()) + 1
 
@@ -813,13 +794,11 @@ def model_batch_step(
     returned: dict[int, int] = {}
     for i, (sid, link) in enumerate(live):
         st = states[i]
-        if controller is not None:
-            controller.expect(sid, logits[i])
+        controller.expect(sid, logits[i])
         link.send(_frame(TAG_FINAL_Y, sid, values=logits[i]))
         token = decode_token(_expect(link, TAG_TOKEN, sid))
         model._accept_token(st, token)
         st.pos += 1
-        st.public_len += 1
         if st.pos >= c.max_seq:
             st.done = True
         returned[sid] = token
@@ -846,7 +825,7 @@ def _route_outward(user: UserParty, ctrl: Controller, transcript: Transcript, st
     return killed_now
 
 
-def _abort_stream(model: ModelParty, user: UserParty, link, stream_id: int):
+def _abort_stream(model: ModelParty, link, stream_id: int):
     if stream_id in model.streams:
         model.streams[stream_id].done = True
     link.send(_frame(TAG_ABORT, stream_id))
@@ -875,7 +854,7 @@ def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> T
             # the rule goes to the controller directly, never over the link
             ctrl.open_stream(sid, stream.rule)
         for sid in _route_outward(user, ctrl, transcript, 0):
-            _abort_stream(model, user, link, sid)
+            _abort_stream(model, link, sid)
 
     for step in range(1, max_tokens + 1):
         pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
@@ -885,7 +864,7 @@ def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> T
         model_batch_step(model, pairs, controller=ctrl, step=step)
         for user, link in users_links:
             for sid in _route_outward(user, ctrl, transcript, step):
-                _abort_stream(model, user, link, sid)
+                _abort_stream(model, link, sid)
         transcript.round_s.append(time.perf_counter() - t0)
     return transcript
 

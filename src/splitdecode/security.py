@@ -27,7 +27,6 @@ __all__ = [
     "authenticity_C",
     "estimate_delta",
     "monte_carlo_success",
-    "results_csv",
     "success_bounds",
     "wilson_interval",
 ]
@@ -187,13 +186,3 @@ def monte_carlo_success(
         bound_hi=bound_hi,
         trials=trials,
     )
-
-
-def results_csv(results: list[AdversaryResult]) -> str:
-    lines = ["eta,lambda,epsilon,delta,rate,ci_lo,ci_hi,bound_lo,bound_hi"]
-    for r in results:
-        lines.append(
-            f"{r.eta},{r.lam},{r.epsilon:.6g},{r.delta:.6g},{r.rate:.6g},"
-            f"{r.ci_lo:.6g},{r.ci_hi:.6g},{r.bound_lo:.6g},{r.bound_hi:.6g}"
-        )
-    return "\n".join(lines)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from splitdecode.cli import main
-from splitdecode.config import ConfigError, default_run_config, load_run_config
+from splitdecode.config import ConfigError, load_run_config
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -14,7 +14,7 @@ def write_config(tmp_path, data, name="config.json"):
 
 class TestConfig:
     def test_defaults_parse(self):
-        cfg = default_run_config()
+        cfg = load_run_config(None)
         assert cfg.model.d_model == cfg.model.n_heads * cfg.model.head_dim
         assert cfg.obfuscation.lambda_min <= cfg.obfuscation.lambda_max
 

@@ -9,9 +9,6 @@ from splitdecode.langmodel import (
     NgramModel,
     TransformerOracle,
     apply_temperature,
-    load_corpus,
-    load_vocab,
-    save_vocab,
     seq_logprob,
     tempered,
     tokenize_text,
@@ -154,17 +151,3 @@ class TestCorpusIo:
         seqs, vocab = tokenize_text("a b a\n\nb c\n")
         assert seqs == [[0, 1, 0], [1, 2]]
         assert vocab == {"a": 0, "b": 1, "c": 2}
-
-    def test_vocab_roundtrip(self, tmp_path):
-        vocab = {"hello": 0, "world": 1, "again": 2}
-        path = tmp_path / "vocab.tsv"
-        save_vocab(vocab, path)
-        assert load_vocab(path) == vocab
-        assert path.read_text().splitlines()[0] == "hello\t0"
-
-    def test_load_corpus(self, tmp_path):
-        path = tmp_path / "corpus.txt"
-        path.write_text("x y\ny z\n", encoding="utf-8")
-        seqs, vocab = load_corpus(path)
-        assert len(seqs) == 2
-        assert set(vocab) == {"x", "y", "z"}

@@ -109,15 +109,6 @@ class TestTagging:
         with pytest.raises(ValueError):
             parse_tag_rules("missing-a-tab-separator")
 
-    def test_rule_file_loads(self, tmp_path):
-        from splitdecode.obfuscation import load_tag_rules
-
-        path = tmp_path / "rules.tsv"
-        path.write_text("# comment\nname\talice|bob\n\ntime\tdawn\n", encoding="utf-8")
-        rules = load_tag_rules(path)
-        assert [r.category for r in rules] == ["name", "time"]
-        assert rules[0].pattern.fullmatch("bob")
-
     def test_span_validation(self):
         with pytest.raises(ValueError):
             TaggedPrompt(tokens=(1, 2, 3), spans=((0, 2), (1, 1)))

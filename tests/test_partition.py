@@ -14,6 +14,7 @@ from splitdecode.partition import (
     KvPartition,
     PartialAttention,
     batched_public_partials,
+    merge_partial_arrays,
     merge_partials,
     private_partial,
     public_partial,
@@ -98,12 +99,6 @@ class TestPartials:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             KvPartition.single_head("secret", np.ones((1, 2)), np.ones((1, 2)))
-
-    def test_payload_is_head_dim_plus_two(self):
-        pa = private_partial(
-            np.ones(6), KvPartition.single_head(PRIVATE, np.ones((3, 6)), np.ones((3, 6)))
-        )
-        assert pa.scalars().shape == (6 + 2,)
 
 
 class TestMerge:
@@ -191,7 +186,13 @@ class TestMerge:
     def test_sequences_merge_pairwise(self):
         pairs = [split_instance(300 + seed, 9, 4)[3:] for seed in range(6)]
         pairs.append((PartialAttention.empty(4), pairs[0][1]))
-        merged = merge_partials([p for p, _ in pairs], [p for _, p in pairs])
+
+        def fields(side):
+            return (np.stack([p.a for p in side]), np.array([p.gamma for p in side]),
+                    np.array([p.m for p in side]))
+
+        private, public = fields([p for p, _ in pairs]), fields([p for _, p in pairs])
+        merged = merge_partial_arrays(*private, *public)
         assert merged.shape == (len(pairs), 4)
         for row, (pvt, pub) in zip(merged, pairs):
             assert np.max(np.abs(row - merge_partials(pvt, pub))) <= 1e-14

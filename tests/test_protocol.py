@@ -402,13 +402,13 @@ class TestBatchedStep:
 
     def test_empty_round_returns_nothing(self, small_weights):
         model = ModelParty(small_weights)
-        assert model_batch_step(model, []) == {}
+        assert model_batch_step(model, [], Controller()) == {}
 
 
 class TestOutOfOrder:
     def test_model_rejects_unknown_stream_token(self, small_weights):
         model = ModelParty(small_weights)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="token for unregistered stream 99"):
             model.handle_user_frame(
                 ProtocolMessage(tag=TAG_TOKEN, session_id=99, payload=encode_token(1))
             )
@@ -418,7 +418,7 @@ class TestOutOfOrder:
         for msg in user.pending_setup:
             model.handle_user_frame(msg)
         stream_id = next(iter(user.streams))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="duplicate token before a decode round"):
             model.handle_user_frame(
                 ProtocolMessage(tag=TAG_TOKEN, session_id=stream_id, payload=encode_token(1))
             )
@@ -429,15 +429,30 @@ class TestOutOfOrder:
         model = ModelParty(small_weights)
         setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(3))
         model.handle_user_frame(setup)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="stream 4 registered twice"):
             model.handle_user_frame(setup)
 
     def test_model_rejects_query_frames(self, small_weights):
         model = ModelParty(small_weights)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="model party cannot handle QUERY frames"):
             model.handle_user_frame(
                 ProtocolMessage(tag=TAG_QUERY, session_id=1, payload=b"")
             )
+
+    def test_model_step_rejects_a_stream_at_max_seq(self, small_weights):
+        from splitdecode.protocol import encode_setup
+
+        model = ModelParty(small_weights)
+        max_seq = small_weights.config.max_seq
+        model.handle_user_frame(
+            ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(max_seq))
+        )
+        model.handle_user_frame(
+            ProtocolMessage(tag=TAG_TOKEN, session_id=4, payload=encode_token(1))
+        )
+        link = InProcLink(lambda frame: [])
+        with pytest.raises(ProtocolError, match="stream 4 ran past max_seq"):
+            model_batch_step(model, [(4, link)], Controller())
 
     def test_user_rejects_unknown_stream(self, small_weights):
         model, ctrl, user = make_session(small_weights, [1, 2])
@@ -796,13 +811,13 @@ class TestConfidentiality:
         run_sessions(model, ctrl, [(user, link)], 12, transcript)
         wire_bytes = b"".join(link.frames) + b"".join(serialize(m) for m in frames)
 
-        sid = next(iter(user.streams))
-        private = user.streams[sid].private
+        index = user.streams[next(iter(user.streams))].index
+        n = user.private_lengths[index]
         for layer in range(small_weights.config.n_layers):
             for head in range(small_weights.config.n_heads):
-                for row in private.k[layer][head]:
+                for row in user.private_k[index, layer, head, :n]:
                     assert row.tobytes() not in wire_bytes
-                for row in private.v[layer][head]:
+                for row in user.private_v[index, layer, head, :n]:
                     assert row.tobytes() not in wire_bytes
 
     def test_message_count_constant_per_round(self, small_weights):

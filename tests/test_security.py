@@ -17,7 +17,6 @@ from splitdecode.security import (
     authenticity_C,
     estimate_delta,
     monte_carlo_success,
-    results_csv,
     success_bounds,
     wilson_interval,
 )
@@ -206,15 +205,3 @@ class TestReporting:
         assert lo < 0.5 < hi
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
-
-    def test_csv_columns(self):
-        oracle = NgramModel(order=1, vocab_size=4)
-        result = monte_carlo_success(
-            oracle, uniform_prompt_set(lam=1), eta=1, trials=100, seed=0,
-            epsilon=0.1, delta=0.05,
-        )
-        text = results_csv([result])
-        lines = text.splitlines()
-        assert lines[0] == "eta,lambda,epsilon,delta,rate,ci_lo,ci_hi,bound_lo,bound_hi"
-        assert len(lines) == 2
-        assert lines[1].startswith("1,1,0.1,0.05,")

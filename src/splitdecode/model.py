@@ -36,6 +36,7 @@ __all__ = [
     "KvCache",
     "LayerWeights",
     "ModelConfig",
+    "PREFILL_CHUNK",
     "Weights",
     "attention_reference",
     "cache_attention",
@@ -56,6 +57,12 @@ __all__ = [
 WEIGHT_FILE_MAGIC = b"OSPDW1"
 ROTARY_BASE = 10000.0
 RMS_EPS = 1e-6
+# rows per trunk call of prefill. Fixed, not tuned per prompt: every
+# prefill then chunks a prompt at the same bounds, which keeps shared
+# prefixes bit-identical (see prefill). Each chunk is one pass over the
+# weights, so smaller chunks cost more; at 32, prompts of up to 32
+# tokens stay one chunk.
+PREFILL_CHUNK = 32
 
 # Monotonic count of weight-set instantiations (init + file load); the
 # bench harness reads the delta around a run to measure weight copies.
@@ -357,8 +364,21 @@ def full_forward(weights: Weights, tokens) -> np.ndarray:
     )
 
 
-def prefill(weights: Weights, tokens) -> tuple[KvCache, np.ndarray]:
+def prefill(
+    weights: Weights, tokens, prefix: KvCache | None = None
+) -> tuple[KvCache, np.ndarray]:
     """Run the prompt through the model, filling a fresh KV cache.
+
+    The prompt runs in chunks of PREFILL_CHUNK rows, one trunk call each;
+    chunk [lo:hi] writes cache rows lo:hi and attends over rows :hi. The
+    chunk bounds are fixed multiples of PREFILL_CHUNK, so a chunk's bits
+    depend only on tokens[:hi]: prompts that share a prefix share the
+    prefix's chunks exactly.
+
+    prefix, a cache another prefill left, starts the run at its length
+    with its rows copied; that length must be a whole number of chunks
+    and shorter than the prompt, and the caller vouches that prefix was
+    filled from tokens[:prefix.length].
 
     Returns the populated cache and the next-token logits of the last
     prompt position.
@@ -371,14 +391,28 @@ def prefill(weights: Weights, tokens) -> tuple[KvCache, np.ndarray]:
     if n > c.max_seq:
         raise CacheFullError(f"prompt of {n} tokens exceeds max_seq={c.max_seq}")
     cache = KvCache(config=c)
+    if prefix is not None:
+        if prefix.config != c:
+            raise ValueError("prefix cache comes from another model config")
+        if prefix.length % PREFILL_CHUNK or prefix.length >= n:
+            raise ValueError(
+                f"prefix of {prefix.length} rows must be a multiple of "
+                f"PREFILL_CHUNK={PREFILL_CHUNK} and shorter than the {n}-token prompt"
+            )
+        cache.k[:, :, : prefix.length] = prefix.k[:, :, : prefix.length]
+        cache.v[:, :, : prefix.length] = prefix.v[:, :, : prefix.length]
+        cache.length = prefix.length
 
     def attend(layer, q, k, v):
-        cache.k[layer, :, :n] = k
-        cache.v[layer, :, :n] = v
-        return causal_attention(q, k, v)
+        lo, hi = cache.length, cache.length + k.shape[1]
+        cache.k[layer, :, lo:hi] = k
+        cache.v[layer, :, lo:hi] = v
+        return causal_attention(q, cache.k[layer, :, :hi], cache.v[layer, :, :hi])
 
-    logits = trunk(weights, tokens, np.arange(n), attend)
-    cache.length = n
+    for lo in range(cache.length, n, PREFILL_CHUNK):
+        hi = min(lo + PREFILL_CHUNK, n)
+        logits = trunk(weights, tokens[lo:hi], np.arange(lo, hi), attend)
+        cache.length = hi
     return cache, logits[-1]
 
 

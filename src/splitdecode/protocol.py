@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, Weights, prefill, sample_token, trunk
+from .model import PREFILL_CHUNK, ModelConfig, Weights, prefill, sample_token, trunk
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -447,14 +447,25 @@ class UserParty:
         return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
 
 
+def _shared_prefix(prompts) -> int:
+    """How many leading tokens two or more prompts all share, capped
+    below the shortest prompt and rounded down to whole prefill chunks;
+    0 for a single prompt, which has nothing to share."""
+    limit = min(map(len, prompts)) - 1 if len(prompts) > 1 else 0
+    n = 0
+    while n < limit and len({tokens[n] for tokens in prompts}) == 1:
+        n += 1
+    return n - n % PREFILL_CHUNK
+
+
 def user_prefill(
     party: UserParty,
     prompt: TaggedPrompt,
     config: ObfuscationConfig,
 ) -> list[ProtocolMessage]:
-    """Build the virtual prompts, prefill them all, release the weights,
-    and emit per-stream setup plus first-token messages. Stream i of user
-    u has the id u * 2**16 + i.
+    """Build the virtual prompts, prefill them all (their shared prefix
+    once), release the weights, and emit per-stream setup plus
+    first-token messages. Stream i of user u has the id u * 2**16 + i.
 
     Raises InsufficientObfuscationError (the obfuscation abort) when fewer
     than lambda_min decoys exist; the weights handle stays valid in that
@@ -478,11 +489,16 @@ def user_prefill(
     party.private_lengths = np.array([len(tokens) for tokens in prompts])
     shape = (len(prompts), c.n_layers, c.n_heads, party.private_lengths.max(), c.head_dim)
     party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
+    # the virtual prompts agree up to their first tagged span: prefill
+    # that prefix once and every prompt from it, bit-identical to its own
+    # prefill since prefill chunks every prompt at the same bounds
+    shared = _shared_prefix(prompts)
+    base = prefill(weights, list(prompts[0][:shared]))[0] if shared else None
     messages = []
     for index, tokens in enumerate(prompts):
         stream_id = party.user_id * 2**16 + index
         n = len(tokens)
-        cache, logits = prefill(weights, list(tokens))
+        cache, logits = prefill(weights, list(tokens), prefix=base)
         # copy the prompt rows so the max_seq-row cache can be freed
         party.private_k[index, :, :, :n] = cache.k[:, :, :n]
         party.private_v[index, :, :, :n] = cache.v[:, :, :n]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpora import zipf_corpus
 from .langmodel import NgramModel, train_ngram
-from .model import ModelConfig, attention_reference, greedy_decode, init_model
+from .model import ModelConfig, attention_reference, greedy_decode, init_model, prefill
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -213,6 +213,29 @@ def suite_protocol() -> list[Check]:
         Check("sampled two-party decode passes the exact gate, same at lambda 0 and 3",
               killed == 0 and responses[0] == responses[1] and len(user.streams) == 4,
               f"{killed} streams killed; responses {responses[0]} and {responses[1]}")
+    )
+
+    # 100-token prompt tagged at 40: the four virtual prompts share a
+    # 32-row prefix, prefilled once, and each prefills 68 rows past it
+    weights = init_model(ModelConfig(
+        n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=128, seed=3
+    ))
+    prompt = _rng(5).integers(0, 63, size=100).tolist()
+    user = UserParty(user_id=3, weights_handle=WeightsHandle(weights),
+                     oracle=NgramModel(order=1, vocab_size=64))
+    user_prefill(user, TaggedPrompt(tokens=prompt, spans=((40, 1),)),
+                 ObfuscationConfig(1.0, 4, prf_key=b"verify"))
+    differing = 0
+    for i, tokens in enumerate(user.vps.prompts):
+        cache, _ = prefill(weights, list(tokens))
+        n = len(tokens)
+        if not (np.array_equal(user.private_k[i, :, :, :n], cache.k[:, :, :n])
+                and np.array_equal(user.private_v[i, :, :, :n], cache.v[:, :, :n])):
+            differing += 1
+    checks.append(
+        Check("shared-prefix prefill at lambda 3 is bit-identical to per-prompt prefill",
+              differing == 0 and len(user.streams) == 4,
+              f"{differing} of {len(user.streams)} streams differ from their own prefill")
     )
 
     ctrl = Controller()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitdecode.model import (
+    PREFILL_CHUNK,
     RMS_EPS,
     CacheFullError,
     ConfigError,
@@ -212,6 +213,41 @@ class TestPrefillDecode:
             uncached.append(token)
             seq.append(token)
         assert cached == uncached[: len(cached)]
+
+    def test_prefix_not_whole_chunks_rejected(self, small_weights):
+        prompt = list(range(2 * PREFILL_CHUNK))
+        base, _ = prefill(small_weights, prompt[: PREFILL_CHUNK - 1])
+        with pytest.raises(ValueError, match="multiple of PREFILL_CHUNK"):
+            prefill(small_weights, prompt, prefix=base)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_prefix_not_shorter_than_prompt_rejected(self, small_weights, extra):
+        prompt = list(range(PREFILL_CHUNK + extra))
+        base, _ = prefill(small_weights, prompt[:PREFILL_CHUNK])
+        with pytest.raises(ValueError, match="shorter than"):
+            prefill(small_weights, prompt[: PREFILL_CHUNK - extra], prefix=base)
+
+    def test_prefix_of_another_config_rejected(self, small_config, small_weights):
+        other = init_model(ModelConfig(**{**small_config.__dict__, "seed": 8}))
+        prompt = list(range(PREFILL_CHUNK + 1))
+        base, _ = prefill(other, prompt[:PREFILL_CHUNK])
+        with pytest.raises(ValueError, match="another model config"):
+            prefill(small_weights, prompt, prefix=base)
+
+    def test_prefix_continues_bit_identically(self):
+        # head_dim 64, where BLAS picks its kernel by the score product's
+        # shape: only chunking at fixed bounds keeps the bits
+        weights = init_model(ModelConfig(
+            n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=160, seed=5
+        ))
+        prompt = rng(3).integers(0, 63, size=weights.config.max_seq).tolist()
+        cache, logits = prefill(weights, prompt)
+        for p in range(0, len(prompt), PREFILL_CHUNK):
+            base, _ = prefill(weights, prompt[:p]) if p else (None, None)
+            got, got_logits = prefill(weights, prompt, prefix=base)
+            assert got.length == cache.length
+            assert np.array_equal(got.k, cache.k) and np.array_equal(got.v, cache.v)
+            assert np.array_equal(got_logits, logits)
 
     def test_decode_on_empty_cache_rejected(self, small_weights):
         from splitdecode.model import KvCache

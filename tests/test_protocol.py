@@ -8,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
+from splitdecode import model as model_module
 from splitdecode import protocol
 from splitdecode.model import (
+    PREFILL_CHUNK,
     ModelConfig,
     decode_step_monolithic,
     greedy_decode,
@@ -468,14 +470,16 @@ class TestOutOfOrder:
             user.handle_frame(bad)
 
 
-def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8)):
-    """A greedy user party with lam decoys, so lam + 1 streams."""
+def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8), span=0):
+    """A greedy user party with lam decoys of the token at span, so
+    lam + 1 streams."""
     from splitdecode.langmodel import NgramModel
 
     oracle = NgramModel(order=1, vocab_size=weights.config.vocab_size)
     obf = ObfuscationConfig(epsilon=1.0, lambda_max=lam + 1, prf_key=b"d") if lam else NO_OBF
     user = UserParty(user_id, WeightsHandle(weights), oracle=oracle)
-    user_prefill(user, TaggedPrompt(tokens=list(prompt), spans=((0, 1),) if lam else ()), obf)
+    spans = ((span, 1),) if lam else ()
+    user_prefill(user, TaggedPrompt(tokens=list(prompt), spans=spans), obf)
     assert len(user.streams) == lam + 1
     return user
 
@@ -779,6 +783,75 @@ class TestArena:
         assert not ctrl.killed
         for sid, prompt in zip(user.streams, prompts):
             assert user.streams[sid].tokens == greedy_decode(small_weights, list(prompt), 12)
+
+
+@pytest.fixture(scope="module")
+def long_weights():
+    """Room for prompts of several prefill chunks, at the pinned
+    benchmark model's head_dim."""
+    return init_model(ModelConfig(
+        n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=160, seed=5
+    ))
+
+
+def _prefill_rows(weights, lam, prompt, span, monkeypatch):
+    """user_prefill the prompt with lam decoys at span, counting the
+    token rows model.trunk runs and recording every prefill's logits."""
+    rows, logits = [], []
+    trunk, prefill_ = model_module.trunk, protocol.prefill
+
+    def counting_trunk(weights, tokens, positions, attend):
+        rows.append(len(tokens))
+        return trunk(weights, tokens, positions, attend)
+
+    def recording_prefill(*args, **kwargs):
+        cache, last = prefill_(*args, **kwargs)
+        logits.append(last)
+        return cache, last
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "trunk", counting_trunk)
+        patch.setattr(protocol, "prefill", recording_prefill)
+        user = decoy_user(weights, lam, prompt=prompt, span=span)
+    return user, sum(rows), logits[-(lam + 1):]
+
+
+class TestSharedPrefixPrefill:
+    """The virtual prompts' shared prefix is prefilled once. Every
+    stream's private rows and first-token logits are bit-identical to
+    prefilling its prompt alone, and no tolerance is allowed."""
+
+    LAMBDAS = (0, 1, 3, 7)
+    CASES = [
+        (n, s)
+        for n in (1, 31, 32, 33, 64, 128, 160)  # 160 is max_seq
+        for s in sorted({0, 1, 31, 32, 33, n - 1})
+        if s < n
+    ]
+
+    @pytest.mark.parametrize("n,span", CASES)
+    def test_streams_bit_identical_to_their_own_prefill(self, long_weights, n, span, monkeypatch):
+        prompt = rng(1000 * n + span).integers(0, 63, size=n).tolist()
+        for lam in self.LAMBDAS:
+            user, rows, logits = _prefill_rows(long_weights, lam, prompt, span, monkeypatch)
+            shared = 0 if lam == 0 else span - span % PREFILL_CHUNK
+            assert rows == shared + (lam + 1) * (n - shared)
+            for i, tokens in enumerate(user.vps.prompts):
+                assert len(tokens) == n and list(tokens[:span]) == prompt[:span]
+                cache, want = prefill(long_weights, list(tokens))
+                assert np.array_equal(logits[i], want)
+                assert np.array_equal(user.private_k[i], cache.k[:, :, :n])
+                assert np.array_equal(user.private_v[i], cache.v[:, :, :n])
+            run_decode_session(user, ModelParty(long_weights), Controller(), max_tokens=2)
+            assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
+
+    def test_prefill_rows_grow_sub_linearly_in_lambda(self, long_weights, monkeypatch):
+        # prefill_decoys' shape: 128 tokens, one tagged token at 124; the
+        # 124 shared tokens round down to 96, prefilled once, and each of
+        # the 4 streams prefills its last chunk of 32
+        prompt = rng(7).integers(0, 63, size=128).tolist()
+        _, rows, _ = _prefill_rows(long_weights, 3, prompt, 124, monkeypatch)
+        assert rows == 96 + 4 * 32
 
 
 class RecordingLink(InProcLink):

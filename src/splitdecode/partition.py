@@ -93,20 +93,36 @@ def _head_rows(part: KvPartition, label: str, layer: int, head: int, width: int)
     return K, V
 
 
-def _softmax_partial(qs, K, V, lengths=None):
+def _softmax_partial(qs, K, V, lengths=None, prefix=None):
     """The partial kernel: (a, gamma, m) of queries qs (..., d) against
     their keys and values (..., n, d). lengths, broadcast against
-    qs.shape[:-1], limits each query row to its first lengths keys; every
-    row must see at least one."""
+    qs.shape[:-1], limits each query row to its first lengths keys.
+
+    prefix, for qs of shape (S, heads, d), is a (K, V) pair of shape
+    (heads, p, d) that all S query rows see before their own keys. It is
+    scored against all S queries with one product per head, so each
+    prefix row is read once per call rather than once per query, and the
+    softmax runs over the prefix scores followed by each row's own masked
+    ones. Every query must see at least one key.
+    """
     scores = (K @ qs[..., None])[..., 0]
     n = scores.shape[-1]
     if lengths is not None and np.any(lengths < n):
         scores = np.where(np.arange(n) >= lengths[..., None], -np.inf, scores)
+    if prefix is not None:
+        # (heads, p, d) @ (heads, d, S): the prefix against every query
+        shared = (prefix[0] @ qs.transpose(1, 2, 0)).transpose(2, 0, 1)
+        scores = np.concatenate([shared, scores], axis=-1)
     m = scores.max(axis=-1)
     e = np.exp(scores - m[..., None])
     gamma = e.sum(axis=-1)
-    a = (e[..., None, :] @ V)[..., 0, :] / gamma[..., None]
-    return a, gamma, m
+    if prefix is None:
+        a = (e[..., None, :] @ V)[..., 0, :]
+    else:
+        p = prefix[0].shape[1]
+        a = (e[..., None, p:] @ V)[..., 0, :]
+        a += (e[..., :p].transpose(1, 0, 2) @ prefix[1]).transpose(1, 0, 2)
+    return a / gamma[..., None], gamma, m
 
 
 def _one_partial(q, part: KvPartition, label: str, layer: int, head: int) -> PartialAttention:

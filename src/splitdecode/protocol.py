@@ -343,12 +343,20 @@ class UserParty:
     """Holds the prompt-side secrets of one user: virtual prompts, the
     authentic index, and the private K/V rows of every stream.
 
-    The private rows of all streams live in one pair of
-    (streams, n_layers, n_heads, rows, head_dim) arrays, zero-padded past
-    each stream's prompt length, so a batched QUERY is answered with one
-    masked kernel call. During decode the party answers QUERY frames from
-    these rows and samples from FINAL_Y distributions; it needs no
-    weights, and its weights handle is released at the end of prefill.
+    The virtual prompts agree on every token before their first tagged
+    span, and so do the K/V rows prefill computes for those tokens, bit
+    for bit. Those p rows are kept once, in shared_k/shared_v of shape
+    (n_layers, n_heads, p, head_dim); p is 0 for a single prompt. Each
+    stream's rows after p live in one pair of (streams, n_layers, n_heads,
+    rows, head_dim) arrays, private_k/private_v, zero-padded past
+    private_lengths, the stream's row count after p. A stream's prompt
+    K/V are thus the shared rows followed by its own, and the party holds
+    p + sum(n_i - p) rows per layer and head instead of sum(n_i). A
+    batched QUERY is answered with one masked kernel call that reads the
+    shared rows once for all of its streams. During decode the party
+    answers QUERY frames from these rows and samples from FINAL_Y
+    distributions; it needs no weights, and its weights handle is
+    released at the end of prefill.
     """
 
     def __init__(
@@ -368,9 +376,11 @@ class UserParty:
         self.sample_seed = sample_seed
         self.config: ModelConfig | None = None
         self.streams: dict[int, _UserStream] = {}
+        self.shared_k: np.ndarray | None = None
+        self.shared_v: np.ndarray | None = None
         self.private_k: np.ndarray | None = None
         self.private_v: np.ndarray | None = None
-        self.private_lengths: np.ndarray | None = None  # prompt length per row
+        self.private_lengths: np.ndarray | None = None  # rows after the shared ones
         self.vps: VirtualPromptSet | None = None
         self.pending_setup: list[ProtocolMessage] = []
         self._outward: deque = deque()
@@ -418,7 +428,8 @@ class UserParty:
 
     def _answer_query(self, msg: ProtocolMessage) -> bytes:
         """The PARTIAL for a batched QUERY: the private partial of every
-        head of every named stream, in one kernel call."""
+        head of every named stream, in one kernel call over the shared
+        rows and each stream's own."""
         c, count = self.config, msg.head
         width = c.n_heads * c.head_dim
         if count == 0 or len(msg.payload) != count * (4 + 8 * width):
@@ -437,25 +448,29 @@ class UserParty:
         arena = _arena_rows([self._live_stream(int(sid)).index for sid in ids])
         lengths = self.private_lengths[arena]
         n = int(lengths.max())
+        shared = None
+        if self.shared_k.shape[2]:
+            shared = (self.shared_k[msg.layer], self.shared_v[msg.layer])
         a, gamma, m = _softmax_partial(
             qs.reshape(count, c.n_heads, c.head_dim),
             self.private_k[arena, msg.layer, :, :n],
             self.private_v[arena, msg.layer, :, :n],
             lengths[:, None],
+            shared,
         )
         values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
         return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
 
 
-def _shared_prefix(prompts) -> int:
-    """How many leading tokens two or more prompts all share, capped
-    below the shortest prompt and rounded down to whole prefill chunks;
-    0 for a single prompt, which has nothing to share."""
-    limit = min(map(len, prompts)) - 1 if len(prompts) > 1 else 0
-    n = 0
-    while n < limit and len({tokens[n] for tokens in prompts}) == 1:
+def _common_prefix(prompts) -> int:
+    """How many leading tokens the prompts all share; 0 for a single
+    prompt, which has nothing to share."""
+    if len(prompts) < 2:
+        return 0
+    shortest, n = min(map(len, prompts)), 0
+    while n < shortest and len({tokens[n] for tokens in prompts}) == 1:
         n += 1
-    return n - n % PREFILL_CHUNK
+    return n
 
 
 def user_prefill(
@@ -486,22 +501,34 @@ def user_prefill(
     if not 0 <= party.user_id < 2**16:
         raise ValueError("stream ids need user_id < 2^16")
 
-    party.private_lengths = np.array([len(tokens) for tokens in prompts])
+    lengths = np.array([len(tokens) for tokens in prompts])
+    shortest = int(lengths.min())
+    # the virtual prompts agree up to their first tagged span. prefill
+    # chunks every prompt at the same bounds, so a K/V row's bits depend
+    # only on the tokens up to the end of its chunk and on where that
+    # chunk ends. Prefill the common prefix's whole chunks below the
+    # shortest prompt once, and every prompt from them; keep the prefix
+    # rows once: all of them when the prompts have one length, as virtual
+    # prompts do, else those in chunks that every prompt fills
+    common = _common_prefix(prompts)
+    start = min(common, shortest - 1) // PREFILL_CHUNK * PREFILL_CHUNK
+    filled = shortest // PREFILL_CHUNK * PREFILL_CHUNK
+    p = common if shortest == lengths.max() else min(common, filled)
+    base = prefill(weights, list(prompts[0][:start]))[0] if start else None
+    party.private_lengths = lengths - p
     shape = (len(prompts), c.n_layers, c.n_heads, party.private_lengths.max(), c.head_dim)
     party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
-    # the virtual prompts agree up to their first tagged span: prefill
-    # that prefix once and every prompt from it, bit-identical to its own
-    # prefill since prefill chunks every prompt at the same bounds
-    shared = _shared_prefix(prompts)
-    base = prefill(weights, list(prompts[0][:shared]))[0] if shared else None
     messages = []
     for index, tokens in enumerate(prompts):
         stream_id = party.user_id * 2**16 + index
         n = len(tokens)
         cache, logits = prefill(weights, list(tokens), prefix=base)
         # copy the prompt rows so the max_seq-row cache can be freed
-        party.private_k[index, :, :, :n] = cache.k[:, :, :n]
-        party.private_v[index, :, :, :n] = cache.v[:, :, :n]
+        if index == 0:
+            party.shared_k = cache.k[:, :, :p].copy()
+            party.shared_v = cache.v[:, :, :p].copy()
+        party.private_k[index, :, :, : n - p] = cache.k[:, :, p:n]
+        party.private_v[index, :, :, : n - p] = cache.v[:, :, p:n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
         stream = _UserStream(stream_id, index, tokens=[], rule=rule)
         first = rule.token(logits, 0)

@@ -216,7 +216,8 @@ def suite_protocol() -> list[Check]:
     )
 
     # 100-token prompt tagged at 40: the four virtual prompts share a
-    # 32-row prefix, prefilled once, and each prefills 68 rows past it
+    # 32-row prefix, prefilled once, and each prefills 68 rows past it;
+    # the party keeps the 40 rows before the tag once and 60 per stream
     weights = init_model(ModelConfig(
         n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=128, seed=3
     ))
@@ -228,14 +229,23 @@ def suite_protocol() -> list[Check]:
     differing = 0
     for i, tokens in enumerate(user.vps.prompts):
         cache, _ = prefill(weights, list(tokens))
+        own = user.private_lengths[i]
+        # the stream's prompt rows: the shared rows, then its own
+        k = np.concatenate([user.shared_k, user.private_k[i, :, :, :own]], axis=2)
+        v = np.concatenate([user.shared_v, user.private_v[i, :, :, :own]], axis=2)
         n = len(tokens)
-        if not (np.array_equal(user.private_k[i, :, :, :n], cache.k[:, :, :n])
-                and np.array_equal(user.private_v[i, :, :, :n], cache.v[:, :, :n])):
+        if not (np.array_equal(k, cache.k[:, :, :n]) and np.array_equal(v, cache.v[:, :, :n])):
             differing += 1
     checks.append(
         Check("shared-prefix prefill at lambda 3 is bit-identical to per-prompt prefill",
               differing == 0 and len(user.streams) == 4,
               f"{differing} of {len(user.streams)} streams differ from their own prefill")
+    )
+    stored = user.shared_k.shape[2] + int(user.private_lengths.sum())
+    checks.append(
+        Check("the shared prefix is stored once: 40 + 4 * 60 = 280 rows per layer and head",
+              stored == 40 + 4 * 60,
+              f"{stored} rows stored, {sum(map(len, user.vps.prompts))} without sharing")
     )
 
     ctrl = Controller()

@@ -13,6 +13,7 @@ from splitdecode.partition import (
     PUBLIC,
     KvPartition,
     PartialAttention,
+    _softmax_partial,
     batched_public_partials,
     merge_partial_arrays,
     merge_partials,
@@ -210,6 +211,60 @@ class TestMerge:
         c_pub = pub.gamma / (pvt.gamma / alpha + pub.gamma)
         direct = c_pvt * pvt.a + c_pub * pub.a
         assert np.max(np.abs(merge_partials(pvt, pub) - direct)) <= 1e-12
+
+
+def shared_prefix_instance(seed, p, tails, heads=3, head_dim=8):
+    """Queries of len(tails) streams, shared prefix rows (heads, p, d),
+    and max(tails) rows per stream, of which each stream sees its tail."""
+    g = rng(seed)
+    S, n = len(tails), max(tails)
+    qs = g.standard_normal((S, heads, head_dim))
+    Kp, Vp = g.standard_normal((2, heads, p, head_dim))
+    K, V = g.standard_normal((2, S, heads, n, head_dim))
+    return qs, (Kp, Vp), K, V, np.array(tails)
+
+
+class TestSharedPrefixPartial:
+    """_softmax_partial with a prefix shared by every stream equals the
+    partial over each stream's concatenated rows: the prefix rows, then
+    its own."""
+
+    CASES = [
+        (1, 0, (3,)),
+        (1, 4, (0,)),
+        (1, 4, (2,)),
+        (8, 0, (1, 2, 3, 4, 5, 6, 7, 8)),
+        (8, 6, (0, 3, 1, 7, 2, 0, 5, 4)),
+        (8, 9, (2, 2, 2, 2, 2, 2, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize("S,p,tails", CASES)
+    def test_equals_partial_over_concatenated_rows(self, S, p, tails):
+        qs, (Kp, Vp), K, V, lengths = shared_prefix_instance(S * 100 + p, p, tails)
+        a, gamma, m = _softmax_partial(qs, K, V, lengths[:, None], (Kp, Vp))
+        Kc = np.concatenate([np.broadcast_to(Kp, (S, *Kp.shape)), K], axis=2)
+        Vc = np.concatenate([np.broadcast_to(Vp, (S, *Vp.shape)), V], axis=2)
+        want_a, want_gamma, want_m = _softmax_partial(qs, Kc, Vc, p + lengths[:, None])
+        assert a.shape == want_a.shape == (S, 3, 8)
+        assert np.max(np.abs(a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
+        assert np.max(np.abs(gamma / want_gamma - 1)) <= 1e-12
+        assert np.max(np.abs(m - want_m)) <= 1e-12 * np.max(np.abs(want_m))
+
+    @pytest.mark.parametrize("S,p,tails", CASES)
+    def test_merged_with_public_matches_reference(self, S, p, tails):
+        qs, (Kp, Vp), K, V, lengths = shared_prefix_instance(S * 100 + p + 1, p, tails)
+        public = 1 + np.arange(S) % 3  # 1 to 3 public rows per stream
+        Kb, Vb = rng(S * 100 + p + 2).standard_normal((2, S, 3, 3, 8))
+        pvt = _softmax_partial(qs, K, V, lengths[:, None], (Kp, Vp))
+        pub = _softmax_partial(qs, Kb, Vb, public[:, None])
+        merged = merge_partial_arrays(*pvt, *pub)
+        for s in range(S):
+            for h in range(3):
+                n, r = lengths[s], public[s]
+                keys = np.concatenate([Kp[h], K[s, h, :n], Kb[s, h, :r]])
+                values = np.concatenate([Vp[h], V[s, h, :n], Vb[s, h, :r]])
+                want = attention_reference(qs[s, h], keys, values)[0]
+                assert np.max(np.abs(merged[s, h] - want)) <= 1e-10
 
 
 class TestBatchedPublicPartials:

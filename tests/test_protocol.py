@@ -484,6 +484,14 @@ def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8), span=0):
     return user
 
 
+def stream_rows(user, index):
+    """The prompt K/V of the user's stream at index: the shared rows,
+    then the stream's own."""
+    own = user.private_lengths[index]
+    return (np.concatenate([user.shared_k, user.private_k[index, :, :, :own]], axis=2),
+            np.concatenate([user.shared_v, user.private_v[index, :, :, :own]], axis=2))
+
+
 class TestMalformedPartial:
     # small_config has n_heads 2 and head_dim 8, so a PARTIAL for the two
     # streams of a lambda=1 user must carry 2 * 2 * 10 = 40 scalars
@@ -770,19 +778,39 @@ class TestArena:
         # private arrays do not rely on it: a shorter stream is masked
         import types
 
-        prompts = [(4, 8, 15, 16, 23), (4, 8), (42, 4, 8, 15)]
-        monkeypatch.setattr(
-            protocol, "build_virtual_prompts",
-            lambda *args: types.SimpleNamespace(prompts=prompts, idx=1, lam=2),
-        )
-        user = UserParty(1, WeightsHandle(small_weights))
-        user_prefill(user, TaggedPrompt(tokens=[4, 8]), NO_OBF)
-        assert user.private_k.shape[3] == 5
-        model, ctrl = ModelParty(small_weights), Controller()
-        run_decode_session(user, model, ctrl, max_tokens=12)
-        assert not ctrl.killed
-        for sid, prompt in zip(user.streams, prompts):
-            assert user.streams[sid].tokens == greedy_decode(small_weights, list(prompt), 12)
+        short, long = (4, 8, 15, 16, 23), tuple(range(1, 41))
+        cases = [
+            # no common prefix: every row is the stream's own
+            ([short, (4, 8), (42, 4, 8, 15)], 0),
+            # a two-token common prefix in a chunk that the prompts end at
+            # different rows, which need not give the same bits: kept per
+            # stream
+            ([short, (4, 8), (4, 8, 15, 9)], 0),
+            # a 32-token common prefix in a chunk every prompt fills: kept
+            # once, and the 32-token stream has no rows of its own
+            ([long, long[:32], long[:35] + (9,)], 32),
+        ]
+        for prompts, shared in cases:
+            monkeypatch.setattr(
+                protocol, "build_virtual_prompts",
+                lambda *args, prompts=prompts: types.SimpleNamespace(
+                    prompts=prompts, idx=1, lam=2),
+            )
+            user = UserParty(1, WeightsHandle(small_weights))
+            user_prefill(user, TaggedPrompt(tokens=list(prompts[1])), NO_OBF)
+            assert user.shared_k.shape[2] == shared
+            assert user.private_lengths.tolist() == [len(t) - shared for t in prompts]
+            assert user.private_k.shape[3] == max(map(len, prompts)) - shared
+            for i, tokens in enumerate(prompts):
+                cache, _ = prefill(small_weights, list(tokens))
+                k, v = stream_rows(user, i)
+                assert np.array_equal(k, cache.k[:, :, : len(tokens)])
+                assert np.array_equal(v, cache.v[:, :, : len(tokens)])
+            model, ctrl = ModelParty(small_weights), Controller()
+            run_decode_session(user, model, ctrl, max_tokens=12)
+            assert not ctrl.killed
+            for sid, prompt in zip(user.streams, prompts):
+                assert user.streams[sid].tokens == greedy_decode(small_weights, list(prompt), 12)
 
 
 @pytest.fixture(scope="module")
@@ -817,9 +845,10 @@ def _prefill_rows(weights, lam, prompt, span, monkeypatch):
 
 
 class TestSharedPrefixPrefill:
-    """The virtual prompts' shared prefix is prefilled once. Every
-    stream's private rows and first-token logits are bit-identical to
-    prefilling its prompt alone, and no tolerance is allowed."""
+    """The virtual prompts' shared prefix is prefilled once and its rows
+    are kept once. Every stream's prompt rows (the shared rows, then its
+    own) and first-token logits are bit-identical to prefilling its
+    prompt alone, and no tolerance is allowed."""
 
     LAMBDAS = (0, 1, 3, 7)
     CASES = [
@@ -840,8 +869,10 @@ class TestSharedPrefixPrefill:
                 assert len(tokens) == n and list(tokens[:span]) == prompt[:span]
                 cache, want = prefill(long_weights, list(tokens))
                 assert np.array_equal(logits[i], want)
-                assert np.array_equal(user.private_k[i], cache.k[:, :, :n])
-                assert np.array_equal(user.private_v[i], cache.v[:, :, :n])
+                k, v = stream_rows(user, i)
+                assert np.array_equal(k, cache.k[:, :, :n])
+                assert np.array_equal(v, cache.v[:, :, :n])
+            assert user.shared_k.shape[2] == (span if lam else 0)
             run_decode_session(user, ModelParty(long_weights), Controller(), max_tokens=2)
             assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
 
@@ -852,6 +883,15 @@ class TestSharedPrefixPrefill:
         prompt = rng(7).integers(0, 63, size=128).tolist()
         _, rows, _ = _prefill_rows(long_weights, 3, prompt, 124, monkeypatch)
         assert rows == 96 + 4 * 32
+
+    def test_stored_rows_grow_sub_linearly_in_lambda(self, long_weights):
+        # the same shape: the 124 rows before the tag are kept once, and
+        # each of the 4 streams keeps its last 4
+        prompt = rng(7).integers(0, 63, size=128).tolist()
+        user = decoy_user(long_weights, 3, prompt=prompt, span=124)
+        assert user.shared_k.shape == (2, 2, 124, 64)
+        assert user.private_k.shape == (4, 2, 2, 4, 64)
+        assert user.shared_k.shape[2] + user.private_lengths.sum() == 124 + 4 * 4
 
 
 class RecordingLink(InProcLink):
@@ -873,25 +913,28 @@ class RecordingLink(InProcLink):
 
 class TestConfidentiality:
     def test_no_private_rows_on_the_wire(self, small_weights):
-        prompt = [13, 17, 19, 23]
-        model = ModelParty(small_weights)
-        ctrl = Controller()
-        user = UserParty(1, WeightsHandle(small_weights))
-        msgs = user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
-        transcript = Transcript(config=small_weights.config)
-        link = RecordingLink(user.handle_frame, transcript)
-        frames = list(msgs)
-        run_sessions(model, ctrl, [(user, link)], 12, transcript)
-        wire_bytes = b"".join(link.frames) + b"".join(serialize(m) for m in frames)
+        # a lone stream, and lambda 3 tagged at the fifth of ten tokens,
+        # whose four streams share four rows and keep six each
+        c = small_weights.config
+        for lam, prompt, stored in ((0, [13, 17, 19, 23], 4),
+                                    (3, [13, 17, 19, 23, 29, 31, 37, 41, 43, 47], 4 + 4 * 6)):
+            user = decoy_user(small_weights, lam, prompt=prompt, span=4)
+            frames = list(user.pending_setup)
+            transcript = Transcript(config=c)
+            link = RecordingLink(user.handle_frame, transcript)
+            run_sessions(ModelParty(small_weights), Controller(), [(user, link)], 12, transcript)
+            wire_bytes = b"".join(link.frames) + b"".join(serialize(m) for m in frames)
 
-        index = user.streams[next(iter(user.streams))].index
-        n = user.private_lengths[index]
-        for layer in range(small_weights.config.n_layers):
-            for head in range(small_weights.config.n_heads):
-                for row in user.private_k[index, layer, head, :n]:
+            rows = [user.shared_k, user.shared_v]
+            for index in range(lam + 1):
+                own = user.private_lengths[index]
+                rows += [user.private_k[index, :, :, :own], user.private_v[index, :, :, :own]]
+            scanned = 0
+            for kv in rows:
+                for row in kv.reshape(-1, c.head_dim):
                     assert row.tobytes() not in wire_bytes
-                for row in user.private_v[index, layer, head, :n]:
-                    assert row.tobytes() not in wire_bytes
+                    scanned += 1
+            assert scanned == 2 * c.n_layers * c.n_heads * stored
 
     def test_message_count_constant_per_round(self, small_weights):
         prompt = [2, 3, 5]

@@ -7,7 +7,7 @@ tokens of every live stream, appends their K/V to its public-KV slot
 arena, and sends each user link one QUERY carrying every head of every
 stream of that user. The user party answers with one PARTIAL (per stream
 and head: weighted values, denominator, running max), computed in one
-kernel call over its padded private rows; the model merges it with its
+kernel call over its private rows; the model merges it with its
 own public partials, finishes the layer, and after the last layer
 returns each stream's next-token distribution (FINAL_Y). The user
 samples and emits the token both back to the model and outward through
@@ -346,17 +346,16 @@ class UserParty:
     The virtual prompts agree on every token before their first tagged
     span, and so do the K/V rows prefill computes for those tokens, bit
     for bit. Those p rows are kept once, in shared_k/shared_v of shape
-    (n_layers, n_heads, p, head_dim); p is 0 for a single prompt. Each
-    stream's rows after p live in one pair of (streams, n_layers, n_heads,
-    rows, head_dim) arrays, private_k/private_v, zero-padded past
-    private_lengths, the stream's row count after p. A stream's prompt
-    K/V are thus the shared rows followed by its own, and the party holds
-    p + sum(n_i - p) rows per layer and head instead of sum(n_i). A
-    batched QUERY is answered with one masked kernel call that reads the
-    shared rows once for all of its streams. During decode the party
-    answers QUERY frames from these rows and samples from FINAL_Y
-    distributions; it needs no weights, and its weights handle is
-    released at the end of prefill.
+    (n_layers, n_heads, p, head_dim); p is 0 for a single prompt. The
+    virtual prompts share one length n, so stream i's n - p rows after p
+    are private_k[i]/private_v[i] of two (streams, n_layers, n_heads,
+    n - p, head_dim) arrays. A stream's prompt K/V are thus the shared
+    rows followed by its own, and the party holds p + streams * (n - p)
+    rows per layer and head instead of streams * n. A batched QUERY is
+    answered with one kernel call that reads the shared rows once for
+    all of its streams. During decode the party answers QUERY frames
+    from these rows and samples from FINAL_Y distributions; it needs no
+    weights, and its weights handle is released at the end of prefill.
     """
 
     def __init__(
@@ -380,7 +379,6 @@ class UserParty:
         self.shared_v: np.ndarray | None = None
         self.private_k: np.ndarray | None = None
         self.private_v: np.ndarray | None = None
-        self.private_lengths: np.ndarray | None = None  # rows after the shared ones
         self.vps: VirtualPromptSet | None = None
         self.pending_setup: list[ProtocolMessage] = []
         self._outward: deque = deque()
@@ -446,17 +444,14 @@ class UserParty:
                 "must name the first, and no stream may appear twice"
             )
         arena = _arena_rows([self._live_stream(int(sid)).index for sid in ids])
-        lengths = self.private_lengths[arena]
-        n = int(lengths.max())
         shared = None
         if self.shared_k.shape[2]:
             shared = (self.shared_k[msg.layer], self.shared_v[msg.layer])
         a, gamma, m = _softmax_partial(
             qs.reshape(count, c.n_heads, c.head_dim),
-            self.private_k[arena, msg.layer, :, :n],
-            self.private_v[arena, msg.layer, :, :n],
-            lengths[:, None],
-            shared,
+            self.private_k[arena, msg.layer],
+            self.private_v[arena, msg.layer],
+            prefix=shared,
         )
         values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
         return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
@@ -464,11 +459,12 @@ class UserParty:
 
 def _common_prefix(prompts) -> int:
     """How many leading tokens the prompts all share; 0 for a single
-    prompt, which has nothing to share."""
+    prompt, which has nothing to share. Virtual prompts are pairwise
+    distinct and of one length, so the scan stops before their end."""
     if len(prompts) < 2:
         return 0
-    shortest, n = min(map(len, prompts)), 0
-    while n < shortest and len({tokens[n] for tokens in prompts}) == 1:
+    n = 0
+    while len({tokens[n] for tokens in prompts}) == 1:
         n += 1
     return n
 
@@ -501,34 +497,26 @@ def user_prefill(
     if not 0 <= party.user_id < 2**16:
         raise ValueError("stream ids need user_id < 2^16")
 
-    lengths = np.array([len(tokens) for tokens in prompts])
-    shortest = int(lengths.min())
-    # the virtual prompts agree up to their first tagged span. prefill
-    # chunks every prompt at the same bounds, so a K/V row's bits depend
-    # only on the tokens up to the end of its chunk and on where that
-    # chunk ends. Prefill the common prefix's whole chunks below the
-    # shortest prompt once, and every prompt from them; keep the prefix
-    # rows once: all of them when the prompts have one length, as virtual
-    # prompts do, else those in chunks that every prompt fills
-    common = _common_prefix(prompts)
-    start = min(common, shortest - 1) // PREFILL_CHUNK * PREFILL_CHUNK
-    filled = shortest // PREFILL_CHUNK * PREFILL_CHUNK
-    p = common if shortest == lengths.max() else min(common, filled)
+    # the virtual prompts share one length n and agree up to their first
+    # tagged span. prefill chunks every prompt at the same bounds, so a
+    # K/V row's bits depend only on the tokens up to the end of its chunk
+    # and on where that chunk ends: prefill the common prefix's whole
+    # chunks once and every prompt from them, and keep its p rows once
+    n, p = len(prompts[0]), _common_prefix(prompts)
+    start = p // PREFILL_CHUNK * PREFILL_CHUNK
     base = prefill(weights, list(prompts[0][:start]))[0] if start else None
-    party.private_lengths = lengths - p
-    shape = (len(prompts), c.n_layers, c.n_heads, party.private_lengths.max(), c.head_dim)
+    shape = (len(prompts), c.n_layers, c.n_heads, n - p, c.head_dim)
     party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
     messages = []
     for index, tokens in enumerate(prompts):
         stream_id = party.user_id * 2**16 + index
-        n = len(tokens)
         cache, logits = prefill(weights, list(tokens), prefix=base)
         # copy the prompt rows so the max_seq-row cache can be freed
         if index == 0:
             party.shared_k = cache.k[:, :, :p].copy()
             party.shared_v = cache.v[:, :, :p].copy()
-        party.private_k[index, :, :, : n - p] = cache.k[:, :, p:n]
-        party.private_v[index, :, :, : n - p] = cache.v[:, :, p:n]
+        party.private_k[index] = cache.k[:, :, p:n]
+        party.private_v[index] = cache.v[:, :, p:n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
         stream = _UserStream(stream_id, index, tokens=[], rule=rule)
         first = rule.token(logits, 0)
@@ -718,6 +706,11 @@ class ModelParty:
         raise ProtocolError(f"model party cannot handle {msg.tag_name} frames")
 
     def _accept_token(self, stream: _ModelStream, token: int):
+        if token >= self.config.vocab_size:
+            raise ProtocolError(
+                f"stream {stream.stream_id} sent token {token}, outside the "
+                f"{self.config.vocab_size}-token vocabulary"
+            )
         stream.pending_token = token
         if self.stop_at_eos and token == self.config.eos_token:
             stream.done = True

@@ -12,6 +12,7 @@ from splitdecode.obfuscation import (
     InsufficientObfuscationError,
     ObfuscationConfig,
     TaggedPrompt,
+    VirtualPromptSet,
     build_virtual_prompts,
     dump_virtual_prompts,
     gqs,
@@ -309,7 +310,14 @@ class TestVirtualPrompts:
         config = ObfuscationConfig(epsilon=2.0, lambda_max=6, prf_key=b"x")
         fakes = multi_segment_gqs(prompt, config, oracle)
         vps = build_virtual_prompts(prompt, fakes, config, session_id=9)
+        assert vps.lam > 1
         assert len({len(p) for p in vps.prompts}) == 1
+        # pairwise distinct, so the prompts' common prefix ends before them
+        assert len(set(vps.prompts)) == vps.lam + 1
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="prompts must share one length"):
+            VirtualPromptSet(prompts=((1, 2, 3), (1, 2)), idx=0, lam=1)
 
     def test_index_comes_from_prf(self):
         prompt = one_span_prompt((0, 1), 1, 1)

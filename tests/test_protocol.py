@@ -487,9 +487,8 @@ def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8), span=0):
 def stream_rows(user, index):
     """The prompt K/V of the user's stream at index: the shared rows,
     then the stream's own."""
-    own = user.private_lengths[index]
-    return (np.concatenate([user.shared_k, user.private_k[index, :, :, :own]], axis=2),
-            np.concatenate([user.shared_v, user.private_v[index, :, :, :own]], axis=2))
+    return (np.concatenate([user.shared_k, user.private_k[index]], axis=2),
+            np.concatenate([user.shared_v, user.private_v[index]], axis=2))
 
 
 class TestMalformedPartial:
@@ -583,6 +582,48 @@ class TestMalformedQuery:
 
         with pytest.raises(ProtocolError, match=f"QUERY names {count} streams"):
             self.run_with(small_weights, transport, monkeypatch, make_frame)
+
+
+class TestOutOfVocabularyToken:
+    """A TOKEN the model cannot embed is a typed error naming its stream,
+    on either transport, whether it comes with the setup or as a decode
+    reply that differs from the (honest) token the user sends outward."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("token", [64, 10**6])  # small_config's vocab_size is 64
+    def test_setup_token(self, small_weights, transport, token):
+        user = decoy_user(small_weights, 1)
+        sid = next(iter(user.streams))
+        user.pending_setup = [
+            ProtocolMessage(tag=TAG_TOKEN, session_id=sid, payload=encode_token(token))
+            if msg.tag == TAG_TOKEN and msg.session_id == sid else msg
+            for msg in user.pending_setup
+        ]
+        with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):
+            run_decode_session(user, ModelParty(small_weights), Controller(), max_tokens=4,
+                               transport=transport)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("token", [64, 10**6])
+    def test_decode_reply(self, small_weights, transport, token):
+        user = decoy_user(small_weights, 1)
+        sid = next(iter(user.streams))
+        honest = user.handle_frame
+
+        def out_of_vocabulary_reply(frame):
+            replies = honest(frame)
+            msg = protocol.deserialize(frame)
+            if msg.tag == TAG_FINAL_Y and msg.session_id == sid:
+                return [serialize(ProtocolMessage(
+                    tag=TAG_TOKEN, session_id=sid, payload=encode_token(token)))]
+            return replies
+
+        user.handle_frame = out_of_vocabulary_reply
+        ctrl = Controller()
+        with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):
+            run_decode_session(user, ModelParty(small_weights), ctrl, max_tokens=4,
+                               transport=transport)
+        assert not ctrl.killed
 
 
 class TestController:
@@ -773,46 +814,6 @@ class TestArena:
             assert second.streams[sid].tokens == mono
 
 
-    def test_private_rows_of_unequal_prompts_are_masked(self, small_weights, monkeypatch):
-        # virtual prompts share one length, but the user party's padded
-        # private arrays do not rely on it: a shorter stream is masked
-        import types
-
-        short, long = (4, 8, 15, 16, 23), tuple(range(1, 41))
-        cases = [
-            # no common prefix: every row is the stream's own
-            ([short, (4, 8), (42, 4, 8, 15)], 0),
-            # a two-token common prefix in a chunk that the prompts end at
-            # different rows, which need not give the same bits: kept per
-            # stream
-            ([short, (4, 8), (4, 8, 15, 9)], 0),
-            # a 32-token common prefix in a chunk every prompt fills: kept
-            # once, and the 32-token stream has no rows of its own
-            ([long, long[:32], long[:35] + (9,)], 32),
-        ]
-        for prompts, shared in cases:
-            monkeypatch.setattr(
-                protocol, "build_virtual_prompts",
-                lambda *args, prompts=prompts: types.SimpleNamespace(
-                    prompts=prompts, idx=1, lam=2),
-            )
-            user = UserParty(1, WeightsHandle(small_weights))
-            user_prefill(user, TaggedPrompt(tokens=list(prompts[1])), NO_OBF)
-            assert user.shared_k.shape[2] == shared
-            assert user.private_lengths.tolist() == [len(t) - shared for t in prompts]
-            assert user.private_k.shape[3] == max(map(len, prompts)) - shared
-            for i, tokens in enumerate(prompts):
-                cache, _ = prefill(small_weights, list(tokens))
-                k, v = stream_rows(user, i)
-                assert np.array_equal(k, cache.k[:, :, : len(tokens)])
-                assert np.array_equal(v, cache.v[:, :, : len(tokens)])
-            model, ctrl = ModelParty(small_weights), Controller()
-            run_decode_session(user, model, ctrl, max_tokens=12)
-            assert not ctrl.killed
-            for sid, prompt in zip(user.streams, prompts):
-                assert user.streams[sid].tokens == greedy_decode(small_weights, list(prompt), 12)
-
-
 @pytest.fixture(scope="module")
 def long_weights():
     """Room for prompts of several prefill chunks, at the pinned
@@ -872,7 +873,10 @@ class TestSharedPrefixPrefill:
                 k, v = stream_rows(user, i)
                 assert np.array_equal(k, cache.k[:, :, :n])
                 assert np.array_equal(v, cache.v[:, :, :n])
-            assert user.shared_k.shape[2] == (span if lam else 0)
+            p = span if lam else 0
+            assert user.shared_k.shape[2] == p
+            c = long_weights.config
+            assert user.private_k.shape == (lam + 1, c.n_layers, c.n_heads, n - p, c.head_dim)
             run_decode_session(user, ModelParty(long_weights), Controller(), max_tokens=2)
             assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
 
@@ -891,7 +895,8 @@ class TestSharedPrefixPrefill:
         user = decoy_user(long_weights, 3, prompt=prompt, span=124)
         assert user.shared_k.shape == (2, 2, 124, 64)
         assert user.private_k.shape == (4, 2, 2, 4, 64)
-        assert user.shared_k.shape[2] + user.private_lengths.sum() == 124 + 4 * 4
+        stored = user.shared_k.shape[2] + user.private_k.shape[0] * user.private_k.shape[3]
+        assert stored == 124 + 4 * 4
 
 
 class RecordingLink(InProcLink):
@@ -927,8 +932,7 @@ class TestConfidentiality:
 
             rows = [user.shared_k, user.shared_v]
             for index in range(lam + 1):
-                own = user.private_lengths[index]
-                rows += [user.private_k[index, :, :, :own], user.private_v[index, :, :, :own]]
+                rows += [user.private_k[index], user.private_v[index]]
             scanned = 0
             for kv in rows:
                 for row in kv.reshape(-1, c.head_dim):

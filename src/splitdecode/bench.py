@@ -5,6 +5,8 @@ Latency is desk-scale wall clock on CPU, so only orderings and slopes are
 meaningful; a "round" advances every user by one token and its duration
 is the reported per-token latency. spd runs through protocol.run_sessions,
 so its rounds include routing every token through the controller gate.
+The monolithic modes attend with partition._slot_attention, the model
+party's slot-arena kernel, so they share spd's decode-attention code.
 Weight copies are counted by the instrumented allocation counter in the
 model module: the sharing modes instantiate the weights once, full
 isolation once per user.
@@ -20,7 +22,6 @@ import numpy as np
 from .langmodel import NgramModel
 from .model import (
     ModelConfig,
-    cache_attention,
     init_model,
     prefill,
     reset_weight_alloc_count,
@@ -29,6 +30,7 @@ from .model import (
     weight_alloc_count,
 )
 from .obfuscation import ObfuscationConfig, TaggedPrompt
+from .partition import _slot_attention
 from .protocol import (
     Controller,
     InProcLink,
@@ -119,37 +121,33 @@ def _uniform_oracle(vocab_size: int) -> NgramModel:
 
 
 class _MonoBatchState:
-    """Monolithic decode of several users over one weight copy, trunk batched."""
+    """Monolithic decode of several users over one weight copy, trunk
+    batched, over their prefill caches stacked into one slot arena."""
 
     def __init__(self, weights, prompts):
         self.w = weights
-        self.c = weights.config
-        self.caches = []
-        self.tokens = []
+        caches, self.tokens = [], []
         for prompt in prompts:
             cache, logits = prefill(weights, prompt)
-            self.caches.append(cache)
+            caches.append(cache)
             self.tokens.append([sample_token(logits)])
-
-    def active(self) -> list[int]:
-        # bench workloads decode a fixed length; EOS is an ordinary token
-        return [i for i in range(len(self.caches)) if self.caches[i].length < self.c.max_seq]
+        self.k = np.stack([cache.k for cache in caches])
+        self.v = np.stack([cache.v for cache in caches])
+        self.lens = np.array([cache.length for cache in caches])
 
     def round(self):
-        """One batched decode step for all active users."""
-        idx = self.active()
-        if not idx:
-            return
-        caches = [self.caches[i] for i in idx]
-        logits = trunk(
-            self.w,
-            [self.tokens[i][-1] for i in idx],
-            [cache.length for cache in caches],
-            cache_attention(caches),
-        )
-        for b, i in enumerate(idx):
-            self.caches[i].length += 1
-            self.tokens[i].append(sample_token(logits[b]))
+        """One batched decode step for every user; BenchConfig keeps
+        in_tokens + out_tokens within max_seq, so no cache fills."""
+        partial = _slot_attention(self.k, self.v, list(range(len(self.lens))), self.lens)
+
+        def attend(layer, q, k, v):
+            a = partial(layer, *(x.transpose(1, 0, 2) for x in (q, k, v)))[0]
+            return a.transpose(1, 0, 2)
+
+        logits = trunk(self.w, [t[-1] for t in self.tokens], self.lens, attend)
+        self.lens += 1
+        for tokens, row in zip(self.tokens, logits):
+            tokens.append(sample_token(row))
 
 
 def _run_monolithic(config: BenchConfig, prompts) -> tuple[dict, list[float], int, int]:
@@ -162,11 +160,8 @@ def _run_monolithic(config: BenchConfig, prompts) -> tuple[dict, list[float], in
         states = [_MonoBatchState(init_model(config.model), [prompt]) for prompt in prompts]
     round_times = []
     for _ in range(config.out_tokens - 1):
-        live = [state for state in states if state.active()]
-        if not live:
-            break
         t0 = time.perf_counter()
-        for state in live:
+        for state in states:
             state.round()
         round_times.append(time.perf_counter() - t0)
     tokens = dict(enumerate(t for state in states for t in state.tokens))

@@ -39,7 +39,6 @@ __all__ = [
     "PREFILL_CHUNK",
     "Weights",
     "attention_reference",
-    "cache_attention",
     "causal_attention",
     "decode_step_monolithic",
     "full_forward",
@@ -229,10 +228,6 @@ class KvCache:
         if self.v is None:
             self.v = np.zeros(shape)
 
-    def store(self, layer: int, pos: int, k_heads: np.ndarray, v_heads: np.ndarray):
-        self.k[layer, :, pos, :] = k_heads
-        self.v[layer, :, pos, :] = v_heads
-
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
@@ -333,23 +328,16 @@ def trunk(weights: Weights, tokens, positions, attend) -> np.ndarray:
     return _rms_norm(x, weights.final_gain) @ weights.unembed
 
 
-def cache_attention(caches: list[KvCache]):
-    """attend for a decode step of several sessions, one token each.
-
-    Token b writes its K/V at row caches[b].length of its own cache and
-    attends over that cache's rows up to and including it; callers
-    advance the lengths after the step.
-    """
+def _chunk_attention(cache: KvCache):
+    """attend for a chunk of one session's consecutive tokens: it writes
+    their K/V at rows cache.length onward and attends causally over the
+    rows up to the chunk's end; the caller advances cache.length."""
 
     def attend(layer, q, k, v):
-        out = np.empty_like(q)
-        for b, cache in enumerate(caches):
-            pos = cache.length
-            cache.store(layer, pos, k[:, b], v[:, b])
-            out[:, b : b + 1] = causal_attention(
-                q[:, b : b + 1], cache.k[layer, :, : pos + 1], cache.v[layer, :, : pos + 1]
-            )
-        return out
+        lo, hi = cache.length, cache.length + k.shape[1]
+        cache.k[layer, :, lo:hi] = k
+        cache.v[layer, :, lo:hi] = v
+        return causal_attention(q, cache.k[layer, :, :hi], cache.v[layer, :, :hi])
 
     return attend
 
@@ -403,12 +391,7 @@ def prefill(
         cache.v[:, :, : prefix.length] = prefix.v[:, :, : prefix.length]
         cache.length = prefix.length
 
-    def attend(layer, q, k, v):
-        lo, hi = cache.length, cache.length + k.shape[1]
-        cache.k[layer, :, lo:hi] = k
-        cache.v[layer, :, lo:hi] = v
-        return causal_attention(q, cache.k[layer, :, :hi], cache.v[layer, :, :hi])
-
+    attend = _chunk_attention(cache)
     for lo in range(cache.length, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
         logits = trunk(weights, tokens[lo:hi], np.arange(lo, hi), attend)
@@ -427,7 +410,7 @@ def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.n
         raise ValueError("decode requires a prefilled cache")
     if cache.length >= c.max_seq:
         raise CacheFullError(f"cache full at max_seq={c.max_seq}")
-    logits = trunk(weights, [token], [cache.length], cache_attention([cache]))
+    logits = trunk(weights, [token], [cache.length], _chunk_attention(cache))
     cache.length += 1
     return logits[0]
 

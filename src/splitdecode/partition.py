@@ -125,6 +125,35 @@ def _softmax_partial(qs, K, V, lengths=None, prefix=None):
     return a / gamma[..., None], gamma, m
 
 
+def _arena_rows(rows: list[int]):
+    """Index of the given arena rows: a slice, which reads a view, when
+    they are consecutive and ascending, else an array, which gathers."""
+    lo = rows[0]
+    if rows == list(range(lo, lo + len(rows))):
+        return slice(lo, lo + len(rows))
+    return np.array(rows)
+
+
+def _slot_attention(K, V, slots: list[int], lens: np.ndarray):
+    """One decode round's attention over a slot arena: K and V of shape
+    (slots, n_layers, n_heads, rows, head_dim), slot slots[b] holding
+    lens[b] rows of session b. Returns partial(layer, qs, ks, vs) on
+    (sessions, n_heads, head_dim) arrays, which writes ks[b]/vs[b] at row
+    lens[b] of slot slots[b] and returns (a, gamma, m) of qs[b] over that
+    slot's rows up to and including it, in one masked kernel call."""
+    arena = _arena_rows(slots)
+    n = int(lens.max()) + 1
+
+    def partial(layer, qs, ks, vs):
+        K[slots, layer, :, lens] = ks
+        V[slots, layer, :, lens] = vs
+        return _softmax_partial(
+            qs, K[arena, layer, :, :n], V[arena, layer, :, :n], lens[:, None] + 1
+        )
+
+    return partial
+
+
 def _one_partial(q, part: KvPartition, label: str, layer: int, head: int) -> PartialAttention:
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     K, V = _head_rows(part, label, layer, head, q.size)

@@ -42,7 +42,7 @@ from .obfuscation import (
     multi_segment_gqs,
     winnow,
 )
-from .partition import _softmax_partial, merge_partial_arrays
+from .partition import _arena_rows, _slot_attention, _softmax_partial, merge_partial_arrays
 # perfbench's tracer wraps these per-head kernels by their names in this
 # module; the batched exchange no longer calls them
 from .partition import batched_public_partials, private_partial  # noqa: F401
@@ -630,16 +630,12 @@ class _ModelStream:
     # pos - prompt_len rows hold the K/V of every token processed so far
     slot: int
     pending_token: int | None = None
-    done: bool = False
+    done: bool = False  # set at EOS (when stopping there), kill, or pos reaching max_seq
 
-
-def _arena_rows(rows: list[int]):
-    """Index of the given arena rows: a slice, which reads a view, when
-    they are consecutive and ascending, else an array, which gathers."""
-    lo = rows[0]
-    if rows == list(range(lo, lo + len(rows))):
-        return slice(lo, lo + len(rows))
-    return np.array(rows)
+    @property
+    def live(self) -> bool:
+        """Whether the next decode round processes this stream."""
+        return not self.done and self.pending_token is not None
 
 
 class ModelParty:
@@ -652,6 +648,8 @@ class ModelParty:
     per registered stream in registration order. rows is max_seq minus
     the shortest registered prompt, the most rows any stream can write.
     Slots grow by doubling; growth copies only the rows written so far.
+    Rounds attend over it with partition._slot_attention, as the bench's
+    monolithic batch does over its own stacked caches.
 
     stop_at_eos=False decodes fixed-length responses (bench workloads).
     """
@@ -688,11 +686,17 @@ class ModelParty:
             if msg.session_id in self.streams:
                 raise ProtocolError(f"stream {msg.session_id} registered twice")
             prompt_len = decode_setup(msg.payload)
+            if not 1 <= prompt_len <= self.config.max_seq:
+                raise ProtocolError(
+                    f"stream {msg.session_id} set up with a {prompt_len}-token prompt, "
+                    f"outside [1, max_seq={self.config.max_seq}]"
+                )
             self.streams[msg.session_id] = _ModelStream(
                 stream_id=msg.session_id,
                 prompt_len=prompt_len,
                 pos=prompt_len,
                 slot=self._open_slot(prompt_len),
+                done=prompt_len == self.config.max_seq,
             )
             return
         if msg.tag == TAG_TOKEN:
@@ -716,11 +720,7 @@ class ModelParty:
             stream.done = True
 
     def active_streams(self) -> list[int]:
-        return [
-            s.stream_id
-            for s in self.streams.values()
-            if not s.done and s.pending_token is not None and s.pos < self.config.max_seq
-        ]
+        return [s.stream_id for s in self.streams.values() if s.live]
 
 
 def _frame(tag: int, stream_id: int, layer: int = 0, head: int = 0, values=()) -> bytes:
@@ -775,47 +775,39 @@ def model_batch_step(
     batched pass, queueing each stream's ground truth on the controller.
 
     The streams run through the model trunk stacked. At each layer the
-    attention callback writes the public K/V into the arena, sends each
-    link one QUERY for all of its streams, computes every stream's public
-    partial in one kernel call over the arena slots, and merges them with
-    the PARTIAL replies. The resulting tokens are identical to running
-    each stream alone. Returns the token each user party fed back.
+    attention callback sends each link one QUERY for all of its streams,
+    then writes the public K/V into the arena and computes every stream's
+    public partial in one kernel call (partition._slot_attention), and
+    merges them with the PARTIAL replies. The resulting tokens are
+    identical to running each stream alone. A listed stream with no row
+    left raises. Returns the token each user party fed back.
     """
     c = model.config
+    for sid, _ in sessions:
+        if sid in model.streams and model.streams[sid].pos >= c.max_seq:
+            raise ProtocolError(f"stream {sid} ran past max_seq")
     live = [
-        (sid, link)
-        for sid, link in sessions
-        if sid in model.streams
-        and not model.streams[sid].done
-        and model.streams[sid].pending_token is not None
+        (sid, link) for sid, link in sessions if sid in model.streams and model.streams[sid].live
     ]
     if not live:
         return {}
     states = [model.streams[sid] for sid, _ in live]
-    for st in states:
-        if st.pos >= c.max_seq:
-            raise ProtocolError(f"stream {st.stream_id} ran past max_seq")
     by_link: dict[int, tuple[object, list[int]]] = {}
     for i, (_, link) in enumerate(live):
         link.step = step
         by_link.setdefault(id(link), (link, []))[1].append(i)
     batches = [(link, rows, [live[i][0] for i in rows]) for link, rows in by_link.values()]
-    slots = [st.slot for st in states]
-    lens = np.array([st.pos - st.prompt_len for st in states])
-    arena = _arena_rows(slots)
-    n = int(lens.max()) + 1
+    public = _slot_attention(
+        model.public_k, model.public_v, [st.slot for st in states],
+        np.array([st.pos - st.prompt_len for st in states]),
+    )
 
     def attend(layer, q, k, v):
         qs = q.transpose(1, 0, 2)  # (streams, heads, head_dim), the wire's order
-        model.public_k[slots, layer, :, lens] = k.transpose(1, 0, 2)
-        model.public_v[slots, layer, :, lens] = v.transpose(1, 0, 2)
         for link, rows, sids in batches:
             link.send(_query_frame(sids, layer, qs[rows]))
         # the public side runs while socket peers compute their partials
-        pub = _softmax_partial(
-            qs, model.public_k[arena, layer, :, :n], model.public_v[arena, layer, :, :n],
-            lens[:, None] + 1,
-        )
+        pub = public(layer, qs, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
         pvt = np.empty((len(live), c.n_heads, c.head_dim + 2))
         for link, rows, sids in batches:
             pvt[rows] = _expect_partials(link, sids, layer, c)

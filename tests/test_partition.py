@@ -13,6 +13,7 @@ from splitdecode.partition import (
     PUBLIC,
     KvPartition,
     PartialAttention,
+    _slot_attention,
     _softmax_partial,
     batched_public_partials,
     merge_partial_arrays,
@@ -265,6 +266,35 @@ class TestSharedPrefixPartial:
                 values = np.concatenate([Vp[h], V[s, h, :n], Vb[s, h, :r]])
                 want = attention_reference(qs[s, h], keys, values)[0]
                 assert np.max(np.abs(merged[s, h] - want)) <= 1e-10
+
+
+class TestSlotAttention:
+    """The decode-round kernel of the model party's public arena and the
+    bench's monolithic batch: each session's new K/V row lands at row
+    lens[b] of its slot, and its query attends over that slot's rows up
+    to and including it."""
+
+    @pytest.mark.parametrize("slots", [[0, 2, 3], [0, 1, 2, 3]], ids=["gathered", "contiguous"])
+    def test_writes_the_row_and_attends_over_the_slot(self, slots):
+        g = rng(len(slots))
+        layer, heads, head_dim = 1, 3, 4
+        K, V = g.standard_normal((2, 4, 2, heads, 8, head_dim))
+        before_k, before_v = K.copy(), V.copy()
+        lens = np.array([5, 1, 0, 6])[slots]  # unequal; rows past them hold noise
+        qs, ks, vs = g.standard_normal((3, len(slots), heads, head_dim))
+        a, gamma, m = _slot_attention(K, V, slots, lens)(layer, qs, ks, vs)
+        written = np.zeros(K.shape, dtype=bool)
+        for b, slot in enumerate(slots):
+            assert np.array_equal(K[slot, layer, :, lens[b]], ks[b])
+            assert np.array_equal(V[slot, layer, :, lens[b]], vs[b])
+            written[slot, layer, :, lens[b]] = True
+            n = lens[b] + 1
+            for h in range(heads):
+                want = attention_reference(qs[b, h], K[slot, layer, h, :n], V[slot, layer, h, :n])
+                assert np.max(np.abs(a[b, h] - want[0])) <= 1e-12
+        # every other row, the slots outside the batch included, is untouched
+        assert np.array_equal(K[~written], before_k[~written])
+        assert np.array_equal(V[~written], before_v[~written])
 
 
 class TestBatchedPublicPartials:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from splitdecode import model as model_module
-from splitdecode import protocol
+from splitdecode import partition, protocol
 from splitdecode.model import (
     PREFILL_CHUNK,
     ModelConfig,
@@ -441,6 +441,30 @@ class TestOutOfOrder:
                 ProtocolMessage(tag=TAG_QUERY, session_id=1, payload=b"")
             )
 
+    @pytest.mark.parametrize(
+        "length", [lambda top: 0, lambda top: top, lambda top: top + 1],
+        ids=["0", "max_seq", "max_seq + 1"],
+    )
+    def test_model_checks_the_setup_length(self, small_weights, length):
+        from splitdecode.protocol import encode_setup
+
+        model = ModelParty(small_weights)
+        max_seq = small_weights.config.max_seq
+        n = length(max_seq)
+        setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(n))
+        if n != max_seq:
+            with pytest.raises(ProtocolError, match=f"stream 4 set up with a {n}-token prompt"):
+                model.handle_user_frame(setup)
+            assert model.streams == {}
+            return
+        # prefill allows a prompt of exactly max_seq; it leaves no room to decode
+        model.handle_user_frame(setup)
+        model.handle_user_frame(
+            ProtocolMessage(tag=TAG_TOKEN, session_id=4, payload=encode_token(1))
+        )
+        assert list(model.streams) == [4]
+        assert model.active_streams() == []
+
     def test_model_step_rejects_a_stream_at_max_seq(self, small_weights):
         from splitdecode.protocol import encode_setup
 
@@ -758,13 +782,13 @@ class TestArena:
 
         victim._queue_outward = evil_queue
         indexes = []
-        arena_rows = protocol._arena_rows
+        arena_rows = partition._arena_rows
 
         def noting_rows(rows):
             indexes.append(arena_rows(rows))
             return indexes[-1]
 
-        monkeypatch.setattr(protocol, "_arena_rows", noting_rows)
+        monkeypatch.setattr(partition, "_arena_rows", noting_rows)
         model, ctrl = ModelParty(small_weights), Controller()
         transcript = Transcript(config=small_weights.config)
         links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]

@@ -192,10 +192,8 @@ def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, floa
 
     tokens = {i: list(party.authentic_response()) for i, (party, _) in enumerate(users_links)}
     total_tokens = sum(len(s.tokens) for party, _ in users_links for s in party.streams.values())
-    # wire traffic only: the gate's out/blk records are not link bytes
-    wire_bytes = sum(e.nbytes for e in transcript.entries if e.direction in ("m2u", "u2m"))
     copies = weight_alloc_count() - start_allocs
-    return tokens, transcript.round_s, copies, wire_bytes / max(total_tokens, 1)
+    return tokens, transcript.round_s, copies, transcript.total_bytes() / max(total_tokens, 1)
 
 
 _RUNNERS = {

@@ -47,12 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-v", "--verbose", action="count", default=0)
     parser = argparse.ArgumentParser(
         prog="splitdecode",
-        parents=[common],
         description="two-party decode with prompt decoys: demo, verification, benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", parents=[common], help="tag, obfuscate, decode two-party, winnow")
-    verify = sub.add_parser("verify", parents=[common], help="run a property suite")
+    verify = sub.add_parser("verify", help="run a property suite")
     verify.add_argument(
         "suite", choices=["theorem1", "gqs", "bounds", "protocol", "all"]
     )
@@ -175,6 +174,8 @@ def cmd_bench(cfg, out_path: str | None) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        return cmd_verify(args.suite)
     try:
         cfg = load_run_config(args.config, seed=args.seed)
     except ConfigError as exc:
@@ -182,12 +183,7 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     if args.command == "demo":
         return cmd_demo(cfg, args.verbose, args.out)
-    if args.command == "verify":
-        return cmd_verify(args.suite)
-    if args.command == "bench":
-        return cmd_bench(cfg, args.out)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_INVARIANT
+    return cmd_bench(cfg, args.out)
 
 
 if __name__ == "__main__":

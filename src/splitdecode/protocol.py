@@ -47,7 +47,6 @@ from .partition import _arena_rows, _slot_attention, _softmax_partial, merge_par
 # module; the batched exchange no longer calls them
 from .partition import batched_public_partials, private_partial  # noqa: F401
 from .wire import (
-    HEADER_SIZE,
     MAX_BODY,
     TAG_ABORT,
     TAG_CONTROL,
@@ -131,7 +130,7 @@ class WeightsHandle:
 class TranscriptEntry:
     """Header-level record of one frame; payload bytes are not retained."""
 
-    direction: str  # m2u, u2m, out, blk
+    direction: str  # m2u or u2m
     step: int
     tag: int
     session_id: int
@@ -139,7 +138,6 @@ class TranscriptEntry:
     head: int
     payload_len: int
     nbytes: int
-    streams: tuple = ()  # the stream ids a batched QUERY names
 
     @property
     def tag_name(self) -> str:
@@ -148,6 +146,10 @@ class TranscriptEntry:
 
 @dataclass
 class Transcript:
+    """What crossed the links (entries, one per frame) and what the gate
+    decided (gate_log, one per outward token); the gate's TOKENs never
+    cross a link, so they are not entries."""
+
     config: ModelConfig
     entries: list = field(default_factory=list)
     tokens: dict = field(default_factory=dict)  # stream -> gate-passed tokens
@@ -156,32 +158,22 @@ class Transcript:
     round_s: list = field(default_factory=list)  # wall seconds of each decode round
 
     def record(self, direction: str, step: int, frame: bytes):
-        tag, session_id, layer, head, payload_len = parse_header(frame)
-        streams = ()
-        if tag == TAG_QUERY and payload_len >= 4 * head:
-            streams = tuple(np.frombuffer(frame, "<u4", count=head, offset=HEADER_SIZE).tolist())
-        self.entries.append(
-            TranscriptEntry(
-                direction=direction,
-                step=step,
-                tag=tag,
-                session_id=session_id,
-                layer=layer,
-                head=head,
-                payload_len=payload_len,
-                nbytes=len(frame),
-                streams=streams,
-            )
-        )
+        self.entries.append(TranscriptEntry(direction, step, *parse_header(frame), len(frame)))
 
     def total_bytes(self) -> int:
+        """Bytes the links carried."""
         return sum(e.nbytes for e in self.entries)
 
     def dump(self) -> str:
-        return "\n".join(
+        frames = [
             f"{e.direction} {e.tag_name} {e.session_id} {e.layer} {e.head} {e.nbytes}"
             for e in self.entries
-        )
+        ]
+        gates = [
+            f"gate {step} {sid} {'pass' if passed else 'block'} {reason}"
+            for step, sid, passed, reason in self.gate_log
+        ]
+        return "\n".join(frames + gates)
 
 
 # -- links --------------------------------------------------------------
@@ -191,23 +183,21 @@ class InProcLink:
     """Synchronous in-process conduit: sending a frame hands it to the
     peer handler and queues the replies for recv()."""
 
-    def __init__(self, handler, transcript: Transcript | None = None):
+    def __init__(self, handler, transcript: Transcript):
         self._handler = handler
         self._pending = deque()
         self.transcript = transcript
         self.step = 0
 
     def send(self, frame: bytes):
-        if self.transcript is not None:
-            self.transcript.record("m2u", self.step, frame)
+        self.transcript.record("m2u", self.step, frame)
         self._pending.extend(self._handler(frame))
 
     def recv(self) -> bytes:
         if not self._pending:
             raise ProtocolError("expected a reply frame, peer sent none")
         frame = self._pending.popleft()
-        if self.transcript is not None:
-            self.transcript.record("u2m", self.step, frame)
+        self.transcript.record("u2m", self.step, frame)
         return frame
 
 
@@ -252,23 +242,21 @@ def _no_delay(sock: socket.socket):
 class SocketLink:
     """Model-party end of a localhost stream socket carrying frames."""
 
-    def __init__(self, sock: socket.socket, transcript: Transcript | None = None):
+    def __init__(self, sock: socket.socket, transcript: Transcript):
         _no_delay(sock)
         self._sock = sock
         self.transcript = transcript
         self.step = 0
 
     def send(self, frame: bytes):
-        if self.transcript is not None:
-            self.transcript.record("m2u", self.step, frame)
+        self.transcript.record("m2u", self.step, frame)
         self._sock.sendall(frame)
 
     def recv(self) -> bytes:
         frame = read_frame(self._sock)
         if frame is None:
             raise ProtocolError("peer closed the connection")
-        if self.transcript is not None:
-            self.transcript.record("u2m", self.step, frame)
+        self.transcript.record("u2m", self.step, frame)
         return frame
 
 
@@ -598,7 +586,7 @@ class Controller:
             return GateDecision(False, "unknown session")
         try:
             token = decode_token(outbound.payload)
-        except Exception:
+        except FrameError:
             self.kill(stream_id, "malformed token payload")
             return GateDecision(False, "malformed token payload")
         if not stream.expected:
@@ -837,11 +825,11 @@ def model_batch_step(
 
 
 def _route_outward(user: UserParty, ctrl: Controller, transcript: Transcript, step: int):
-    """Push the user party's outward messages through the gate."""
+    """Push the user party's outward messages through the gate, logging
+    each decision in transcript.gate_log."""
     killed_now = []
     for msg in user.take_outward():
         decision = controller_gate(ctrl, msg)
-        transcript.record("out" if decision.passed else "blk", step, serialize(msg))
         transcript.gate_log.append((step, msg.session_id, decision.passed, decision.reason))
         if decision.passed:
             transcript.tokens.setdefault(msg.session_id, []).append(
@@ -980,13 +968,14 @@ class CommReport:
     """Exact message/byte/scalar accounting of one transcript, per stream
     and decode round.
 
-    A batched QUERY or PARTIAL carries every head of S streams; each
-    stream is charged 1/S of its float64 scalars (a QUERY's u32 stream
-    ids are not scalars). Per head, a stream's PARTIAL share is
-    head_dim + 2 scalars — the weighted-value vector plus the softmax
-    denominator and its running max; the running max rides along so the
-    merge can rescale safely, which is why each round costs
-    2*head_dim + 2 scalars per head rather than a bare 2*head_dim + 1.
+    A batched QUERY or PARTIAL carries every head of S streams, S being
+    its header's head field; each stream is charged 1/S of its float64
+    scalars (a QUERY's u32 stream ids are not scalars). Per head, a
+    stream's PARTIAL share is head_dim + 2 scalars — the weighted-value
+    vector plus the softmax denominator and its running max; the running
+    max rides along so the merge can rescale safely, which is why each
+    round costs 2*head_dim + 2 scalars per head rather than a bare
+    2*head_dim + 1.
     """
 
     query_scalars_per_round: int
@@ -1020,41 +1009,37 @@ class CommReport:
 
 def comm_accounting(transcript: Transcript) -> CommReport:
     """Tally the scalars each stream sends and receives per decode round
-    and check that the per-round count is constant."""
-    per_round: dict[tuple, dict] = {}
-    # (step, session_id, layer) of a QUERY -> the streams it and its PARTIAL carry
-    carried: dict[tuple, tuple] = {}
-    total_bytes = 0
+    and check that the per-round count is constant.
+
+    Every stream of a batched frame gets the same share, so the share is
+    kept once per (step, kind, the frame's session id); a FINAL_Y frame's
+    session id is its one stream."""
+    share: dict[tuple, int] = {}
     for e in transcript.entries:
-        total_bytes += e.nbytes
         if e.step < 1:
             continue
         if e.tag == TAG_FINAL_Y:
-            kind, streams, scalars = "final", (e.session_id,), e.payload_len // 8
-        elif e.tag == TAG_QUERY:
-            kind, streams = "query", e.streams
-            carried[(e.step, e.session_id, e.layer)] = streams
-            scalars = (e.payload_len - 4 * len(streams)) // 8
-        elif e.tag == TAG_PARTIAL:
-            kind, streams = "partial", carried.get((e.step, e.session_id, e.layer), ())
-            scalars = e.payload_len // 8
+            kind, scalars = "final", e.payload_len // 8
+        elif e.tag == TAG_QUERY and e.head:
+            kind, scalars = "query", (e.payload_len - 4 * e.head) // 8 // e.head
+        elif e.tag == TAG_PARTIAL and e.head:
+            kind, scalars = "partial", e.payload_len // 8 // e.head
         else:
             continue
-        for sid in streams:
-            agg = per_round.setdefault((e.step, sid), {"query": 0, "partial": 0, "final": 0})
-            agg[kind] += scalars // len(streams)
+        key = (e.step, kind, e.session_id)
+        share[key] = share.get(key, 0) + scalars
 
-    queries = {agg["query"] for agg in per_round.values()}
-    partials = {agg["partial"] for agg in per_round.values()}
-    finals = {agg["final"] for agg in per_round.values()}
+    queries, partials, finals = (
+        {v for (_, k, _), v in share.items() if k == kind} for kind in ("query", "partial", "final")
+    )
     constant = len(queries) <= 1 and len(partials) <= 1 and len(finals) <= 1
-    steps = len({step for step, _ in per_round})
+    steps = len({step for step, _, _ in share})
     return CommReport(
         query_scalars_per_round=next(iter(queries), 0),
         partial_scalars_per_round=next(iter(partials), 0),
         round_scalars_per_round=next(iter(queries), 0) + next(iter(partials), 0),
         final_scalars_per_round=next(iter(finals), 0),
         constant_per_round=constant,
-        total_bytes=total_bytes,
+        total_bytes=transcript.total_bytes(),
         steps=steps,
     )

@@ -126,7 +126,7 @@ def parse_header(frame: bytes) -> tuple[int, int, int, int, int]:
 
     Validates only the framing lengths; use deserialize for a full parse.
     """
-    if len(frame) < 4 + _HEADER.size:
+    if len(frame) < HEADER_SIZE:
         raise FrameError("frame shorter than its header")
     (body_len,) = struct.unpack_from("<I", frame, 0)
     if len(frame) != 4 + body_len:
@@ -139,26 +139,13 @@ def parse_header(frame: bytes) -> tuple[int, int, int, int, int]:
 def deserialize(frame: bytes) -> ProtocolMessage:
     """Parse one complete frame; raises FrameError on truncation, a bad
     tag, length overflow, or trailing bytes."""
-    if len(frame) < 4:
-        raise FrameError("frame shorter than its length prefix")
-    (body_len,) = struct.unpack_from("<I", frame, 0)
-    if body_len < _HEADER.size:
-        raise FrameError("frame body shorter than the header")
-    if len(frame) != 4 + body_len:
-        raise FrameError(
-            f"frame length mismatch: prefix says {body_len}, got {len(frame) - 4}"
-        )
-    tag, session_id, layer, head, payload_len = _HEADER.unpack_from(frame, 4)
+    tag, session_id, layer, head, payload_len = parse_header(frame)
     if payload_len > MAX_PAYLOAD:
         raise FrameError("payload length overflow")
-    if body_len != _HEADER.size + payload_len:
+    if len(frame) != HEADER_SIZE + payload_len:
         raise FrameError("payload length disagrees with frame length")
-    if tag not in TAG_NAMES:
-        raise FrameError(f"unknown tag 0x{tag:02x}")
-    payload = frame[4 + _HEADER.size :]
-    return ProtocolMessage(
-        tag=tag, session_id=session_id, layer=layer, head=head, payload=payload
-    )
+    # ProtocolMessage checks the tag
+    return ProtocolMessage(tag, session_id, layer, head, frame[HEADER_SIZE:])
 
 
 def encode_f64s(values) -> bytes:

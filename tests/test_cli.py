@@ -88,6 +88,18 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
 
 
+class TestOptionPlacement:
+    # options follow the command that reads them; anything else is a
+    # usage error rather than a silently dropped value
+    @pytest.mark.parametrize(
+        "argv", [["--seed", "3", "demo"], ["verify", "theorem1", "--seed", "3"]]
+    )
+    def test_misplaced_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestBenchCommand:
     def test_bench_writes_sorted_csv(self, tmp_path, capsys):
         path = write_config(

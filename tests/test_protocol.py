@@ -476,7 +476,7 @@ class TestOutOfOrder:
         model.handle_user_frame(
             ProtocolMessage(tag=TAG_TOKEN, session_id=4, payload=encode_token(1))
         )
-        link = InProcLink(lambda frame: [])
+        link = InProcLink(lambda frame: [], Transcript(config=small_weights.config))
         with pytest.raises(ProtocolError, match="stream 4 ran past max_seq"):
             model_batch_step(model, [(4, link)], Controller())
 
@@ -668,6 +668,14 @@ class TestController:
         prompt = [2, 4, 6]
         model, ctrl, user = make_session(small_weights, prompt)
         assert_flip_kills(user, model, ctrl, greedy_decode(small_weights, prompt, 16))
+
+    def test_malformed_token_payload_kills(self):
+        ctrl = Controller()
+        ctrl.open_stream(1)
+        msg = ProtocolMessage(tag=TAG_TOKEN, session_id=1, payload=b"\x00" * 4)
+        decision = controller_gate(ctrl, msg)
+        assert not decision.passed and decision.reason == "malformed token payload"
+        assert ctrl.killed == {1: "malformed token payload"}
 
     def test_fuzzed_frames_never_pass(self, small_weights):
         ctrl = Controller()
@@ -926,7 +934,7 @@ class TestSharedPrefixPrefill:
 class RecordingLink(InProcLink):
     """Keeps raw frame bytes for leak scanning."""
 
-    def __init__(self, handler, transcript=None):
+    def __init__(self, handler, transcript):
         super().__init__(handler, transcript)
         self.frames = []
 
@@ -1025,7 +1033,7 @@ class TestCommAccounting:
         else:
             transcript = run_socket_sessions(model, Controller(), users, 6)
         queries = [e for e in transcript.entries if e.tag == TAG_QUERY]
-        assert queries and all(len(e.streams) == 4 for e in queries)
+        assert queries and all(e.head == 4 for e in queries)
         report = comm_accounting(transcript)
         assert report.steps == 6
         assert report.constant_per_round
@@ -1040,9 +1048,50 @@ class TestCommAccounting:
         model, ctrl, user = make_session(small_weights, [4, 5])
         transcript = run_decode_session(user, model, ctrl, max_tokens=2)
         lines = transcript.dump().splitlines()
-        assert lines
-        for line in lines:
+        # one line per frame, then one per gate decision
+        frames, gates = lines[: len(transcript.entries)], lines[len(transcript.entries) :]
+        assert frames and len(gates) == len(transcript.gate_log) == 3
+        for line in frames:
             direction, tag, session, layer, head, nbytes = line.split()
-            assert direction in ("m2u", "u2m", "out", "blk")
+            assert direction in ("m2u", "u2m")
             assert tag in TAG_NAMES.values()
             int(session), int(layer), int(head), int(nbytes)
+        sid = next(iter(user.streams))
+        assert gates == [
+            f"gate 0 {sid} pass first token (pre-decode)",
+            f"gate 1 {sid} pass matches ground truth",
+            f"gate 2 {sid} pass matches ground truth",
+        ]
+
+    def test_wire_total_counts_link_bytes(self, small_weights):
+        user = decoy_user(small_weights, 1)
+        setup = b"".join(serialize(m) for m in user.pending_setup)
+        transcript = Transcript(config=small_weights.config)
+        link = RecordingLink(user.handle_frame, transcript)
+        run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                     [(user, link)], 6, transcript)
+        wire = len(setup) + sum(len(f) for f in link.frames)
+        assert transcript.total_bytes() == wire
+        assert comm_accounting(transcript).total_bytes == wire
+        # the gate saw every token, none of them as a link frame
+        assert len(transcript.gate_log) == 2 * 7
+
+    def test_accounting_catches_an_extra_frame(self, small_weights):
+        c = small_weights.config
+        user = decoy_user(small_weights, 1)
+        transcript = Transcript(config=c)
+        link = InProcLink(user.handle_frame, transcript)
+        run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                     [(user, link)], 6, transcript)
+        queries = [e for e in transcript.entries if e.tag == TAG_QUERY]
+        assert queries and all(e.head == 2 for e in queries)
+        report = comm_accounting(transcript)
+        assert report.constant_per_round and report.steps == 6
+        assert report.round_scalars_per_round == report.expected_round_scalars(c)
+
+        # a PARTIAL sent twice at step 3 over-charges that round's streams
+        e = next(e for e in transcript.entries if e.tag == TAG_PARTIAL and e.step == 3)
+        extra = ProtocolMessage(tag=TAG_PARTIAL, session_id=e.session_id, layer=e.layer,
+                                head=e.head, payload=bytes(e.payload_len))
+        transcript.record("u2m", 3, serialize(extra))
+        assert not comm_accounting(transcript).constant_per_round

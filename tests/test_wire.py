@@ -98,6 +98,33 @@ class TestFrameErrors:
             deserialize(b"")
 
 
+@st.composite
+def mutated_frames(draw):
+    """A valid frame with one byte changed, or cut short."""
+    frame = serialize(ProtocolMessage(
+        tag=draw(st.sampled_from(sorted(TAG_NAMES))),
+        session_id=draw(st.integers(0, 2**32 - 1)),
+        layer=draw(st.integers(0, 2**16 - 1)),
+        head=draw(st.integers(0, 2**16 - 1)),
+        payload=draw(st.binary(max_size=32)),
+    ))
+    at = draw(st.integers(0, len(frame) - 1))
+    if draw(st.booleans()):
+        return frame[:at]
+    return frame[:at] + bytes([draw(st.integers(0, 255))]) + frame[at + 1 :]
+
+
+class TestOneParser:
+    @settings(deadline=None, max_examples=300)
+    @given(frame=st.one_of(st.binary(max_size=64), mutated_frames()))
+    def test_rejects_or_round_trips(self, frame):
+        try:
+            msg = deserialize(frame)
+        except FrameError:
+            return
+        assert serialize(msg) == frame
+
+
 class TestPayloadCodecs:
     def test_f64_round_trip(self):
         values = np.array([1.5, -2.25, 1e300, -0.0])

@@ -33,9 +33,7 @@ from .obfuscation import ObfuscationConfig, TaggedPrompt
 from .partition import _slot_attention
 from .protocol import (
     Controller,
-    InProcLink,
     ModelParty,
-    Transcript,
     UserParty,
     WeightsHandle,
     run_sessions,
@@ -171,7 +169,6 @@ def _run_monolithic(config: BenchConfig, prompts) -> tuple[dict, list[float], in
 def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, float]:
     start_allocs = weight_alloc_count()
     weights = init_model(config.model)
-    transcript = Transcript(config=config.model)
     # the sampler's pool includes the authentic n-gram, so lam decoys
     # need a pool cap of lam + 1
     obf = ObfuscationConfig(
@@ -180,18 +177,18 @@ def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, floa
         prf_key=b"bench",
     )
     oracle = _uniform_oracle(config.model.vocab_size)
-    users_links = []
+    parties = []
     for i, prompt in enumerate(prompts):
         party = UserParty(user_id=i, weights_handle=WeightsHandle(weights), oracle=oracle)
         # one tagged token gives lam equal-length decoys under the uniform oracle
         tagged = TaggedPrompt(tokens=prompt, spans=((0, 1),) if config.lam > 0 else ())
         user_prefill(party, tagged, obf)
-        users_links.append((party, InProcLink(party.handle_frame, transcript)))
+        parties.append(party)
     model = ModelParty(weights, stop_at_eos=False)
-    run_sessions(model, Controller(), users_links, config.out_tokens - 1, transcript)
+    transcript = run_sessions(model, Controller(), parties, config.out_tokens - 1)
 
-    tokens = {i: list(party.authentic_response()) for i, (party, _) in enumerate(users_links)}
-    total_tokens = sum(len(s.tokens) for party, _ in users_links for s in party.streams.values())
+    tokens = {i: list(party.authentic_response()) for i, party in enumerate(parties)}
+    total_tokens = sum(len(s.tokens) for party in parties for s in party.streams.values())
     copies = weight_alloc_count() - start_allocs
     return tokens, transcript.round_s, copies, transcript.total_bytes() / max(total_tokens, 1)
 

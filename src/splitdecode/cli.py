@@ -28,7 +28,7 @@ from .protocol import (
     UserParty,
     WeightsHandle,
     comm_accounting,
-    run_decode_session,
+    run_sessions,
     user_prefill,
 )
 from .verify import run_suite
@@ -97,7 +97,7 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
         if verbosity >= 1:
             print("-- local debug view (never leaves the user side) --")
             print(dump_virtual_prompts(user.vps, vocab))
-        transcript = run_decode_session(user, model_party, ctrl, max_tokens)
+        transcript = run_sessions(model_party, ctrl, [user], max_tokens)
     except InsufficientObfuscationError as exc:
         print(f"obfuscation abort: {exc}", file=sys.stderr)
         return EXIT_OBFUSCATION_ABORT
@@ -105,8 +105,8 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
 
-    if transcript.killed:
-        print(f"sessions killed by the controller: {transcript.killed}", file=sys.stderr)
+    if ctrl.killed:
+        print(f"sessions killed by the controller: {ctrl.killed}", file=sys.stderr)
         return EXIT_PROTOCOL
 
     authentic = user.authentic_response()

@@ -17,12 +17,13 @@ User parties never touch weights after prefill (the handle is released
 and any later access faults), and their private K/V rows never
 serialize: the wire layer only moves ProtocolMessage frames.
 
-Transport is an in-process frame conduit by default; the same frames run
-over localhost stream sockets via SocketLink/serve_user_party.
+run_sessions serves any number of users over an in-process frame conduit
+or, with the same frames, one localhost stream socket per user.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import socket
 import struct
@@ -84,7 +85,6 @@ __all__ = [
     "comm_accounting",
     "controller_gate",
     "model_batch_step",
-    "run_decode_session",
     "run_sessions",
     "serve_user_party",
     "user_prefill",
@@ -153,7 +153,6 @@ class Transcript:
     config: ModelConfig
     entries: list = field(default_factory=list)
     tokens: dict = field(default_factory=dict)  # stream -> gate-passed tokens
-    killed: dict = field(default_factory=dict)  # stream -> reason
     gate_log: list = field(default_factory=list)  # (step, stream, passed, reason)
     round_s: list = field(default_factory=list)  # wall seconds of each decode round
 
@@ -355,6 +354,8 @@ class UserParty:
         temperature: float | None = None,
         sample_seed: int = 0,
     ):
+        if not 0 <= user_id < 2**16:
+            raise ValueError(f"stream ids need 0 <= user_id < 2^16, got {user_id}")
         self.user_id = user_id
         self.weights_handle = weights_handle
         self.oracle = oracle
@@ -480,10 +481,7 @@ def user_prefill(
     else:
         fake_sets = []
     party.vps = build_virtual_prompts(prompt, fake_sets, config, party.user_id)
-
     prompts = party.vps.prompts
-    if not 0 <= party.user_id < 2**16:
-        raise ValueError("stream ids need user_id < 2^16")
 
     # the virtual prompts share one length n and agree up to their first
     # tagged span. prefill chunks every prompt at the same bounds, so a
@@ -561,9 +559,6 @@ class Controller:
 
     def open_stream(self, stream_id: int, rule: TokenRule = TokenRule()):
         self.streams.setdefault(stream_id, _GateStream(rule))
-
-    def register_expected(self, stream_id: int, token: int):
-        self.streams[stream_id].expected.append(token)
 
     def expect(self, stream_id: int, logits: np.ndarray):
         """Queue the ground truth for the stream's next token: the
@@ -837,7 +832,6 @@ def _route_outward(user: UserParty, ctrl: Controller, transcript: Transcript, st
             )
         elif msg.session_id in ctrl.killed:
             killed_now.append(msg.session_id)
-            transcript.killed[msg.session_id] = ctrl.killed[msg.session_id]
     return killed_now
 
 
@@ -847,91 +841,28 @@ def _abort_stream(model: ModelParty, link, stream_id: int):
     link.send(_frame(TAG_ABORT, stream_id))
 
 
-def _inproc_setup(user: UserParty, link, transcript: Transcript) -> list[ProtocolMessage]:
-    """Hand over the prefill messages directly, recording them as u2m."""
-    msgs, user.pending_setup = user.pending_setup, []
-    for msg in msgs:
-        transcript.record("u2m", 0, serialize(msg))
-    return msgs
+_USER_JOIN_S = 5.0  # how long a socket session waits for its user threads to end
 
 
-def _drive(model, ctrl, users_links, max_tokens, transcript, receive_setup) -> Transcript:
-    """Ingest each user's setup messages (from receive_setup), then
-    advance all active streams in lockstep rounds until EOS/max_tokens.
-
-    Each round's wall time, the batched model step plus gate routing, is
-    appended to transcript.round_s."""
-    link_of: dict[int, object] = {}
-    for user, link in users_links:
-        for msg in receive_setup(user, link, transcript):
-            model.handle_user_frame(msg)
-        for sid, stream in user.streams.items():
-            link_of[sid] = link
-            # the rule goes to the controller directly, never over the link
-            ctrl.open_stream(sid, stream.rule)
-        for sid in _route_outward(user, ctrl, transcript, 0):
-            _abort_stream(model, link, sid)
-
-    for step in range(1, max_tokens + 1):
-        pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
-        if not pairs:
-            break
-        t0 = time.perf_counter()
-        model_batch_step(model, pairs, controller=ctrl, step=step)
-        for user, link in users_links:
-            for sid in _route_outward(user, ctrl, transcript, step):
-                _abort_stream(model, link, sid)
-        transcript.round_s.append(time.perf_counter() - t0)
-    return transcript
+def _inproc_link(user: UserParty, transcript: Transcript) -> InProcLink:
+    """An in-process link whose first replies are the user's setup
+    frames, as serve_user_party writes them first on a socket."""
+    link = InProcLink(user.handle_frame, transcript)
+    link._pending.extend(map(serialize, user.pending_setup))
+    user.pending_setup = []
+    return link
 
 
-def run_sessions(
-    model: ModelParty,
-    ctrl: Controller,
-    users_links: list[tuple[UserParty, object]],
-    max_tokens: int,
-    transcript: Transcript,
-) -> Transcript:
-    """Drive all sessions in lockstep token rounds until EOS/max_tokens.
-
-    Every user must already have completed user_prefill; their setup
-    messages are ingested here, then each round advances all active
-    streams of all users in one batched model step.
-    """
-    return _drive(model, ctrl, users_links, max_tokens, transcript, _inproc_setup)
-
-
-_USER_JOIN_S = 5.0  # how long a socket session waits for its user thread to end
-
-
-def run_decode_session(
-    user: UserParty,
-    model: ModelParty,
-    ctrl: Controller,
-    max_tokens: int,
-    transport: str = "inproc",
-) -> Transcript:
-    """Run one user's streams to completion and return the transcript.
-
-    transport="inproc" exchanges frames through an in-process conduit;
-    transport="socket" moves the same frames over a localhost TCP stream
-    with the user party served from a thread.
-    """
-    transcript = Transcript(config=model.config)
-    if transport == "inproc":
-        link = InProcLink(user.handle_frame, transcript)
-        return run_sessions(model, ctrl, [(user, link)], max_tokens, transcript)
-    if transport != "socket":
-        raise ValueError(f"unknown transport {transport!r}")
-
-    listener = socket.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    setup_count = len(user.pending_setup)
+def _socket_links(users, transcript, stack) -> list[SocketLink]:
+    """One localhost TCP link per user, each user party served by
+    serve_user_party on its own thread. Leaving the stack closes every
+    link, joins every thread within _USER_JOIN_S, and raises the first
+    user-side error as the ProtocolError's cause."""
+    threads: list[threading.Thread] = []
     errors: list[Exception] = []
 
-    def serve():
+    def serve(user, conn):
         try:
-            conn, _ = listener.accept()
             with conn:
                 serve_user_party(user, conn)
         except ConnectionError:
@@ -939,25 +870,72 @@ def run_decode_session(
         except Exception as exc:  # the model side only sees EOF; keep the cause
             errors.append(exc)
 
-    def socket_setup(user, link, transcript):
-        # the serve loop announces the prefill messages over the wire;
-        # link.recv records them as u2m traffic
-        return [deserialize(link.recv()) for _ in range(setup_count)]
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    client = socket.create_connection(("127.0.0.1", port))
-    try:
-        link = SocketLink(client, transcript)
-        return _drive(model, ctrl, [(user, link)], max_tokens, transcript, socket_setup)
-    finally:
-        client.close()
-        thread.join(timeout=_USER_JOIN_S)
-        listener.close()
-        if thread.is_alive():
+    def join():
+        deadline = time.monotonic() + _USER_JOIN_S
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 0))
+        if any(thread.is_alive() for thread in threads):
             raise ProtocolError(f"user party thread still running after {_USER_JOIN_S} s")
         if errors:
             raise ProtocolError(f"user party failed: {errors[0]!r}") from errors[0]
+
+    stack.callback(join)  # registered first, so it runs after every link is closed
+    links = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        for user in users:
+            client = stack.enter_context(socket.create_connection(listener.getsockname()[:2]))
+            conn, _ = listener.accept()
+            threads.append(threading.Thread(target=serve, args=(user, conn), daemon=True))
+            threads[-1].start()
+            links.append(SocketLink(client, transcript))
+    return links
+
+
+def run_sessions(
+    model: ModelParty, ctrl: Controller, users: list[UserParty], max_tokens: int,
+    transport: str = "inproc",
+) -> Transcript:
+    """Drive every prefilled user's streams in lockstep token rounds until
+    EOS/max_tokens, and return the transcript of what crossed the links.
+
+    Each user gets one link: an in-process conduit (transport="inproc"),
+    or a localhost TCP stream with the user party served from a thread
+    (transport="socket"). The setup frames arrive first through the
+    links; then each round advances all active streams of all users in
+    one batched model step, and its wall time, the step plus gate
+    routing, is appended to transcript.round_s.
+    """
+    if transport not in ("inproc", "socket"):
+        raise ValueError(f"unknown transport {transport!r}")
+    transcript = Transcript(config=model.config)
+    setup_counts = [len(user.pending_setup) for user in users]
+    with contextlib.ExitStack() as stack:
+        if transport == "socket":
+            links = _socket_links(users, transcript, stack)
+        else:
+            links = [_inproc_link(user, transcript) for user in users]
+        link_of: dict[int, object] = {}
+        for user, link, setup_count in zip(users, links, setup_counts):
+            for _ in range(setup_count):
+                model.handle_user_frame(deserialize(link.recv()))
+            for sid, stream in user.streams.items():
+                link_of[sid] = link
+                # the rule goes to the controller directly, never over the link
+                ctrl.open_stream(sid, stream.rule)
+            for sid in _route_outward(user, ctrl, transcript, 0):
+                _abort_stream(model, link, sid)
+
+        for step in range(1, max_tokens + 1):
+            pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
+            if not pairs:
+                break
+            t0 = time.perf_counter()
+            model_batch_step(model, pairs, controller=ctrl, step=step)
+            for user, link in zip(users, links):
+                for sid in _route_outward(user, ctrl, transcript, step):
+                    _abort_stream(model, link, sid)
+            transcript.round_s.append(time.perf_counter() - t0)
+    return transcript
 
 
 # -- communication accounting -------------------------------------------

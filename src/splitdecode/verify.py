@@ -39,7 +39,7 @@ from .protocol import (
     UserParty,
     WeightsHandle,
     controller_gate,
-    run_decode_session,
+    run_sessions,
     user_prefill,
 )
 from .security import monte_carlo_success
@@ -187,7 +187,7 @@ def suite_protocol() -> list[Check]:
         ctrl = Controller()
         user = UserParty(user_id=seed, weights_handle=WeightsHandle(weights))
         user_prefill(user, TaggedPrompt(tokens=prompt), ObfuscationConfig(0.0, 0))
-        transcript = run_decode_session(user, model, ctrl, max_tokens=24)
+        transcript = run_sessions(model, ctrl, [user], 24)
         stream_id = next(iter(user.streams))
         if transcript.tokens[stream_id] != greedy_decode(weights, prompt, 24):
             mismatches += 1
@@ -206,7 +206,7 @@ def suite_protocol() -> list[Check]:
         if not lam:
             spans, obf = (), ObfuscationConfig(0.0, 0)
         user_prefill(user, TaggedPrompt(tokens=prompt, spans=spans), obf)
-        run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12)
+        run_sessions(ModelParty(weights), ctrl, [user], 12)
         killed += len(ctrl.killed)
         responses.append(user.authentic_response())
     checks.append(
@@ -264,7 +264,7 @@ def suite_protocol() -> list[Check]:
 
     ctrl = Controller()
     ctrl.open_stream(5)
-    ctrl.register_expected(5, 9)
+    ctrl.expect(5, np.eye(config.vocab_size)[9])  # greedy: token 9
     flipped = ProtocolMessage(tag=TAG_TOKEN, session_id=5, payload=encode_token(9 ^ 1))
     decision = controller_gate(ctrl, flipped)
     checks.append(

@@ -39,7 +39,7 @@ from splitdecode.protocol import (
     WeightsHandle,
     comm_accounting,
     controller_gate,
-    run_decode_session,
+    run_sessions,
     user_prefill,
 )
 from splitdecode.security import authenticity_C, estimate_delta, monte_carlo_success
@@ -136,7 +136,7 @@ def test_criterion_03_output_invariance():
             ctrl = Controller()
             user = UserParty(seed, WeightsHandle(weights))
             user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
-            transcript = run_decode_session(user, model, ctrl, max_tokens=64)
+            transcript = run_sessions(model, ctrl, [user], 64)
             sid = next(iter(user.streams))
             assert transcript.tokens[sid] == greedy_decode(weights, prompt, 64)
             checked += 1
@@ -333,7 +333,7 @@ def test_criterion_08_communication_constancy(small_weights):
     ctrl = Controller()
     user = UserParty(3, WeightsHandle(small_weights))
     user_prefill(user, TaggedPrompt(tokens=[4, 9, 2]), NO_OBF)
-    transcript = run_decode_session(user, model, ctrl, max_tokens=64)
+    transcript = run_sessions(model, ctrl, [user], 64)
     report = comm_accounting(transcript)
     c = small_weights.config
     expected = c.n_layers * c.n_heads * (2 * c.head_dim + 2)
@@ -351,7 +351,7 @@ def test_criterion_09_controller_soundness(small_weights):
     ctrl = Controller()
     for sid in (1, 2, 3):
         ctrl.open_stream(sid)
-        ctrl.register_expected(sid, 17)
+        ctrl.expect(sid, np.eye(small_weights.config.vocab_size)[17])  # greedy: token 17
     g = rng(4242)
     non_token = 0
     non_token_passed = 0
@@ -382,10 +382,10 @@ def test_criterion_09_controller_soundness(small_weights):
         original_queue(msg)
 
     user._queue_outward = evil
-    transcript = run_decode_session(user, model, ctrl, max_tokens=16)
+    run_sessions(model, ctrl, [user], 16)
     sid = next(iter(user.streams))
     assert flipped["done"]
-    assert sid in ctrl.killed and sid in transcript.killed
+    assert sid in ctrl.killed
     print(f"ACCEPTANCE 9 PASS: 0 of {non_token} fuzzed non-token frames passed; "
           f"one flipped token blocked and session killed")
 
@@ -416,7 +416,7 @@ def test_criterion_10_memory_multiplicity():
     accesses_before = user.weights_handle.accesses
     model = ModelParty(weights)
     ctrl = Controller()
-    run_decode_session(user, model, ctrl, max_tokens=8)
+    run_sessions(model, ctrl, [user], 8)
     assert user.weights_handle.accesses == accesses_before
     print(f"ACCEPTANCE 10 PASS: weight copies {copies}; user party retains zero "
           f"weight matrices and makes zero weight accesses after prefill")

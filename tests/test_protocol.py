@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import itertools
 import socket
@@ -33,7 +32,6 @@ from splitdecode.protocol import (
     controller_gate,
     model_batch_step,
     read_frame,
-    run_decode_session,
     run_sessions,
     user_prefill,
 )
@@ -82,10 +80,9 @@ def assert_flip_kills(user, model, ctrl, honest, flip_at=3):
         original_queue(msg)
 
     user._queue_outward = evil_queue
-    transcript = run_decode_session(user, model, ctrl, max_tokens=len(honest) - 1)
+    transcript = run_sessions(model, ctrl, [user], len(honest) - 1)
     sid = next(iter(user.streams))
     assert sid in ctrl.killed
-    assert sid in transcript.killed
     assert transcript.tokens[sid] == honest[:flip_at]
     blocked = [g for g in transcript.gate_log if not g[2]]
     assert blocked and blocked[0][3] == "token mismatch"
@@ -95,25 +92,25 @@ class TestSingleSession:
     def test_tokens_equal_monolithic(self, small_weights):
         prompt = [3, 5, 7, 2]
         model, ctrl, user = make_session(small_weights, prompt)
-        transcript = run_decode_session(user, model, ctrl, max_tokens=64)
+        transcript = run_sessions(model, ctrl, [user], 64)
         sid = next(iter(user.streams))
         assert transcript.tokens[sid] == greedy_decode(small_weights, prompt, 64)
 
     def test_socket_transport_matches_inproc(self, small_weights):
-        prompt = [9, 4, 4, 1]
-        model_a, ctrl_a, user_a = make_session(small_weights, prompt)
-        t_inproc = run_decode_session(user_a, model_a, ctrl_a, max_tokens=12)
-        model_b, ctrl_b, user_b = make_session(small_weights, prompt, user_id=2)
-        t_socket = run_decode_session(user_b, model_b, ctrl_b, max_tokens=12, transport="socket")
-        sid_a = next(iter(user_a.streams))
-        sid_b = next(iter(user_b.streams))
-        assert t_socket.tokens[sid_b] == t_inproc.tokens[sid_a]
-        # identical framing either way: same tags/layers/heads/sizes per step
-        fields_a = [(e.direction, e.step, e.tag, e.layer, e.head, e.nbytes)
-                    for e in t_inproc.entries]
-        fields_b = [(e.direction, e.step, e.tag, e.layer, e.head, e.nbytes)
-                    for e in t_socket.entries]
-        assert fields_a == fields_b
+        # three lambda=1 users: the same frames, in the same order, and the
+        # same released tokens on either transport
+        fields, tokens = {}, {}
+        for transport in ("inproc", "socket"):
+            users = [decoy_user(small_weights, 1, user_id=u, prompt=(9 + u, 4, 4, 1))
+                     for u in range(3)]
+            t = run_sessions(ModelParty(small_weights), Controller(), users, 12,
+                             transport=transport)
+            fields[transport] = [(e.direction, e.step, e.tag, e.layer, e.head, e.nbytes)
+                                 for e in t.entries]
+            tokens[transport] = t.tokens
+        assert len(tokens["inproc"]) == 6 and all(len(v) > 1 for v in tokens["inproc"].values())
+        assert fields["socket"] == fields["inproc"]
+        assert tokens["socket"] == tokens["inproc"]
 
     def test_socket_transport_with_virtual_prompts(self, small_weights):
         from splitdecode.langmodel import NgramModel
@@ -124,14 +121,14 @@ class TestSingleSession:
         ctrl = Controller()
         user = UserParty(6, WeightsHandle(small_weights), oracle=oracle, prf_key=b"s")
         user_prefill(user, TaggedPrompt(tokens=[7, 1, 2], spans=((0, 1),)), obf)
-        run_decode_session(user, model, ctrl, max_tokens=8, transport="socket")
+        run_sessions(model, ctrl, [user], 8, transport="socket")
         for i, sid in enumerate(user.streams):
             mono = greedy_decode(small_weights, list(user.vps.prompts[i]), 8)
             assert user.streams[sid].tokens == mono
 
     def test_max_tokens_zero(self, small_weights):
         model, ctrl, user = make_session(small_weights, [5, 6])
-        transcript = run_decode_session(user, model, ctrl, max_tokens=0)
+        transcript = run_sessions(model, ctrl, [user], 0)
         sid = next(iter(user.streams))
         assert len(transcript.tokens[sid]) == 1  # just the prefill token
         assert all(e.step == 0 for e in transcript.entries)
@@ -139,7 +136,7 @@ class TestSingleSession:
     def test_unknown_transport(self, small_weights):
         model, ctrl, user = make_session(small_weights, [5, 6])
         with pytest.raises(ValueError):
-            run_decode_session(user, model, ctrl, 1, transport="carrier-pigeon")
+            run_sessions(model, ctrl, [user], 1, transport="carrier-pigeon")
 
     def test_socket_user_failure_is_the_cause(self, small_weights):
         model, ctrl, user = make_session(small_weights, [9, 4, 4, 1])
@@ -154,9 +151,36 @@ class TestSingleSession:
         user.handle_frame = failing
         t0 = time.perf_counter()
         with pytest.raises(ProtocolError, match="frame 5") as info:
-            run_decode_session(user, model, ctrl, max_tokens=8, transport="socket")
+            run_sessions(model, ctrl, [user], 8, transport="socket")
         assert time.perf_counter() - t0 < protocol._USER_JOIN_S
         assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["clean", "user-1-fails"])
+    def test_socket_sessions_leave_no_thread(self, small_weights, failing):
+        users = [decoy_user(small_weights, 1, user_id=u, prompt=(9 + u, 4, 4, 1))
+                 for u in range(3)]
+        handle, frames = users[1].handle_frame, itertools.count(1)
+
+        def fifth_frame_fails(frame):
+            if next(frames) == 5:
+                raise ValueError("user party broke on frame 5")
+            return handle(frame)
+
+        def run():
+            run_sessions(ModelParty(small_weights), Controller(), users, 8, transport="socket")
+
+        before = set(threading.enumerate())
+        t0 = time.perf_counter()
+        if failing:
+            users[1].handle_frame = fifth_frame_fails
+            with pytest.raises(ProtocolError, match="frame 5") as info:
+                run()
+            assert isinstance(info.value.__cause__, ValueError)
+        else:
+            run()
+        assert time.perf_counter() - t0 < protocol._USER_JOIN_S
+        # every user thread the call started has ended
+        assert set(threading.enumerate()) <= before
 
     def test_socket_ends_set_no_delay(self, small_weights, monkeypatch):
         # both ends read frames through read_frame: note TCP_NODELAY there
@@ -169,7 +193,7 @@ class TestSingleSession:
 
         monkeypatch.setattr(protocol, "read_frame", noting_read)
         model, ctrl, user = make_session(small_weights, [9, 4, 4, 1])
-        run_decode_session(user, model, ctrl, max_tokens=2, transport="socket")
+        run_sessions(model, ctrl, [user], 2, transport="socket")
         assert len(seen) == 2  # the model's and the user's end
         assert all(seen.values())
 
@@ -188,7 +212,7 @@ class TestWeightsHandle:
     def test_zero_accesses_during_decode(self, small_weights):
         model, ctrl, user = make_session(small_weights, [1, 2, 3])
         before = user.weights_handle.accesses
-        run_decode_session(user, model, ctrl, max_tokens=16)
+        run_sessions(model, ctrl, [user], 16)
         assert user.weights_handle.accesses == before
 
 
@@ -212,6 +236,13 @@ class TestVirtualPromptStreams:
         model, ctrl, user = make_session(small_weights, [1, 2, 3])
         with pytest.raises(ValueError, match="prefills once"):
             user_prefill(user, TaggedPrompt(tokens=[4, 5]), NO_OBF)
+
+    @pytest.mark.parametrize("user_id", [-1, 2**16])
+    def test_user_id_checked_when_the_party_is_built(self, small_weights, user_id):
+        handle = WeightsHandle(small_weights)
+        with pytest.raises(ValueError, match="user_id"):
+            UserParty(user_id, handle)
+        assert handle.accesses == 0
 
     def test_bad_setup_payload_rejected(self, small_weights):
         from splitdecode.protocol import decode_setup
@@ -241,7 +272,7 @@ class TestVirtualPromptStreams:
         ctrl = Controller()
         user = UserParty(1, WeightsHandle(small_weights), oracle=oracle, prf_key=b"t")
         user_prefill(user, TaggedPrompt(tokens=[4, 8, 15], spans=((0, 1),)), obf)
-        run_decode_session(user, model, ctrl, max_tokens=24)
+        run_sessions(model, ctrl, [user], 24)
         for i, sid in enumerate(user.streams):
             mono = greedy_decode(small_weights, list(user.vps.prompts[i]), 24)
             assert user.streams[sid].tokens == mono
@@ -303,18 +334,16 @@ class TestSampledOutputInvariance:
             for transport in ("inproc", "socket"):
                 user = self.sampled_user(small_weights, lam)
                 ctrl = Controller()
-                transcript = run_decode_session(
-                    user, ModelParty(small_weights), ctrl, max_tokens=12, transport=transport
+                transcript = run_sessions(
+                    ModelParty(small_weights), ctrl, [user], 12, transport=transport
                 )
                 self.assert_authentic([user], ctrl, transcript, reference)
 
         model = ModelParty(small_weights)
         ctrl = Controller()
-        transcript = Transcript(config=small_weights.config)
         other = self.sampled_user(small_weights, 1, user_id=9, prompt=[3, 3, 8])
         users = [self.sampled_user(small_weights, lam, user_id=lam + 1) for lam in self.LAMBDAS]
-        links = [(u, InProcLink(u.handle_frame, transcript)) for u in [other, *users]]
-        run_sessions(model, ctrl, links, 12, transcript)
+        transcript = run_sessions(model, ctrl, [other, *users], 12)
         self.assert_authentic(users, ctrl, transcript, reference)
 
     def test_flipped_sampled_token_blocks_and_kills(self, small_weights):
@@ -335,7 +364,7 @@ class TestSampledOutputInvariance:
 
         user.handle_frame = cheat
         ctrl = Controller()
-        transcript = run_decode_session(user, ModelParty(weights), ctrl, max_tokens=12)
+        transcript = run_sessions(ModelParty(weights), ctrl, [user], 12)
         return ctrl, transcript, next(iter(user.streams))
 
     def test_drawing_with_an_uncommitted_seed_kills(self, small_weights):
@@ -382,23 +411,16 @@ class TestBatchedStep:
         ]
         serial = [greedy_decode(small_weights, p, 20) for p in prompts]
 
-        model = ModelParty(small_weights)
-        ctrl = Controller()
-        transcript = Transcript(config=small_weights.config)
-        users_links = []
-        for i, prompt in enumerate(prompts):
-            user = UserParty(i, WeightsHandle(small_weights))
-            user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
-            users_links.append((user, InProcLink(user.handle_frame, transcript)))
-        run_sessions(model, ctrl, users_links, 20, transcript)
-        for (user, _), expected in zip(users_links, serial):
+        users = [decoy_user(small_weights, 0, user_id=i, prompt=p) for i, p in enumerate(prompts)]
+        run_sessions(ModelParty(small_weights), Controller(), users, 20)
+        for user, expected in zip(users, serial):
             sid = next(iter(user.streams))
             assert user.streams[sid].tokens == expected
 
-    def test_batch_of_one_equals_run_decode_session(self, small_weights):
+    def test_batch_of_one_equals_greedy(self, small_weights):
         prompt = [11, 3, 9]
         model, ctrl, user = make_session(small_weights, prompt)
-        t = run_decode_session(user, model, ctrl, max_tokens=10)
+        t = run_sessions(model, ctrl, [user], 10)
         sid = next(iter(user.streams))
         assert t.tokens[sid] == greedy_decode(small_weights, prompt, 10)
 
@@ -538,7 +560,7 @@ class TestMalformedPartial:
         user.handle_frame = short_or_long
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=f"for 2 stream.* at layer 1 carries {count} scalars"):
-            run_decode_session(user, model, ctrl, max_tokens=4, transport=transport)
+            run_sessions(model, ctrl, [user], 4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
 
 
@@ -572,8 +594,7 @@ class TestMalformedQuery:
         monkeypatch.setattr(protocol, "_query_frame", patched)
         start = time.monotonic()
         try:
-            run_decode_session(user, ModelParty(weights), Controller(), max_tokens=4,
-                               transport=transport)
+            run_sessions(ModelParty(weights), Controller(), [user], 4, transport=transport)
         finally:
             assert time.monotonic() - start < protocol._USER_JOIN_S
 
@@ -624,8 +645,8 @@ class TestOutOfVocabularyToken:
             for msg in user.pending_setup
         ]
         with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):
-            run_decode_session(user, ModelParty(small_weights), Controller(), max_tokens=4,
-                               transport=transport)
+            run_sessions(ModelParty(small_weights), Controller(), [user], 4,
+                         transport=transport)
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("token", [64, 10**6])
@@ -645,8 +666,7 @@ class TestOutOfVocabularyToken:
         user.handle_frame = out_of_vocabulary_reply
         ctrl = Controller()
         with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):
-            run_decode_session(user, ModelParty(small_weights), ctrl, max_tokens=4,
-                               transport=transport)
+            run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
         assert not ctrl.killed
 
 
@@ -660,7 +680,7 @@ class TestController:
     def test_correct_token_passes(self):
         ctrl = Controller()
         ctrl.open_stream(1)
-        ctrl.register_expected(1, 42)
+        ctrl.expect(1, np.eye(64)[42])  # greedy: token 42
         msg = ProtocolMessage(tag=TAG_TOKEN, session_id=1, payload=encode_token(42))
         assert controller_gate(ctrl, msg).passed
 
@@ -705,7 +725,7 @@ class TestController:
             4, WeightsHandle(small_weights), temperature=0.8, sample_seed=123
         )
         user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
-        transcript = run_decode_session(user, model, ctrl, max_tokens=12)
+        transcript = run_sessions(model, ctrl, [user], 12)
         sid = next(iter(user.streams))
         assert not ctrl.killed
         assert transcript.tokens[sid] == user.streams[sid].tokens
@@ -741,37 +761,6 @@ class TestController:
         assert 3 in ctrl.killed
 
 
-def run_socket_sessions(model, ctrl, users, max_tokens):
-    """run_sessions with one localhost TCP link per user, each user party
-    served by serve_user_party on its own thread."""
-    transcript = Transcript(config=model.config)
-    setup_counts = {u.user_id: len(u.pending_setup) for u in users}
-    threads, links = [], []
-
-    def serve(listener, user):
-        conn, _ = listener.accept()
-        with conn:
-            protocol.serve_user_party(user, conn)
-
-    with contextlib.ExitStack() as stack:
-        for user in users:
-            listener = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
-            thread = threading.Thread(target=serve, args=(listener, user), daemon=True)
-            thread.start()
-            threads.append(thread)
-            client = stack.enter_context(socket.create_connection(listener.getsockname()[:2]))
-            links.append((user, protocol.SocketLink(client, transcript)))
-
-        def socket_setup(user, link, transcript):
-            return [protocol.deserialize(link.recv()) for _ in range(setup_counts[user.user_id])]
-
-        protocol._drive(model, ctrl, links, max_tokens, transcript, socket_setup)
-    for thread in threads:
-        thread.join(timeout=protocol._USER_JOIN_S)
-        assert not thread.is_alive()
-    return transcript
-
-
 class TestArena:
     """Public K/V live in one slot arena; every stream's tokens equal its
     solo greedy decode whichever way the arena is indexed or grown."""
@@ -798,9 +787,7 @@ class TestArena:
 
         monkeypatch.setattr(partition, "_arena_rows", noting_rows)
         model, ctrl = ModelParty(small_weights), Controller()
-        transcript = Transcript(config=small_weights.config)
-        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
-        run_sessions(model, ctrl, links, 12, transcript)
+        run_sessions(model, ctrl, users, 12)
 
         assert list(ctrl.killed) == list(victim.streams)
         # slots 0, 2, 3 stay live after the kill: the arena is gathered
@@ -815,28 +802,22 @@ class TestArena:
         prompts = [list(range(1, 9)), [4, 2, 7], [6] * 5]  # the shortest comes second
         users = [decoy_user(small_weights, 0, user_id=u, prompt=p) for u, p in enumerate(prompts)]
         model = ModelParty(small_weights)
-        transcript = Transcript(config=c)
-        links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
-        run_sessions(model, Controller(), links, 16, transcript)
+        run_sessions(model, Controller(), users, 16)
         assert model.public_k.shape[:4] == (4, c.n_layers, c.n_heads, c.max_seq - 3)
         for user, prompt in zip(users, prompts):
             assert user.authentic_response() == greedy_decode(small_weights, prompt, 16)
 
     def test_late_registration_copies_written_rows(self, small_weights):
-        c = small_weights.config
         early, late = [5, 9, 2, 7, 7], [8, 1]
         first = decoy_user(small_weights, 0, user_id=1, prompt=early)
         model, ctrl = ModelParty(small_weights), Controller()
-        transcript = Transcript(config=c)
-        first_link = (first, InProcLink(first.handle_frame, transcript))
-        run_sessions(model, ctrl, [first_link], 6, transcript)
+        run_sessions(model, ctrl, [first], 6)
         rows_before = model.public_k.shape[3]
         written = model.public_k[0, :, :, :6].copy()
 
         # a second user with a shorter prompt joins: slots and rows grow
         second = decoy_user(small_weights, 1, user_id=2, prompt=late)
-        links = [first_link, (second, InProcLink(second.handle_frame, transcript))]
-        run_sessions(model, ctrl, links, 10, transcript)
+        run_sessions(model, ctrl, [first, second], 10)
         assert model.public_k.shape[0] == 4 and model.public_k.shape[3] > rows_before
         assert np.array_equal(model.public_k[0, :, :, :6], written)
         assert not ctrl.killed
@@ -909,7 +890,7 @@ class TestSharedPrefixPrefill:
             assert user.shared_k.shape[2] == p
             c = long_weights.config
             assert user.private_k.shape == (lam + 1, c.n_layers, c.n_heads, n - p, c.head_dim)
-            run_decode_session(user, ModelParty(long_weights), Controller(), max_tokens=2)
+            run_sessions(ModelParty(long_weights), Controller(), [user], 2)
             assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
 
     def test_prefill_rows_grow_sub_linearly_in_lambda(self, long_weights, monkeypatch):
@@ -931,21 +912,18 @@ class TestSharedPrefixPrefill:
         assert stored == 124 + 4 * 4
 
 
-class RecordingLink(InProcLink):
-    """Keeps raw frame bytes for leak scanning."""
+def record_frames(user):
+    """Wrap the user party's frame handler to keep the raw bytes of every
+    frame it receives and every reply it sends, for leak scanning."""
+    frames, handle = [], user.handle_frame
 
-    def __init__(self, handler, transcript):
-        super().__init__(handler, transcript)
-        self.frames = []
+    def recording(frame):
+        replies = handle(frame)
+        frames.extend([frame, *replies])
+        return replies
 
-    def send(self, frame):
-        self.frames.append(frame)
-        super().send(frame)
-
-    def recv(self):
-        frame = super().recv()
-        self.frames.append(frame)
-        return frame
+    user.handle_frame = recording
+    return frames
 
 
 class TestConfidentiality:
@@ -956,11 +934,10 @@ class TestConfidentiality:
         for lam, prompt, stored in ((0, [13, 17, 19, 23], 4),
                                     (3, [13, 17, 19, 23, 29, 31, 37, 41, 43, 47], 4 + 4 * 6)):
             user = decoy_user(small_weights, lam, prompt=prompt, span=4)
-            frames = list(user.pending_setup)
-            transcript = Transcript(config=c)
-            link = RecordingLink(user.handle_frame, transcript)
-            run_sessions(ModelParty(small_weights), Controller(), [(user, link)], 12, transcript)
-            wire_bytes = b"".join(link.frames) + b"".join(serialize(m) for m in frames)
+            setup = b"".join(serialize(m) for m in user.pending_setup)
+            frames = record_frames(user)
+            run_sessions(ModelParty(small_weights), Controller(), [user], 12)
+            wire_bytes = setup + b"".join(frames)
 
             rows = [user.shared_k, user.shared_v]
             for index in range(lam + 1):
@@ -975,7 +952,7 @@ class TestConfidentiality:
     def test_message_count_constant_per_round(self, small_weights):
         prompt = [2, 3, 5]
         model, ctrl, user = make_session(small_weights, prompt)
-        transcript = run_decode_session(user, model, ctrl, max_tokens=12)
+        transcript = run_sessions(model, ctrl, [user], 12)
         per_step = {}
         for e in transcript.entries:
             if e.step >= 1:
@@ -987,7 +964,7 @@ class TestConfidentiality:
 class TestCommAccounting:
     def run_report(self, weights, prompt, max_tokens=8):
         model, ctrl, user = make_session(weights, prompt)
-        transcript = run_decode_session(user, model, ctrl, max_tokens=max_tokens)
+        transcript = run_sessions(model, ctrl, [user], max_tokens)
         return comm_accounting(transcript)
 
     def test_scalar_formula(self, small_weights):
@@ -1006,15 +983,10 @@ class TestCommAccounting:
         wide_report = self.run_report(wide, [1, 2, 3])
         assert wide_report.query_scalars_per_round == 2 * narrow_report.query_scalars_per_round
 
-    @pytest.mark.parametrize("driver", ["run_sessions", "inproc", "socket"])
-    def test_one_round_time_per_decode_round(self, small_weights, driver):
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_one_round_time_per_decode_round(self, small_weights, transport):
         model, ctrl, user = make_session(small_weights, [1, 2, 3])
-        if driver == "run_sessions":
-            transcript = Transcript(config=small_weights.config)
-            link = InProcLink(user.handle_frame, transcript)
-            run_sessions(model, ctrl, [(user, link)], 8, transcript)
-        else:
-            transcript = run_decode_session(user, model, ctrl, max_tokens=8, transport=driver)
+        transcript = run_sessions(model, ctrl, [user], 8, transport=transport)
         steps = comm_accounting(transcript).steps
         assert steps > 0
         assert len(transcript.round_s) == steps
@@ -1026,12 +998,7 @@ class TestCommAccounting:
         c = small_weights.config
         users = [decoy_user(small_weights, 3, user_id=u, prompt=(u + 2, 7, 1)) for u in (1, 2)]
         model = ModelParty(small_weights, stop_at_eos=False)
-        if transport == "inproc":
-            transcript = Transcript(config=c)
-            links = [(u, InProcLink(u.handle_frame, transcript)) for u in users]
-            run_sessions(model, Controller(), links, 6, transcript)
-        else:
-            transcript = run_socket_sessions(model, Controller(), users, 6)
+        transcript = run_sessions(model, Controller(), users, 6, transport=transport)
         queries = [e for e in transcript.entries if e.tag == TAG_QUERY]
         assert queries and all(e.head == 4 for e in queries)
         report = comm_accounting(transcript)
@@ -1046,7 +1013,7 @@ class TestCommAccounting:
 
     def test_transcript_dump_format(self, small_weights):
         model, ctrl, user = make_session(small_weights, [4, 5])
-        transcript = run_decode_session(user, model, ctrl, max_tokens=2)
+        transcript = run_sessions(model, ctrl, [user], 2)
         lines = transcript.dump().splitlines()
         # one line per frame, then one per gate decision
         frames, gates = lines[: len(transcript.entries)], lines[len(transcript.entries) :]
@@ -1066,11 +1033,10 @@ class TestCommAccounting:
     def test_wire_total_counts_link_bytes(self, small_weights):
         user = decoy_user(small_weights, 1)
         setup = b"".join(serialize(m) for m in user.pending_setup)
-        transcript = Transcript(config=small_weights.config)
-        link = RecordingLink(user.handle_frame, transcript)
-        run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
-                     [(user, link)], 6, transcript)
-        wire = len(setup) + sum(len(f) for f in link.frames)
+        frames = record_frames(user)
+        transcript = run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                                  [user], 6)
+        wire = len(setup) + sum(len(f) for f in frames)
         assert transcript.total_bytes() == wire
         assert comm_accounting(transcript).total_bytes == wire
         # the gate saw every token, none of them as a link frame
@@ -1079,10 +1045,8 @@ class TestCommAccounting:
     def test_accounting_catches_an_extra_frame(self, small_weights):
         c = small_weights.config
         user = decoy_user(small_weights, 1)
-        transcript = Transcript(config=c)
-        link = InProcLink(user.handle_frame, transcript)
-        run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
-                     [(user, link)], 6, transcript)
+        transcript = run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                                  [user], 6)
         queries = [e for e in transcript.entries if e.tag == TAG_QUERY]
         assert queries and all(e.head == 2 for e in queries)
         report = comm_accounting(transcript)

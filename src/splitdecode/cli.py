@@ -1,8 +1,8 @@
 """Command-line entry point: end-to-end demo, verification suites, and
 the scaling bench.
 
-Exit codes: 0 success, 2 invariant failure, 3 obfuscation abort,
-4 protocol violation.
+Exit codes: 0 success, 1 resource exhaustion (bench), 2 usage error or
+invariant failure, 3 obfuscation abort, 4 protocol violation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .protocol import (
 from .verify import run_suite
 
 EXIT_OK = 0
-EXIT_INVARIANT = 2
+EXIT_RESOURCE = 1
+EXIT_INVARIANT = 2  # argparse exits with 2 on a usage error too
 EXIT_OBFUSCATION_ABORT = 3
 EXIT_PROTOCOL = 4
 
@@ -162,7 +163,7 @@ def cmd_bench(cfg, out_path: str | None) -> int:
         records = sweep(configs)
     except MemoryError as exc:
         print(f"resource exhaustion: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_RESOURCE
     csv_text = bench_csv(records)
     path = out_path or "bench.csv"
     with open(path, "w", encoding="utf-8") as fh:

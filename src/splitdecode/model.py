@@ -16,14 +16,13 @@ differ only in the attention callback they hand it.
 Weight file format (save_weights/load_weights): magic bytes ``OSPDW1``,
 then the seven config integers (n_layers, n_heads, d_model, head_dim,
 vocab_size, max_seq, seed) as little-endian int32, then every tensor in
-declared order (embed; per layer: wq, wk, wv, wo, w_in, w_out, gain_attn,
-gain_mlp; final_gain; unembed) as row-major little-endian float64.
+the order of ``_tensor_layout`` as row-major little-endian float64.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,17 +135,10 @@ class Weights:
     unembed: np.ndarray
 
     def tensors(self):
-        """All tensors in the declared (file) order."""
+        """All tensors in file order (see _tensor_layout)."""
         yield self.embed
         for lw in self.layers:
-            yield lw.wq
-            yield lw.wk
-            yield lw.wv
-            yield lw.wo
-            yield lw.w_in
-            yield lw.w_out
-            yield lw.gain_attn
-            yield lw.gain_mlp
+            yield from vars(lw).values()
         yield self.final_gain
         yield self.unembed
 
@@ -162,6 +154,30 @@ def reset_weight_alloc_count() -> int:
     return previous
 
 
+def _tensor_layout(c: ModelConfig) -> list[tuple[int, int, float, bool]]:
+    """Every tensor of the weights in file order, as (rows, cols, init
+    scale, gain): embed; per layer wq, wk, wv, wo, w_in, w_out, gain_attn,
+    gain_mlp (LayerWeights' field order); final_gain; unembed. A gain is a
+    d_model vector 1 + N(0, scale^2), centred at 1 so early layers neither
+    kill nor blow up signal; every other tensor is a rows x cols matrix of
+    N(0, scale^2) entries."""
+    d, h, v = c.d_model, c.mlp_hidden, c.vocab_size
+    layer = [(d, d, d**-0.5, False)] * 4 + [
+        (d, h, d**-0.5, False), (h, d, h**-0.5, False), (1, d, 0.1, True), (1, d, 0.1, True)
+    ]
+    return [(v, d, 1.0, False), *layer * c.n_layers, (1, d, 0.1, True), (d, v, d**-0.5, False)]
+
+
+def _assemble(config: ModelConfig, tensors: list[np.ndarray]) -> Weights:
+    """Weights from every tensor in _tensor_layout order; counts one
+    weight copy."""
+    global _weight_allocations
+    _weight_allocations += 1
+    n = len(fields(LayerWeights))
+    layers = [LayerWeights(*tensors[i : i + n]) for i in range(1, len(tensors) - 2, n)]
+    return Weights(config, tensors[0], layers, tensors[-2], tensors[-1])
+
+
 def init_model(config: ModelConfig) -> Weights:
     """Build all weights deterministically from config.seed.
 
@@ -169,41 +185,13 @@ def init_model(config: ModelConfig) -> Weights:
     so distinct tensors never share a stream and two configs with the
     same seed produce byte-identical weights.
     """
-    global _weight_allocations
-    d, h = config.d_model, config.mlp_hidden
-    n_tensors = 2 + 8 * config.n_layers + 1
-    tensor_seeds = np.random.SeedSequence(config.seed).generate_state(
-        n_tensors, dtype=np.uint64
-    )
-    seeds = iter(int(s) for s in tensor_seeds)
-
-    embed = seeded_matrix(next(seeds), config.vocab_size, d, 1.0)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                wq=seeded_matrix(next(seeds), d, d, d**-0.5),
-                wk=seeded_matrix(next(seeds), d, d, d**-0.5),
-                wv=seeded_matrix(next(seeds), d, d, d**-0.5),
-                wo=seeded_matrix(next(seeds), d, d, d**-0.5),
-                w_in=seeded_matrix(next(seeds), d, h, d**-0.5),
-                w_out=seeded_matrix(next(seeds), h, d, h**-0.5),
-                # gains centered at 1 so early layers neither kill nor blow up signal
-                gain_attn=1.0 + seeded_matrix(next(seeds), 1, d, 0.1)[0],
-                gain_mlp=1.0 + seeded_matrix(next(seeds), 1, d, 0.1)[0],
-            )
-        )
-    final_gain = 1.0 + seeded_matrix(next(seeds), 1, d, 0.1)[0]
-    unembed = seeded_matrix(next(seeds), d, config.vocab_size, d**-0.5)
-
-    _weight_allocations += 1
-    return Weights(
-        config=config,
-        embed=embed,
-        layers=layers,
-        final_gain=final_gain,
-        unembed=unembed,
-    )
+    layout = _tensor_layout(config)
+    seeds = np.random.SeedSequence(config.seed).generate_state(len(layout), dtype=np.uint64)
+    tensors = []
+    for seed, (rows, cols, scale, gain) in zip(seeds, layout):
+        tensor = seeded_matrix(int(seed), rows, cols, scale)
+        tensors.append(1.0 + tensor[0] if gain else tensor)
+    return _assemble(config, tensors)
 
 
 @dataclass
@@ -467,51 +455,26 @@ def save_weights(weights: Weights, path):
 
 def load_weights(path) -> Weights:
     """Read a weight file; raises FileFormatError on any malformation."""
-    global _weight_allocations
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(WEIGHT_FILE_MAGIC):
         raise FileFormatError("bad magic bytes")
     off = len(WEIGHT_FILE_MAGIC)
     try:
-        n_layers, n_heads, d_model, head_dim, vocab, max_seq, seed = struct.unpack_from(
-            "<7i", data, off
-        )
+        config = ModelConfig(*struct.unpack_from("<7i", data, off))
     except struct.error as exc:
         raise FileFormatError("truncated config header") from exc
     off += struct.calcsize("<7i")
-    config = ModelConfig(n_layers, n_heads, d_model, head_dim, vocab, max_seq, seed)
 
-    def take(rows, cols):
-        nonlocal off
+    tensors = []
+    for rows, cols, _, gain in _tensor_layout(config):
         nbytes = rows * cols * 8
         if off + nbytes > len(data):
             raise FileFormatError("truncated tensor data")
-        out = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off)
+        tensor = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off)
+        tensor = tensor.reshape(rows, cols).astype(np.float64)
         off += nbytes
-        return out.reshape(rows, cols).astype(np.float64)
-
-    d, h = config.d_model, config.mlp_hidden
-    embed = take(config.vocab_size, d)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                wq=take(d, d),
-                wk=take(d, d),
-                wv=take(d, d),
-                wo=take(d, d),
-                w_in=take(d, h),
-                w_out=take(h, d),
-                gain_attn=take(1, d)[0],
-                gain_mlp=take(1, d)[0],
-            )
-        )
-    final_gain = take(1, d)[0]
-    unembed = take(d, config.vocab_size)
+        tensors.append(tensor[0] if gain else tensor)
     if off != len(data):
         raise FileFormatError(f"{len(data) - off} trailing bytes")
-    _weight_allocations += 1
-    return Weights(
-        config=config, embed=embed, layers=layers, final_gain=final_gain, unembed=unembed
-    )
+    return _assemble(config, tensors)

@@ -190,7 +190,10 @@ class InProcLink:
 
     def send(self, frame: bytes):
         self.transcript.record("m2u", self.step, frame)
-        self._pending.extend(self._handler(frame))
+        try:
+            self._pending.extend(self._handler(frame))
+        except Exception as exc:  # as over a socket: typed, with the cause kept
+            raise ProtocolError(f"user party failed: {exc!r}") from exc
 
     def recv(self) -> bytes:
         if not self._pending:
@@ -383,6 +386,16 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
+    def _draw(self, stream: _UserStream, logits: np.ndarray) -> ProtocolMessage:
+        """Draw the stream's next token from logits with its rule, keep it,
+        queue it outward for the gate, and return its TOKEN for the model
+        party."""
+        token = stream.rule.token(logits, len(stream.tokens))
+        stream.tokens.append(token)
+        msg = ProtocolMessage(TAG_TOKEN, stream.stream_id, payload=encode_token(token))
+        self._queue_outward(msg)
+        return msg
+
     def authentic_response(self) -> list[int]:
         """Winnow: the response stream at the PRF-derived index."""
         idx = self.vps.idx if self.vps is not None else 0
@@ -400,14 +413,7 @@ class UserParty:
         if msg.tag == TAG_QUERY:
             return [self._answer_query(msg)]
         if msg.tag == TAG_FINAL_Y:
-            logits = decode_f64s(msg.payload)
-            token = stream.rule.token(logits, len(stream.tokens))
-            stream.tokens.append(token)
-            token_msg = ProtocolMessage(
-                tag=TAG_TOKEN, session_id=msg.session_id, payload=encode_token(token)
-            )
-            self._queue_outward(token_msg)
-            return [serialize(token_msg)]
+            return [serialize(self._draw(stream, decode_f64s(msg.payload)))]
         if msg.tag == TAG_ABORT:
             stream.alive = False
             return []
@@ -504,20 +510,9 @@ def user_prefill(
         party.private_k[index] = cache.k[:, :, p:n]
         party.private_v[index] = cache.v[:, :, p:n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
-        stream = _UserStream(stream_id, index, tokens=[], rule=rule)
-        first = rule.token(logits, 0)
-        stream.tokens.append(first)
-        party.streams[stream_id] = stream
-        token_msg = ProtocolMessage(
-            tag=TAG_TOKEN, session_id=stream_id, payload=encode_token(first)
-        )
-        messages.append(
-            ProtocolMessage(
-                tag=TAG_CONTROL, session_id=stream_id, payload=encode_setup(len(tokens))
-            )
-        )
-        messages.append(token_msg)
-        party._queue_outward(token_msg)
+        party.streams[stream_id] = stream = _UserStream(stream_id, index, tokens=[], rule=rule)
+        setup = ProtocolMessage(TAG_CONTROL, stream_id, payload=encode_setup(len(tokens)))
+        messages += [setup, party._draw(stream, logits)]
 
     party.weights_handle.release()
     party.pending_setup = list(messages)
@@ -665,6 +660,7 @@ class ModelParty:
         return slot
 
     def handle_user_frame(self, msg: ProtocolMessage):
+        """Take a stream's setup (CONTROL) or its next TOKEN, at setup or in a round."""
         if msg.tag == TAG_CONTROL:
             if msg.session_id in self.streams:
                 raise ProtocolError(f"stream {msg.session_id} registered twice")
@@ -688,19 +684,17 @@ class ModelParty:
                 raise ProtocolError(f"token for unregistered stream {msg.session_id}")
             if stream.pending_token is not None:
                 raise ProtocolError("duplicate token before a decode round")
-            self._accept_token(stream, decode_token(msg.payload))
+            token = decode_token(msg.payload)
+            if token >= self.config.vocab_size:
+                raise ProtocolError(
+                    f"stream {msg.session_id} sent token {token}, outside the "
+                    f"{self.config.vocab_size}-token vocabulary"
+                )
+            stream.pending_token = token
+            if self.stop_at_eos and token == self.config.eos_token:
+                stream.done = True
             return
         raise ProtocolError(f"model party cannot handle {msg.tag_name} frames")
-
-    def _accept_token(self, stream: _ModelStream, token: int):
-        if token >= self.config.vocab_size:
-            raise ProtocolError(
-                f"stream {stream.stream_id} sent token {token}, outside the "
-                f"{self.config.vocab_size}-token vocabulary"
-            )
-        stream.pending_token = token
-        if self.stop_at_eos and token == self.config.eos_token:
-            stream.done = True
 
     def active_streams(self) -> list[int]:
         return [s.stream_id for s in self.streams.values() if s.live]
@@ -724,21 +718,21 @@ def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
     ))
 
 
-def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> bytes:
-    """The payload of the next reply, which must be tag for stream_id/layer/head."""
+def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> ProtocolMessage:
+    """The next reply, which must be tag for stream_id/layer/head."""
     msg = deserialize(link.recv())
     if (msg.tag, msg.session_id, msg.layer, msg.head) != (tag, stream_id, layer, head):
         raise ProtocolError(
             f"out-of-order reply: expected {TAG_NAMES[tag]} {stream_id}/{layer}/{head}, "
             f"got {msg.tag_name} {msg.session_id}/{msg.layer}/{msg.head}"
         )
-    return msg.payload
+    return msg
 
 
 def _expect_partials(link, stream_ids: list[int], layer: int, c: ModelConfig) -> np.ndarray:
     """The (S, n_heads, head_dim + 2) reply to the QUERY naming stream_ids."""
     count = len(stream_ids)
-    payload = _expect(link, TAG_PARTIAL, stream_ids[0], layer, count)
+    payload = _expect(link, TAG_PARTIAL, stream_ids[0], layer, count).payload
     want = count * c.n_heads * (c.head_dim + 2)
     if len(payload) != 8 * want:
         raise ProtocolError(
@@ -807,38 +801,32 @@ def model_batch_step(
         st = states[i]
         controller.expect(sid, logits[i])
         link.send(_frame(TAG_FINAL_Y, sid, values=logits[i]))
-        token = decode_token(_expect(link, TAG_TOKEN, sid))
-        model._accept_token(st, token)
+        model.handle_user_frame(_expect(link, TAG_TOKEN, sid))
         st.pos += 1
         if st.pos >= c.max_seq:
             st.done = True
-        returned[sid] = token
+        returned[sid] = st.pending_token
     return returned
 
 
 # -- session drivers ----------------------------------------------------
 
 
-def _route_outward(user: UserParty, ctrl: Controller, transcript: Transcript, step: int):
+def _route_outward(user: UserParty, link, model: ModelParty, ctrl: Controller,
+                   transcript: Transcript, step: int):
     """Push the user party's outward messages through the gate, logging
-    each decision in transcript.gate_log."""
-    killed_now = []
+    each decision in transcript.gate_log, and abort every stream of a
+    blocked message that the controller has killed."""
     for msg in user.take_outward():
+        sid = msg.session_id
         decision = controller_gate(ctrl, msg)
-        transcript.gate_log.append((step, msg.session_id, decision.passed, decision.reason))
+        transcript.gate_log.append((step, sid, decision.passed, decision.reason))
         if decision.passed:
-            transcript.tokens.setdefault(msg.session_id, []).append(
-                decode_token(msg.payload)
-            )
-        elif msg.session_id in ctrl.killed:
-            killed_now.append(msg.session_id)
-    return killed_now
-
-
-def _abort_stream(model: ModelParty, link, stream_id: int):
-    if stream_id in model.streams:
-        model.streams[stream_id].done = True
-    link.send(_frame(TAG_ABORT, stream_id))
+            transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
+        elif sid in ctrl.killed:
+            if sid in model.streams:
+                model.streams[sid].done = True
+            link.send(_frame(TAG_ABORT, sid))
 
 
 _USER_JOIN_S = 5.0  # how long a socket session waits for its user threads to end
@@ -903,13 +891,22 @@ def run_sessions(
     (transport="socket"). The setup frames arrive first through the
     links; then each round advances all active streams of all users in
     one batched model step, and its wall time, the step plus gate
-    routing, is appended to transcript.round_s.
+    routing, is appended to transcript.round_s. On exit, normal or not,
+    the model party forgets every stream the call registered; they hold
+    its last arena slots, which the next registrations reuse.
     """
     if transport not in ("inproc", "socket"):
         raise ValueError(f"unknown transport {transport!r}")
     transcript = Transcript(config=model.config)
     setup_counts = [len(user.pending_setup) for user in users]
+    known = set(model.streams)
+
+    def forget():
+        for sid in model.streams.keys() - known:
+            del model.streams[sid]
+
     with contextlib.ExitStack() as stack:
+        stack.callback(forget)  # runs last, after every link is closed
         if transport == "socket":
             links = _socket_links(users, transcript, stack)
         else:
@@ -922,8 +919,7 @@ def run_sessions(
                 link_of[sid] = link
                 # the rule goes to the controller directly, never over the link
                 ctrl.open_stream(sid, stream.rule)
-            for sid in _route_outward(user, ctrl, transcript, 0):
-                _abort_stream(model, link, sid)
+            _route_outward(user, link, model, ctrl, transcript, 0)
 
         for step in range(1, max_tokens + 1):
             pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
@@ -932,8 +928,7 @@ def run_sessions(
             t0 = time.perf_counter()
             model_batch_step(model, pairs, controller=ctrl, step=step)
             for user, link in zip(users, links):
-                for sid in _route_outward(user, ctrl, transcript, step):
-                    _abort_stream(model, link, sid)
+                _route_outward(user, link, model, ctrl, transcript, step)
             transcript.round_s.append(time.perf_counter() - t0)
     return transcript
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from splitdecode.model import (
     rotary_encode,
     sample_token,
     save_weights,
+    weight_alloc_count,
 )
 from splitdecode.numerics import DimensionError
 
@@ -91,6 +93,28 @@ class TestInitModel:
         w1, w2 = init_model(small_config), init_model(small_config)
         for t1, t2 in zip(w1.tensors(), w2.tensors()):
             assert np.array_equal(t1, t2)
+
+    @pytest.mark.parametrize(
+        "config, size, digest",
+        [
+            # the benchmark's pinned model, and small_config
+            (ModelConfig(4, 4, 256, 64, 256, 160, 20240928), 26_232_866,
+             "bb6c427b8c2286ac27563faf5e8455fc"),
+            (ModelConfig(2, 2, 16, 8, 64, 96, 7), 66_210, "649653ac35b2c1b2e4a7a57c69116d07"),
+        ],
+        ids=["pinned", "small"],
+    )
+    def test_weight_file_bytes_are_pinned(self, config, size, digest, tmp_path):
+        # init_model and save_weights must keep every bit of these files,
+        # and init and load each count one weight copy
+        path = tmp_path / "model.bin"
+        before = weight_alloc_count()
+        save_weights(init_model(config), path)
+        data = path.read_bytes()
+        assert len(data) == size
+        assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
+        load_weights(path)
+        assert weight_alloc_count() == before + 2
 
     def test_seed_changes_logits(self, small_config):
         other = ModelConfig(
@@ -334,6 +358,12 @@ class TestWeightFile:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTAWEIGHTFILE")
         with pytest.raises(FileFormatError):
+            load_weights(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"OSPDW1" + b"\x00" * 27)
+        with pytest.raises(FileFormatError, match="truncated config header"):
             load_weights(path)
 
     def test_truncated(self, small_weights, tmp_path):

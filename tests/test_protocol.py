@@ -138,7 +138,8 @@ class TestSingleSession:
         with pytest.raises(ValueError):
             run_sessions(model, ctrl, [user], 1, transport="carrier-pigeon")
 
-    def test_socket_user_failure_is_the_cause(self, small_weights):
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_socket_user_failure_is_the_cause(self, small_weights, transport):
         model, ctrl, user = make_session(small_weights, [9, 4, 4, 1])
         handle = user.handle_frame
         frames = itertools.count(1)
@@ -150,10 +151,11 @@ class TestSingleSession:
 
         user.handle_frame = failing
         t0 = time.perf_counter()
-        with pytest.raises(ProtocolError, match="frame 5") as info:
-            run_sessions(model, ctrl, [user], 8, transport="socket")
+        with pytest.raises(ProtocolError, match="user party failed: .*frame 5") as info:
+            run_sessions(model, ctrl, [user], 8, transport=transport)
         assert time.perf_counter() - t0 < protocol._USER_JOIN_S
         assert isinstance(info.value.__cause__, ValueError)
+        assert model.streams == {}
 
     @pytest.mark.parametrize("failing", [False, True], ids=["clean", "user-1-fails"])
     def test_socket_sessions_leave_no_thread(self, small_weights, failing):
@@ -797,6 +799,20 @@ class TestArena:
             if user is not victim:
                 assert user.authentic_response() == greedy_decode(small_weights, prompt, 12)
 
+    def test_sequential_sessions_forget_their_streams(self, small_weights):
+        # each session leaves the model party as it found it: one slot,
+        # reused by the next session's stream
+        model = ModelParty(small_weights)
+        for u in range(9):
+            prompt = [3 + u, 1, 4]
+            user = decoy_user(small_weights, 0, user_id=u, prompt=prompt)
+            transcript = run_sessions(model, Controller(), [user], 4)
+            assert model.streams == {}
+            assert model.public_k.shape[0] == 1
+            assert transcript.tokens[next(iter(user.streams))] == greedy_decode(
+                small_weights, prompt, 4
+            )
+
     def test_mixed_prompt_lengths_grow_the_rows(self, small_weights):
         c = small_weights.config
         prompts = [list(range(1, 9)), [4, 2, 7], [6] * 5]  # the shortest comes second
@@ -809,15 +825,40 @@ class TestArena:
 
     def test_late_registration_copies_written_rows(self, small_weights):
         early, late = [5, 9, 2, 7, 7], [8, 1]
-        first = decoy_user(small_weights, 0, user_id=1, prompt=early)
         model, ctrl = ModelParty(small_weights), Controller()
-        run_sessions(model, ctrl, [first], 6)
+        transcript = Transcript(config=small_weights.config)
+        users, link_of = [], {}
+
+        def join(user):  # what run_sessions does at setup
+            users.append(user)
+            link = InProcLink(user.handle_frame, transcript)
+            for msg in user.pending_setup:
+                model.handle_user_frame(msg)
+            for sid, stream in user.streams.items():
+                ctrl.open_stream(sid, stream.rule)
+                link_of[sid] = link
+            route()
+
+        def route():
+            for msg in (m for user in users for m in user.take_outward()):
+                assert controller_gate(ctrl, msg).passed
+
+        def rounds(n):
+            for _ in range(n):
+                pairs = [(sid, link_of[sid]) for sid in model.active_streams()]
+                model_batch_step(model, pairs, controller=ctrl)
+                route()
+
+        first = decoy_user(small_weights, 0, user_id=1, prompt=early)
+        join(first)
+        rounds(6)
         rows_before = model.public_k.shape[3]
         written = model.public_k[0, :, :, :6].copy()
 
-        # a second user with a shorter prompt joins: slots and rows grow
+        # a second user with a shorter prompt joins mid-decode: slots and rows grow
         second = decoy_user(small_weights, 1, user_id=2, prompt=late)
-        run_sessions(model, ctrl, [first, second], 10)
+        join(second)
+        rounds(10)
         assert model.public_k.shape[0] == 4 and model.public_k.shape[3] > rows_before
         assert np.array_equal(model.public_k[0, :, :, :6], written)
         assert not ctrl.killed

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import ModelConfig
+from .model import ConfigError, ModelConfig
 from .obfuscation import ObfuscationConfig
 
 __all__ = [
@@ -17,10 +17,6 @@ __all__ = [
     "load_run_config",
     "parse_run_config",
 ]
-
-
-class ConfigError(ValueError):
-    """Config file missing, malformed, or carrying unknown keys."""
 
 
 DEFAULTS = {

@@ -68,7 +68,7 @@ _weight_allocations = 0
 
 
 class ConfigError(ValueError):
-    """Model configuration violates its invariants."""
+    """A model configuration, or a run-config file, that is invalid."""
 
 
 class CacheFullError(RuntimeError):
@@ -147,11 +147,9 @@ def weight_alloc_count() -> int:
     return _weight_allocations
 
 
-def reset_weight_alloc_count() -> int:
+def reset_weight_alloc_count():
     global _weight_allocations
-    previous = _weight_allocations
     _weight_allocations = 0
-    return previous
 
 
 def _tensor_layout(c: ModelConfig) -> list[tuple[int, int, float, bool]]:
@@ -204,17 +202,14 @@ class KvCache:
     """
 
     config: ModelConfig
-    k: np.ndarray = field(repr=False, default=None)
-    v: np.ndarray = field(repr=False, default=None)
+    k: np.ndarray = field(repr=False, init=False)
+    v: np.ndarray = field(repr=False, init=False)
     length: int = 0
 
     def __post_init__(self):
         c = self.config
         shape = (c.n_layers, c.n_heads, c.max_seq, c.head_dim)
-        if self.k is None:
-            self.k = np.zeros(shape)
-        if self.v is None:
-            self.v = np.zeros(shape)
+        self.k, self.v = np.zeros(shape), np.zeros(shape)
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:

@@ -156,7 +156,6 @@ class FakeNgramSet:
     by token ids); the authentic segment is always a member.
     """
 
-    segment_index: int
     candidates: tuple
     includes_authentic: bool
 
@@ -193,7 +192,8 @@ def gqs(
         raise ValueError("sampling needs epsilon > 0")
     if config.lambda_max < 1:
         raise ValueError("sampling needs a candidate budget of at least 1")
-    segment_index = list(prompt.spans).index((start, n))
+    if (start, n) not in prompt.spans:
+        raise ValueError(f"segment {(start, n)} is not a tagged span of the prompt")
     authentic = prompt.tokens[start : start + n]
     context = list(prompt.tokens[:start])
     view = tempered(oracle, config.temperature)
@@ -225,7 +225,6 @@ def gqs(
         pool = dict(kept)
 
     return FakeNgramSet(
-        segment_index=segment_index,
         candidates=tuple(cand for cand, _ in sorted(
             pool.items(), key=lambda kv: (abs(kv[1] - authentic_logprob), kv[0])
         )),
@@ -311,10 +310,6 @@ class VirtualPromptSet:
             raise ValueError("authentic index out of range")
         if len({len(p) for p in self.prompts}) != 1:
             raise ValueError("prompts must share one length")
-
-    @property
-    def authentic(self) -> tuple:
-        return self.prompts[self.idx]
 
 
 def build_virtual_prompts(

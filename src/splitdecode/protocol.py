@@ -413,6 +413,11 @@ class UserParty:
         if msg.tag == TAG_QUERY:
             return [self._answer_query(msg)]
         if msg.tag == TAG_FINAL_Y:
+            if len(msg.payload) != 8 * self.config.vocab_size:
+                raise ProtocolError(
+                    f"FINAL_Y for stream {msg.session_id} carries {len(msg.payload) / 8:g} "
+                    f"logits, not vocab_size = {self.config.vocab_size}"
+                )
             return [serialize(self._draw(stream, decode_f64s(msg.payload)))]
         if msg.tag == TAG_ABORT:
             stream.alive = False
@@ -424,15 +429,9 @@ class UserParty:
         head of every named stream, in one kernel call over the shared
         rows and each stream's own."""
         c, count = self.config, msg.head
-        width = c.n_heads * c.head_dim
-        if count == 0 or len(msg.payload) != count * (4 + 8 * width):
-            raise ProtocolError(
-                f"QUERY names {count} streams but its payload holds {len(msg.payload)} "
-                f"bytes, not streams * (4 + 8 * n_heads * head_dim) = {count * (4 + 8 * width)}"
-            )
         if msg.layer >= c.n_layers:
             raise ProtocolError(f"QUERY for layer {msg.layer} of a {c.n_layers}-layer model")
-        ids, qs = decode_query(msg.payload, count)
+        ids, qs = decode_query(msg.payload, count, c.n_heads * c.head_dim)
         if ids[0] != msg.session_id or len(set(ids.tolist())) != count:
             raise ProtocolError(
                 f"QUERY {msg.session_id} names the streams {ids.tolist()}: the header "
@@ -553,7 +552,9 @@ class Controller:
         self.killed: dict[int, str] = {}
 
     def open_stream(self, stream_id: int, rule: TokenRule = TokenRule()):
-        self.streams.setdefault(stream_id, _GateStream(rule))
+        """Start the stream's gate afresh, dropping any earlier kill of it."""
+        self.streams[stream_id] = _GateStream(rule)
+        self.killed.pop(stream_id, None)
 
     def expect(self, stream_id: int, logits: np.ndarray):
         """Queue the ground truth for the stream's next token: the
@@ -747,7 +748,7 @@ def model_batch_step(
     sessions: list[tuple[int, object]],
     controller: Controller,
     step: int = 1,
-) -> dict[int, int]:
+) -> None:
     """Advance every listed (stream_id, link) pair by one token in one
     batched pass, queueing each stream's ground truth on the controller.
 
@@ -757,7 +758,7 @@ def model_batch_step(
     public partial in one kernel call (partition._slot_attention), and
     merges them with the PARTIAL replies. The resulting tokens are
     identical to running each stream alone. A listed stream with no row
-    left raises. Returns the token each user party fed back.
+    left raises.
     """
     c = model.config
     for sid, _ in sessions:
@@ -767,7 +768,7 @@ def model_batch_step(
         (sid, link) for sid, link in sessions if sid in model.streams and model.streams[sid].live
     ]
     if not live:
-        return {}
+        return
     states = [model.streams[sid] for sid, _ in live]
     by_link: dict[int, tuple[object, list[int]]] = {}
     for i, (_, link) in enumerate(live):
@@ -795,37 +796,35 @@ def model_batch_step(
     for st in states:
         st.pending_token = None
     logits = trunk(model.weights, tokens, [st.pos for st in states], attend)
-
-    returned: dict[int, int] = {}
-    for i, (sid, link) in enumerate(live):
-        st = states[i]
-        controller.expect(sid, logits[i])
-        link.send(_frame(TAG_FINAL_Y, sid, values=logits[i]))
+    for (sid, link), st, row in zip(live, states, logits):
+        controller.expect(sid, row)
+        link.send(_frame(TAG_FINAL_Y, sid, values=row))
         model.handle_user_frame(_expect(link, TAG_TOKEN, sid))
         st.pos += 1
         if st.pos >= c.max_seq:
             st.done = True
-        returned[sid] = st.pending_token
-    return returned
 
 
 # -- session drivers ----------------------------------------------------
 
 
-def _route_outward(user: UserParty, link, model: ModelParty, ctrl: Controller,
-                   transcript: Transcript, step: int):
+def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
+                   ctrl: Controller, transcript: Transcript, step: int):
     """Push the user party's outward messages through the gate, logging
-    each decision in transcript.gate_log, and abort every stream of a
-    blocked message that the controller has killed."""
+    each decision in transcript.gate_log. A message naming a stream of
+    another link is blocked before the gate and kills nothing. A stream
+    the controller has killed is stopped and aborted once."""
     for msg in user.take_outward():
         sid = msg.session_id
-        decision = controller_gate(ctrl, msg)
+        if link_of.get(sid, link) is not link:
+            decision = GateDecision(False, "stream of another user")
+        else:
+            decision = controller_gate(ctrl, msg)
         transcript.gate_log.append((step, sid, decision.passed, decision.reason))
         if decision.passed:
             transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
-        elif sid in ctrl.killed:
-            if sid in model.streams:
-                model.streams[sid].done = True
+        elif sid in ctrl.killed and sid in model.streams and not model.streams[sid].done:
+            model.streams[sid].done = True
             link.send(_frame(TAG_ABORT, sid))
 
 
@@ -911,15 +910,14 @@ def run_sessions(
             links = _socket_links(users, transcript, stack)
         else:
             links = [_inproc_link(user, transcript) for user in users]
-        link_of: dict[int, object] = {}
+        link_of = {sid: link for user, link in zip(users, links) for sid in user.streams}
         for user, link, setup_count in zip(users, links, setup_counts):
             for _ in range(setup_count):
                 model.handle_user_frame(deserialize(link.recv()))
             for sid, stream in user.streams.items():
-                link_of[sid] = link
                 # the rule goes to the controller directly, never over the link
                 ctrl.open_stream(sid, stream.rule)
-            _route_outward(user, link, model, ctrl, transcript, 0)
+            _route_outward(user, link, link_of, model, ctrl, transcript, 0)
 
         for step in range(1, max_tokens + 1):
             pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
@@ -928,7 +926,7 @@ def run_sessions(
             t0 = time.perf_counter()
             model_batch_step(model, pairs, controller=ctrl, step=step)
             for user, link in zip(users, links):
-                _route_outward(user, link, model, ctrl, transcript, step)
+                _route_outward(user, link, link_of, model, ctrl, transcript, step)
             transcript.round_s.append(time.perf_counter() - t0)
     return transcript
 

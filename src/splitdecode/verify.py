@@ -262,29 +262,21 @@ def suite_protocol() -> list[Check]:
     checks.append(Check("no non-token frame exits the boundary", leaked == 0,
                         f"{leaked} of 1000 fuzzed frames passed"))
 
-    ctrl = Controller()
-    ctrl.open_stream(5)
-    ctrl.expect(5, np.eye(config.vocab_size)[9])  # greedy: token 9
-    flipped = ProtocolMessage(tag=TAG_TOKEN, session_id=5, payload=encode_token(9 ^ 1))
-    decision = controller_gate(ctrl, flipped)
-    checks.append(
-        Check("a flipped token is blocked and the session killed",
-              (not decision.passed) and 5 in ctrl.killed, decision.reason)
-    )
-
-    rule = TokenRule(temperature=0.9, seed=42, key=7)
-    logits = _rng(21).standard_normal(32)
-    ctrl = Controller()
-    ctrl.open_stream(6, rule)
-    ctrl.expect(6, logits)
-    flipped = ProtocolMessage(
-        tag=TAG_TOKEN, session_id=6, payload=encode_token(rule.token(logits, 1) ^ 1)
-    )
-    decision = controller_gate(ctrl, flipped)
-    checks.append(
-        Check("a flipped sampled token is blocked and the session killed",
-              (not decision.passed) and 6 in ctrl.killed, decision.reason)
-    )
+    flips = [  # (name, stream, rule, logits); greedy is token 9
+        ("a flipped token", 5, TokenRule(), np.eye(config.vocab_size)[9]),
+        ("a flipped sampled token", 6, TokenRule(temperature=0.9, seed=42, key=7),
+         _rng(21).standard_normal(32)),
+    ]
+    for name, sid, rule, logits in flips:
+        ctrl = Controller()
+        ctrl.open_stream(sid, rule)
+        ctrl.expect(sid, logits)
+        flipped = ProtocolMessage(
+            tag=TAG_TOKEN, session_id=sid, payload=encode_token(rule.token(logits, 1) ^ 1)
+        )
+        decision = controller_gate(ctrl, flipped)
+        checks.append(Check(f"{name} is blocked and the session killed",
+                            (not decision.passed) and sid in ctrl.killed, decision.reason))
     return checks
 
 

@@ -164,11 +164,15 @@ def encode_query(stream_ids, queries) -> bytes:
     return np.asarray(stream_ids, dtype="<u4").tobytes() + encode_f64s(queries)
 
 
-def decode_query(payload: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
+def decode_query(payload: bytes, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(stream ids, flat float64 queries) of a batched QUERY payload that
-    names count streams."""
-    if len(payload) < 4 * count or (len(payload) - 4 * count) % 8 != 0:
-        raise FrameError(f"QUERY payload of {len(payload)} bytes cannot name {count} streams")
+    names count >= 1 streams of width = n_heads * head_dim queries each.
+    Any other payload size raises FrameError."""
+    if count < 1 or len(payload) != count * (4 + 8 * width):
+        raise FrameError(
+            f"QUERY names {count} streams but its payload holds {len(payload)} "
+            f"bytes, not streams * (4 + 8 * n_heads * head_dim) = {count * (4 + 8 * width)}"
+        )
     ids = np.frombuffer(payload, dtype="<u4", count=count)
     return ids, np.frombuffer(payload, dtype="<f8", offset=4 * count).astype(np.float64)
 

@@ -281,10 +281,8 @@ class TestPrfIndex:
 
 
 class TestVirtualPrompts:
-    def fake_set(self, candidates, segment_index=0):
-        return FakeNgramSet(
-            segment_index=segment_index, candidates=candidates, includes_authentic=True
-        )
+    def fake_set(self, candidates):
+        return FakeNgramSet(candidates=candidates, includes_authentic=True)
 
     def test_abort_below_lambda_min(self):
         prompt = one_span_prompt((9, 0, 9), 1, 1)

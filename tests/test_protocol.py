@@ -36,6 +36,7 @@ from splitdecode.protocol import (
     user_prefill,
 )
 from splitdecode.wire import (
+    TAG_ABORT,
     TAG_CONTROL,
     TAG_FINAL_Y,
     TAG_NAMES,
@@ -428,7 +429,7 @@ class TestBatchedStep:
 
     def test_empty_round_returns_nothing(self, small_weights):
         model = ModelParty(small_weights)
-        assert model_batch_step(model, [], Controller()) == {}
+        assert model_batch_step(model, [], Controller()) is None
 
 
 class TestOutOfOrder:
@@ -629,6 +630,106 @@ class TestMalformedQuery:
 
         with pytest.raises(ProtocolError, match=f"QUERY names {count} streams"):
             self.run_with(small_weights, transport, monkeypatch, make_frame)
+
+
+class TestMalformedFinal:
+    """A FINAL_Y that does not carry vocab_size logits is a typed error at
+    the user party, on either transport; nothing is drawn from it and the
+    gate kills nothing."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("count", [3, 64 + 1])  # small_config's vocab_size is 64
+    def test_wrong_logit_count_raises(self, small_weights, transport, count):
+        user = decoy_user(small_weights, 1)
+        sid = next(iter(user.streams))
+        honest = user.handle_frame
+
+        def wrong_width(frame):
+            msg = protocol.deserialize(frame)
+            if msg.tag == TAG_FINAL_Y:
+                frame = serialize(ProtocolMessage(
+                    tag=TAG_FINAL_Y, session_id=msg.session_id,
+                    payload=encode_f64s(np.zeros(count)),
+                ))
+            return honest(frame)
+
+        user.handle_frame = wrong_width
+        ctrl = Controller()
+        with pytest.raises(ProtocolError, match=f"FINAL_Y for stream {sid} carries {count} logits"):
+            run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
+        assert not ctrl.killed
+
+
+class TestStreamIsolation:
+    """One user's outward messages never gate, kill or abort another
+    user's stream, a kill aborts its stream once, and a controller serves
+    one user's streams again in a later session."""
+
+    PROMPTS = ([3, 1, 4], [1, 5, 9])
+
+    def two_users(self, weights):
+        return [decoy_user(weights, 0, user_id=u, prompt=p) for u, p in enumerate(self.PROMPTS)]
+
+    @staticmethod
+    def add_to_round_one(user, extra):
+        """After the user's own token of round 1, queue extra(msg)'s
+        messages outward too."""
+        original_queue = user._queue_outward
+
+        def queue(msg):
+            original_queue(msg)
+            if len(user.streams[msg.session_id].tokens) == 2:
+                for forged in extra(msg):
+                    original_queue(forged)
+
+        user._queue_outward = queue
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("guess", ["right", "wrong"])
+    def test_token_for_another_users_stream_is_blocked(self, small_weights, guess, transport):
+        first, second = self.two_users(small_weights)
+        victim = next(iter(second.streams))
+        reference = greedy_decode(small_weights, self.PROMPTS[1], 6)
+        token = reference[1] if guess == "right" else reference[1] ^ 1
+        self.add_to_round_one(first, lambda msg: [ProtocolMessage(
+            tag=TAG_TOKEN, session_id=victim, payload=encode_token(token))])
+        ctrl = Controller()
+        transcript = run_sessions(ModelParty(small_weights), ctrl, [first, second], 6,
+                                  transport=transport)
+        assert not ctrl.killed
+        assert (1, victim, False, "stream of another user") in transcript.gate_log
+        assert transcript.tokens[victim] == reference
+        assert transcript.tokens[next(iter(first.streams))] == greedy_decode(
+            small_weights, self.PROMPTS[0], 6)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_stream_is_aborted_once(self, small_weights, transport):
+        first, second = self.two_users(small_weights)
+        culprit = next(iter(first.streams))
+
+        def flipped_twice(msg):
+            wrong = decode_token(msg.payload) ^ 1
+            return [ProtocolMessage(tag=TAG_TOKEN, session_id=culprit,
+                                    payload=encode_token(wrong))] * 2
+
+        self.add_to_round_one(first, flipped_twice)
+        ctrl = Controller()
+        transcript = run_sessions(ModelParty(small_weights), ctrl, [first, second], 6,
+                                  transport=transport)
+        assert list(ctrl.killed) == [culprit]
+        aborts = [(e.step, e.session_id) for e in transcript.entries if e.tag == TAG_ABORT]
+        assert aborts == [(1, culprit)]
+        assert transcript.tokens[next(iter(second.streams))] == greedy_decode(
+            small_weights, self.PROMPTS[1], 6)
+
+    def test_a_controller_serves_sequential_sessions(self, small_weights):
+        model, ctrl = ModelParty(small_weights), Controller()
+        for prompt in ([2, 7, 1], [8, 2, 8]):
+            user = decoy_user(small_weights, 0, user_id=1, prompt=prompt)
+            transcript = run_sessions(model, ctrl, [user], 5)
+            assert not ctrl.killed
+            assert transcript.tokens[next(iter(user.streams))] == greedy_decode(
+                small_weights, prompt, 5)
 
 
 class TestOutOfVocabularyToken:

@@ -213,29 +213,49 @@ class KvCache:
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
-    return (x / scale) * gain
+    """(x / sqrt(mean(x * x, axis=-1) + RMS_EPS)) * gain, operation for
+    operation and so bit for bit, with every step in one output buffer."""
+    out = np.multiply(x, x)
+    scale = np.sqrt(np.mean(out, axis=-1, keepdims=True) + RMS_EPS)
+    np.divide(x, scale, out=out)
+    out *= gain
+    return out
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    """x / (1.0 + exp(-x)), operation for operation and so bit for bit,
+    with every step in one output buffer."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(x, out, out=out)
 
 
-def rotary_encode(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotate consecutive dimension pairs of x by position-dependent angles.
-
-    x has shape (..., n, head_dim) with one position per row; pair i turns
-    at frequency ROTARY_BASE**(-2i/head_dim).
-    """
-    head_dim = x.shape[-1]
+def _rotary_angles(positions, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the rotary angles, (n, head_dim // 2) each: row r
+    for positions[r], pair i at frequency ROTARY_BASE**(-2i/head_dim)."""
     inv_freq = ROTARY_BASE ** (-np.arange(0, head_dim, 2) / head_dim)
     angles = np.asarray(positions, dtype=np.float64)[:, None] * inv_freq
-    cos, sin = np.cos(angles), np.sin(angles)
+    return np.cos(angles), np.sin(angles)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Turn each consecutive dimension pair of x's rows (..., n, head_dim)
+    by the angles whose cos and sin _rotary_angles gave."""
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+def rotary_encode(x: np.ndarray, positions) -> np.ndarray:
+    """Rotate consecutive dimension pairs of x by position-dependent angles.
+
+    x has shape (..., n, head_dim) with one position per row; pair i turns
+    at frequency ROTARY_BASE**(-2i/head_dim).
+    """
+    return _rotate(x, *_rotary_angles(positions, x.shape[-1]))
 
 
 def attention_reference(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -269,46 +289,74 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """attention_reference for every head at once.
 
     q is (n_heads, n_q, head_dim), k and v are (n_heads, n_k, head_dim);
-    query row i sees keys up to n_k - n_q + i, so a single query row sees
-    every key. Returns (n_heads, n_q, head_dim).
+    query row i sees keys up to n_k - n_q + i, so queries align with the
+    trailing keys: a single query row sees every key, and n_q may be 0.
+    Returns (n_heads, n_q, head_dim). The softmax is
+    e = exp(s - max(s)); e / sum(e), computed in the score buffer.
     """
     scores = q @ k.transpose(0, 2, 1)
     n_q, n_k = scores.shape[-2:]
     if n_q > 1:
-        scores[:, ~np.tri(n_q, n_k, n_k - n_q, dtype=bool)] = -np.inf
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True)) @ v
+        np.copyto(scores, -np.inf, where=~np.tri(n_q, n_k, n_k - n_q, dtype=bool))
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores @ v
 
 
-def trunk(weights: Weights, tokens, positions, attend) -> np.ndarray:
-    """The decoder: one logits row per token, with attention left to attend.
+def trunk(weights: Weights, tokens, positions, attend, tail: int | None = None) -> np.ndarray:
+    """The decoder: logits for the trailing tail rows of tokens (every row
+    by default), with attention left to attend.
 
     Every layer runs RMS norm, Q/K/V projection with rotary encoding at the
-    given positions, then attend(layer, q, k, v) on (n_heads, n, head_dim)
-    arrays (q already scaled by head_dim**-0.5), which returns the
-    per-head attention output of the same shape; then the output
-    projection and the MLP, each with its residual. attend is the only
-    place callers differ: prefill, monolithic decode and two-party decode
-    all share this trunk.
+    given positions, then attend(layer, q, k, v) on (n_heads, rows,
+    head_dim) arrays (q already scaled by head_dim**-0.5), which returns
+    the per-head attention output of q's shape; then the output projection
+    and the MLP, each with its residual. attend is the only place callers
+    differ: prefill, monolithic decode and two-party decode all share this
+    trunk. The rotary angles are computed once per call, for every layer.
+
+    No later layer reads the last layer's outputs, so there k and v keep
+    every row, for attend to store, while q, attention, the output
+    projection, the MLP, the final norm and the unembedding run only for
+    the trailing tail rows; attend then gets q with tail rows, aligned
+    with k's last rows. Returns (tail, vocab_size) logits; the rows'
+    last bits may differ from the same rows of a full-width call, because
+    BLAS can take another kernel for fewer rows.
     """
     c = weights.config
-    positions = np.asarray(positions)
     x = weights.embed[list(tokens)]
     n = x.shape[0]
+    if tail is not None and not 0 <= tail <= n:
+        raise ValueError(f"tail of {tail} rows outside [0, {n}]")
+    cos, sin = _rotary_angles(positions, c.head_dim)
 
     def heads(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # (n, d) @ (d, d) -> (n_heads, n, head_dim)
-        return (h @ w).reshape(n, c.n_heads, c.head_dim).transpose(1, 0, 2)
+        # (rows, d) @ (d, d) -> (n_heads, rows, head_dim)
+        return (h @ w).reshape(len(h), c.n_heads, c.head_dim).transpose(1, 0, 2)
 
+    last = len(weights.layers) - 1
     for layer, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.gain_attn)
-        q = rotary_encode(heads(h, lw.wq), positions) * c.head_dim**-0.5
-        k = rotary_encode(heads(h, lw.wk), positions)
+        k = _rotate(heads(h, lw.wk), cos, sin)
         v = heads(h, lw.wv)
+        if layer == last and tail is not None:
+            rows = slice(n - tail, n)
+            x, h, cos, sin = x[rows], h[rows], cos[rows], sin[rows]
+        q = _rotate(heads(h, lw.wq), cos, sin)
+        q *= c.head_dim**-0.5
         out = attend(layer, q, k, v)
-        x = x + out.transpose(1, 0, 2).reshape(n, c.d_model) @ lw.wo
-        x = x + _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
+        x += out.transpose(1, 0, 2).reshape(len(x), c.d_model) @ lw.wo
+        x += _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
     return _rms_norm(x, weights.final_gain) @ weights.unembed
+
+
+def _check_tokens(config: ModelConfig, tokens):
+    """Reject a token outside [0, vocab_size) before the embedding lookup,
+    which would read a negative id from the table's end."""
+    for token in tokens:
+        if not 0 <= token < config.vocab_size:
+            raise ValueError(f"token {token} outside [0, {config.vocab_size})")
 
 
 def _chunk_attention(cache: KvCache):
@@ -330,6 +378,7 @@ def full_forward(weights: Weights, tokens) -> np.ndarray:
     tokens = list(tokens)
     if not 1 <= len(tokens) <= weights.config.max_seq:
         raise ValueError(f"sequence length must be in [1, {weights.config.max_seq}]")
+    _check_tokens(weights.config, tokens)
     return trunk(
         weights, tokens, np.arange(len(tokens)), lambda layer, q, k, v: causal_attention(q, k, v)
     )
@@ -351,6 +400,12 @@ def prefill(
     and shorter than the prompt, and the caller vouches that prefix was
     filled from tokens[:prefix.length].
 
+    Only the final chunk's last row reaches the unembedding: every other
+    chunk's trunk call runs its last layer's Q side for no row and the
+    final chunk's for one (see trunk). The cache holds exactly the K/V
+    rows a full-width run computes; the returned logits agree with
+    full_forward's last row to rounding, not bit for bit.
+
     Returns the populated cache and the next-token logits of the last
     prompt position.
     """
@@ -361,6 +416,7 @@ def prefill(
         raise ValueError("cannot prefill an empty prompt")
     if n > c.max_seq:
         raise CacheFullError(f"prompt of {n} tokens exceeds max_seq={c.max_seq}")
+    _check_tokens(c, tokens)
     cache = KvCache(config=c)
     if prefix is not None:
         if prefix.config != c:
@@ -377,7 +433,7 @@ def prefill(
     attend = _chunk_attention(cache)
     for lo in range(cache.length, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
-        logits = trunk(weights, tokens[lo:hi], np.arange(lo, hi), attend)
+        logits = trunk(weights, tokens[lo:hi], np.arange(lo, hi), attend, tail=int(hi == n))
         cache.length = hi
     return cache, logits[-1]
 
@@ -393,6 +449,7 @@ def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.n
         raise ValueError("decode requires a prefilled cache")
     if cache.length >= c.max_seq:
         raise CacheFullError(f"cache full at max_seq={c.max_seq}")
+    _check_tokens(c, [token])
     logits = trunk(weights, [token], [cache.length], _chunk_attention(cache))
     cache.length += 1
     return logits[0]

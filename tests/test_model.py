@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from splitdecode import model as model_module
 from splitdecode.model import (
     PREFILL_CHUNK,
     RMS_EPS,
+    ROTARY_BASE,
     CacheFullError,
     ConfigError,
     FileFormatError,
+    KvCache,
     ModelConfig,
+    _chunk_attention,
+    _rms_norm,
+    _silu,
     attention_reference,
     causal_attention,
     decode_step_monolithic,
@@ -22,6 +28,7 @@ from splitdecode.model import (
     rotary_encode,
     sample_token,
     save_weights,
+    trunk,
     weight_alloc_count,
 )
 from splitdecode.numerics import DimensionError
@@ -308,6 +315,153 @@ class TestPrefillDecode:
             token = int(np.argmax(decode_step_monolithic(small_weights, cache, token)))
         assert np.array_equal(cache.k[:, :, : len(prompt), :], frozen_k)
         assert np.array_equal(cache.v[:, :, : len(prompt), :], frozen_v)
+
+
+class TestTokenRange:
+    @pytest.mark.parametrize("end", ["below", "above"])
+    def test_out_of_vocab_token_rejected_before_the_trunk(self, small_weights, end, monkeypatch):
+        # -1 would read the EOS row from the embedding table's end, and
+        # vocab_size would fail deep inside the trunk
+        c = small_weights.config
+        bad = -1 if end == "below" else c.vocab_size
+        cache, _ = prefill(small_weights, [1, 2])
+
+        def no_trunk(*args, **kwargs):
+            raise AssertionError("the trunk ran")
+
+        monkeypatch.setattr(model_module, "trunk", no_trunk)
+        for call in (
+            lambda: prefill(small_weights, [3, bad]),
+            lambda: full_forward(small_weights, [bad, 3]),
+            lambda: decode_step_monolithic(small_weights, cache, bad),
+        ):
+            with pytest.raises(ValueError, match=f"token {bad} outside"):
+                call()
+        assert cache.length == 2
+
+    def test_both_ends_of_the_vocab_accepted(self, small_weights):
+        ends = [0, small_weights.config.vocab_size - 1]
+        cache, _ = prefill(small_weights, ends)
+        assert full_forward(small_weights, ends).shape == (2, small_weights.config.vocab_size)
+        for token in ends:
+            decode_step_monolithic(small_weights, cache, token)
+        assert cache.length == 4
+
+
+@pytest.fixture(scope="module")
+def deep_weights():
+    """Three layers, so a middle layer runs at full width, and room for
+    prompts of several prefill chunks."""
+    return init_model(ModelConfig(
+        n_layers=3, n_heads=2, d_model=32, head_dim=16, vocab_size=64, max_seq=128, seed=11
+    ))
+
+
+class TestPrefillTail:
+    """prefill runs its last layer's Q side, attention, MLP and
+    unembedding only for the row it returns. Every K/V row stays the one
+    a full-width run stores, bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 100, "max_seq"])
+    def test_cache_bit_identical_to_full_width_chunks(self, deep_weights, length):
+        c = deep_weights.config
+        n = c.max_seq if length == "max_seq" else length
+        prompt = rng(200 + n).integers(0, c.vocab_size, size=n).tolist()
+        cache, logits = prefill(deep_weights, prompt)
+        full = KvCache(config=c)
+        attend = _chunk_attention(full)
+        for lo in range(0, n, PREFILL_CHUNK):
+            hi = min(lo + PREFILL_CHUNK, n)
+            rows = trunk(deep_weights, prompt[lo:hi], np.arange(lo, hi), attend)
+            assert rows.shape == (hi - lo, c.vocab_size)
+            full.length = hi
+        assert cache.length == full.length == n
+        assert np.array_equal(cache.k, full.k) and np.array_equal(cache.v, full.v)
+        assert np.max(np.abs(logits - full_forward(deep_weights, prompt)[-1])) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 33, 100])
+    def test_last_layer_mlp_runs_one_row(self, deep_weights, n, monkeypatch):
+        layers = deep_weights.config.n_layers
+        rows, silu = [], _silu
+
+        def counting_silu(x):
+            rows.append(x.shape[0])
+            return silu(x)
+
+        monkeypatch.setattr(model_module, "_silu", counting_silu)
+        prefill(deep_weights, rng(n).integers(0, 64, size=n).tolist())
+        assert sum(rows) == (layers - 1) * n + 1
+        assert sum(rows[layers - 1 :: layers]) == 1
+        rows.clear()
+        full_forward(deep_weights, list(range(n % 64)) or [0])
+        assert sum(rows) == layers * max(n % 64, 1)
+
+    @pytest.mark.parametrize("tail", [-1, 4])
+    def test_tail_outside_the_rows_rejected(self, deep_weights, tail):
+        with pytest.raises(ValueError, match="tail"):
+            trunk(deep_weights, [1, 2, 3], np.arange(3),
+                  lambda layer, q, k, v: causal_attention(q, k, v), tail=tail)
+
+
+class TestInPlaceKernels:
+    """The trunk's once-per-call rotation and its in-place helpers compute
+    the plain expressions bit for bit."""
+
+    def test_trunk_rotation_matches_rotary_encode_at_every_position(self, deep_weights):
+        c = deep_weights.config
+        positions = np.arange(c.max_seq)
+        tokens = rng(5).integers(0, c.vocab_size, size=c.max_seq).tolist()
+        seen = {}
+
+        def attend(layer, q, k, v):
+            seen[layer] = q.copy(), k.copy()
+            return causal_attention(q, k, v)
+
+        trunk(deep_weights, tokens, positions, attend)
+        lw = deep_weights.layers[0]
+        x = deep_weights.embed[tokens]
+        h = (x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)) * lw.gain_attn
+
+        def heads(w):
+            return (h @ w).reshape(c.max_seq, c.n_heads, c.head_dim).transpose(1, 0, 2)
+
+        q, k = seen[0]
+        assert np.array_equal(k, rotary_encode(heads(lw.wk), positions))
+        assert np.array_equal(q, rotary_encode(heads(lw.wq), positions) * c.head_dim**-0.5)
+
+    def test_rotary_encode_matches_its_plain_expression_per_position(self):
+        x = rng(6).standard_normal((3, 160, 16))
+        positions = np.arange(160)
+        angles = positions.astype(np.float64)[:, None] * ROTARY_BASE ** (-np.arange(0, 16, 2) / 16)
+        cos, sin = np.cos(angles), np.sin(angles)
+        even, odd = x[..., 0::2], x[..., 1::2]
+        want = np.empty_like(x)
+        want[..., 0::2] = even * cos - odd * sin
+        want[..., 1::2] = even * sin + odd * cos
+        assert np.array_equal(rotary_encode(x, positions), want)
+        for p in positions:
+            assert np.array_equal(rotary_encode(x[:, p : p + 1], [p]), want[:, p : p + 1])
+
+    def test_silu_and_rms_norm_match_plain_expressions(self):
+        x = 4 * rng(7).standard_normal((32, 128))
+        gain = 1 + 0.1 * rng(8).standard_normal(128)
+        before = x.copy()
+        assert np.array_equal(_silu(x), x / (1.0 + np.exp(-x)))
+        plain = (x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)) * gain
+        assert np.array_equal(_rms_norm(x, gain), plain)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("n_q,n_k", [(0, 5), (1, 1), (1, 6), (4, 4), (3, 7), (32, 100)])
+    def test_causal_attention_matches_plain_expression(self, n_q, n_k):
+        g = rng(60 + n_q * n_k)
+        q, k, v = (g.standard_normal((3, rows, 8)) for rows in (n_q, n_k, n_k))
+        scores = q @ k.transpose(0, 2, 1)
+        if n_q > 1:
+            scores[:, ~np.tri(n_q, n_k, n_k - n_q, dtype=bool)] = -np.inf
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        want = (e / e.sum(axis=-1, keepdims=True)) @ v
+        got = causal_attention(q, k, v)
+        assert got.shape == (3, n_q, 8) and np.array_equal(got, want)
 
 
 class TestSampleToken:

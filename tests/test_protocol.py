@@ -984,9 +984,9 @@ def _prefill_rows(weights, lam, prompt, span, monkeypatch):
     rows, logits = [], []
     trunk, prefill_ = model_module.trunk, protocol.prefill
 
-    def counting_trunk(weights, tokens, positions, attend):
+    def counting_trunk(weights, tokens, *args, **kwargs):
         rows.append(len(tokens))
-        return trunk(weights, tokens, positions, attend)
+        return trunk(weights, tokens, *args, **kwargs)
 
     def recording_prefill(*args, **kwargs):
         cache, last = prefill_(*args, **kwargs)

@@ -36,6 +36,7 @@ __all__ = [
     "LayerWeights",
     "ModelConfig",
     "PREFILL_CHUNK",
+    "PromptSetKv",
     "Weights",
     "attention_reference",
     "causal_attention",
@@ -55,11 +56,12 @@ __all__ = [
 WEIGHT_FILE_MAGIC = b"OSPDW1"
 ROTARY_BASE = 10000.0
 RMS_EPS = 1e-6
-# rows per trunk call of prefill. Fixed, not tuned per prompt: every
-# prefill then chunks a prompt at the same bounds, which keeps shared
-# prefixes bit-identical (see prefill). Each chunk is one pass over the
-# weights, so smaller chunks cost more; at 32, prompts of up to 32
-# tokens stay one chunk.
+# rows per block of a prefill chunk. Fixed, not tuned per prompt: every
+# prefill then chunks a prompt at the same bounds and runs each product
+# on the same number of rows, which keeps the rows of a prompt set
+# bit-identical to its prompts' lone prefills (see prefill). Each chunk
+# is one pass over the weights, so smaller chunks cost more; at 32,
+# prompts of up to 32 tokens stay one chunk.
 PREFILL_CHUNK = 32
 
 # Monotonic count of weight-set instantiations (init + file load); the
@@ -71,8 +73,8 @@ class ConfigError(ValueError):
     """A model configuration, or a run-config file, that is invalid."""
 
 
-class CacheFullError(RuntimeError):
-    """Decode attempted past max_seq."""
+class CacheFullError(ValueError):
+    """A prompt longer than max_seq, or a decode step past it."""
 
 
 class FileFormatError(ValueError):
@@ -286,15 +288,16 @@ def attention_reference(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarr
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """attention_reference for every head at once.
+    """attention_reference for every head (and any leading axes) at once.
 
-    q is (n_heads, n_q, head_dim), k and v are (n_heads, n_k, head_dim);
-    query row i sees keys up to n_k - n_q + i, so queries align with the
-    trailing keys: a single query row sees every key, and n_q may be 0.
-    Returns (n_heads, n_q, head_dim). The softmax is
-    e = exp(s - max(s)); e / sum(e), computed in the score buffer.
+    q is (..., n_q, head_dim), k and v are (..., n_k, head_dim), with the
+    leading axes (n_heads, or prompts x n_heads) alike; query row i sees
+    keys up to n_k - n_q + i, so queries align with the trailing keys: a
+    single query row sees every key, and n_q may be 0. Returns q's shape.
+    The softmax is e = exp(s - max(s)); e / sum(e), computed in the score
+    buffer.
     """
-    scores = q @ k.transpose(0, 2, 1)
+    scores = q @ k.swapaxes(-1, -2)
     n_q, n_k = scores.shape[-2:]
     if n_q > 1:
         np.copyto(scores, -np.inf, where=~np.tri(n_q, n_k, n_k - n_q, dtype=bool))
@@ -304,9 +307,15 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return scores @ v
 
 
-def trunk(weights: Weights, tokens, positions, attend, tail: int | None = None) -> np.ndarray:
-    """The decoder: logits for the trailing tail rows of tokens (every row
-    by default), with attention left to attend.
+def trunk(weights: Weights, tokens, positions, attend, read=None) -> np.ndarray:
+    """The decoder: logits for the rows of tokens that read names (every
+    row by default), with attention left to attend.
+
+    tokens and positions are a stack of equal-length blocks, (blocks, m)
+    (a flat sequence is one block). Every matrix product runs once per
+    block, on m rows, as numpy's matmul does for a 3-D stack; a row's
+    bits then depend on m but not on which block holds it, or where.
+    Rows are numbered block by block.
 
     Every layer runs RMS norm, Q/K/V projection with rotary encoding at the
     given positions, then attend(layer, q, k, v) on (n_heads, rows,
@@ -319,36 +328,40 @@ def trunk(weights: Weights, tokens, positions, attend, tail: int | None = None) 
     No later layer reads the last layer's outputs, so there k and v keep
     every row, for attend to store, while q, attention, the output
     projection, the MLP, the final norm and the unembedding run only for
-    the trailing tail rows; attend then gets q with tail rows, aligned
-    with k's last rows. Returns (tail, vocab_size) logits; the rows'
-    last bits may differ from the same rows of a full-width call, because
-    BLAS can take another kernel for fewer rows.
+    the rows in read, each as a block of one row; attend then gets q with
+    those rows, in read's order. Returns (len(read), vocab_size) logits,
+    or (rows, vocab_size) when read is None; a read row's last bits may
+    differ from the same row of a full-width call, because BLAS can take
+    another kernel for one row.
     """
     c = weights.config
-    x = weights.embed[list(tokens)]
-    n = x.shape[0]
-    if tail is not None and not 0 <= tail <= n:
-        raise ValueError(f"tail of {tail} rows outside [0, {n}]")
-    cos, sin = _rotary_angles(positions, c.head_dim)
+    tokens = np.atleast_2d(tokens)
+    x = weights.embed[tokens]
+    n = tokens.size
+    if read is not None:
+        read = np.asarray(read, dtype=np.intp)
+        if np.any((read < 0) | (read >= n)):
+            raise ValueError(f"read rows {read.tolist()} outside [0, {n})")
+    cos, sin = _rotary_angles(np.ravel(positions), c.head_dim)
 
     def heads(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # (rows, d) @ (d, d) -> (n_heads, rows, head_dim)
-        return (h @ w).reshape(len(h), c.n_heads, c.head_dim).transpose(1, 0, 2)
+        # (blocks, rows, d) @ (d, d) -> (n_heads, blocks * rows, head_dim)
+        return (h @ w).reshape(-1, c.n_heads, c.head_dim).transpose(1, 0, 2)
 
     last = len(weights.layers) - 1
     for layer, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.gain_attn)
         k = _rotate(heads(h, lw.wk), cos, sin)
         v = heads(h, lw.wv)
-        if layer == last and tail is not None:
-            rows = slice(n - tail, n)
-            x, h, cos, sin = x[rows], h[rows], cos[rows], sin[rows]
+        if layer == last and read is not None:
+            x, h = (a.reshape(n, 1, c.d_model)[read] for a in (x, h))
+            cos, sin = cos[read], sin[read]
         q = _rotate(heads(h, lw.wq), cos, sin)
         q *= c.head_dim**-0.5
         out = attend(layer, q, k, v)
-        x += out.transpose(1, 0, 2).reshape(len(x), c.d_model) @ lw.wo
+        x += out.transpose(1, 0, 2).reshape(x.shape) @ lw.wo
         x += _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
-    return _rms_norm(x, weights.final_gain) @ weights.unembed
+    return (_rms_norm(x, weights.final_gain) @ weights.unembed).reshape(-1, c.vocab_size)
 
 
 def _check_tokens(config: ModelConfig, tokens):
@@ -384,58 +397,171 @@ def full_forward(weights: Weights, tokens) -> np.ndarray:
     )
 
 
-def prefill(
-    weights: Weights, tokens, prefix: KvCache | None = None
-) -> tuple[KvCache, np.ndarray]:
-    """Run the prompt through the model, filling a fresh KV cache.
+@dataclass
+class PromptSetKv:
+    """The prompt K/V rows of a prefilled set of equal-length prompts.
 
-    The prompt runs in chunks of PREFILL_CHUNK rows, one trunk call each;
-    chunk [lo:hi] writes cache rows lo:hi and attends over rows :hi. The
-    chunk bounds are fixed multiples of PREFILL_CHUNK, so a chunk's bits
-    depend only on tokens[:hi]: prompts that share a prefix share the
-    prefix's chunks exactly.
+    The prompts agree on their first p tokens, and so, bit for bit, do the
+    K/V rows prefill computes for them; those rows are kept once, in
+    shared_k/shared_v of shape (n_layers, n_heads, p, head_dim). Prompt
+    i's n - p rows after them are private_k[i]/private_v[i] of two
+    (prompts, n_layers, n_heads, n - p, head_dim) arrays. p is 0 for a set
+    of one, which has nothing to share.
+    """
 
-    prefix, a cache another prefill left, starts the run at its length
-    with its rows copied; that length must be a whole number of chunks
-    and shorter than the prompt, and the caller vouches that prefix was
-    filled from tokens[:prefix.length].
+    shared_k: np.ndarray
+    shared_v: np.ndarray
+    private_k: np.ndarray
+    private_v: np.ndarray
 
-    Only the final chunk's last row reaches the unembedding: every other
-    chunk's trunk call runs its last layer's Q side for no row and the
-    final chunk's for one (see trunk). The cache holds exactly the K/V
-    rows a full-width run computes; the returned logits agree with
-    full_forward's last row to rounding, not bit for bit.
 
-    Returns the populated cache and the next-token logits of the last
-    prompt position.
+def _prompt_set(config: ModelConfig, prompts) -> np.ndarray:
+    """The prompts, one or more, as a (prompts, n) array, checked before
+    any trunk work: one length n in [1, max_seq], no two alike and every
+    token in the vocabulary."""
+    prompts = [list(tokens) for tokens in prompts]
+    lengths = sorted({len(tokens) for tokens in prompts})
+    if len(lengths) > 1:
+        raise ValueError(f"prompts of unequal lengths {lengths}")
+    n = lengths[0]
+    if n == 0:
+        raise ValueError("cannot prefill an empty prompt")
+    if n > config.max_seq:
+        raise CacheFullError(f"prompt of {n} tokens exceeds max_seq={config.max_seq}")
+    if len(set(map(tuple, prompts))) < len(prompts):
+        raise ValueError("two of the prompts are identical")
+    for tokens in prompts:
+        _check_tokens(config, tokens)
+    return np.array(prompts, dtype=np.intp)
+
+
+def _common_prefix(prompts: np.ndarray) -> int:
+    """How many leading tokens the prompts all share; 0 for a set of one,
+    which has nothing to share. The prompts are pairwise distinct, so the
+    count stops before their end."""
+    if len(prompts) < 2:
+        return 0
+    return int(np.argmin(np.all(prompts == prompts[0], axis=0)))
+
+
+def _chunk_rows(prompts: np.ndarray, lo: int, mid: int, hi: int):
+    """The tokens and positions of the distinct rows of chunk [lo, hi) of
+    prompts that agree before mid: the shared rows [lo, mid) once, then
+    each prompt's own rows [mid, hi), as blocks of hi - lo rows, the last
+    block padded with copies of the last row."""
+    tokens = np.concatenate([prompts[0, lo:mid], prompts[:, mid:hi].ravel()])
+    positions = np.concatenate([np.arange(lo, mid), np.tile(np.arange(mid, hi), len(prompts))])
+    m = hi - lo
+    rows = np.minimum(np.arange(-(-len(tokens) // m) * m), len(tokens) - 1)
+    return tokens[rows].reshape(-1, m), positions[rows].reshape(-1, m)
+
+
+def _set_attention(k_rows: np.ndarray, v_rows: np.ndarray, lo: int, mid: int, hi: int):
+    """attend for chunk [lo, hi) of a prompt set whose prompts agree
+    before mid, over the distinct rows _chunk_rows lays out: the shared
+    rows first, then prompt i's own rows at shared + i * own.
+
+    It writes every prompt's K/V rows of the chunk, the shared ones and
+    its own, into k_rows[i]/v_rows[i], and attends each prompt's chunk
+    rows over its rows :hi, in the (n_heads, hi - lo, hi) score shape a
+    lone prompt's chunk has; each output row goes back to its distinct
+    row, and padding rows get zeros. A chunk of shared rows only is
+    attended once, for the first prompt. At the last layer q holds the
+    rows the trunk reads, prompt i's last row at i, and each attends as
+    one row, as a lone prompt's final chunk does."""
+    count, layers, heads, _, head_dim = k_rows.shape
+    shared, own = mid - lo, hi - mid
+    distinct = shared + count * own
+
+    def own_rows(x: np.ndarray) -> np.ndarray:
+        # (heads, rows, head_dim) distinct rows -> (count, heads, own, head_dim)
+        return x[:, shared:distinct].reshape(heads, count, own, head_dim).swapaxes(0, 1)
+
+    def attend(layer, q, k, v):
+        for rows, new in ((k_rows, k), (v_rows, v)):
+            rows[:, layer, :, lo:mid] = new[:, :shared]
+            rows[:, layer, :, mid:hi] = own_rows(new)
+        if layer == layers - 1:
+            reads = q.shape[1]
+            a = causal_attention(
+                q.swapaxes(0, 1)[:, :, None], k_rows[:reads, layer, :, :hi],
+                v_rows[:reads, layer, :, :hi],
+            )
+            return a[:, :, 0].swapaxes(0, 1)
+        attending = count if own else 1
+        qs = np.empty((attending, heads, hi - lo, head_dim))
+        qs[:, :, :shared] = q[:, :shared]
+        qs[:, :, shared:] = own_rows(q)[:attending]
+        a = causal_attention(
+            qs, k_rows[:attending, layer, :, :hi], v_rows[:attending, layer, :, :hi]
+        )
+        out = np.zeros_like(q)
+        out[:, :shared] = a[0, :, :shared]
+        out[:, shared:distinct] = a[:, :, shared:].swapaxes(0, 1).reshape(heads, -1, head_dim)
+        return out
+
+    return attend
+
+
+def prefill(weights: Weights, tokens):
+    """Run one prompt, or a set of equal-length prompts, through the model.
+
+    tokens is a prompt (a sequence of token ids) or a set of prompts (a
+    sequence of such sequences); a prompt runs as a set of one, on the
+    same code. The prompts run in fixed chunks [lo, hi) of PREFILL_CHUNK
+    rows, one trunk call each. A chunk's distinct rows run once: the rows
+    of the prompts' common prefix, then each prompt's own rows, packed in
+    blocks of m = hi - lo rows (see _chunk_rows). Each prompt then attends
+    over its own rows :hi (see _set_attention). Every matrix product thus
+    has the shape that prefilling the prompt alone gives it, and only a
+    row's place in the product changes. A row's bits do not depend on its
+    place (TestRowPlacement in tests/test_model.py checks this of the
+    BLAS in use), so every prompt's K/V rows and logits are bit-identical
+    to prefilling it alone.
+
+    Only each prompt's last row reaches the unembedding: the last layer
+    runs its Q side for no row on every chunk but the final one, and for
+    each prompt's last row there (see trunk). The K/V rows are the ones a
+    full-width run computes; the returned logits agree with full_forward's
+    last row to rounding, not bit for bit.
+
+    Raises, before any trunk work, ValueError for an empty prompt or set,
+    prompts of unequal lengths, two identical prompts or a token outside
+    the vocabulary, and CacheFullError (a ValueError) for prompts longer
+    than max_seq.
+
+    Returns, for a prompt, a KvCache of its rows and its next-token logits;
+    for a set, a PromptSetKv of their rows and (prompts, vocab_size)
+    logits.
     """
     c = weights.config
     tokens = list(tokens)
-    n = len(tokens)
-    if n == 0:
-        raise ValueError("cannot prefill an empty prompt")
-    if n > c.max_seq:
-        raise CacheFullError(f"prompt of {n} tokens exceeds max_seq={c.max_seq}")
-    _check_tokens(c, tokens)
-    cache = KvCache(config=c)
-    if prefix is not None:
-        if prefix.config != c:
-            raise ValueError("prefix cache comes from another model config")
-        if prefix.length % PREFILL_CHUNK or prefix.length >= n:
-            raise ValueError(
-                f"prefix of {prefix.length} rows must be a multiple of "
-                f"PREFILL_CHUNK={PREFILL_CHUNK} and shorter than the {n}-token prompt"
-            )
-        cache.k[:, :, : prefix.length] = prefix.k[:, :, : prefix.length]
-        cache.v[:, :, : prefix.length] = prefix.v[:, :, : prefix.length]
-        cache.length = prefix.length
+    single = not tokens or np.ndim(tokens[0]) == 0
+    prompts = _prompt_set(c, [tokens] if single else tokens)
+    count, n = prompts.shape
+    p = _common_prefix(prompts)
+    if single:
+        cache = KvCache(config=c)
+        k_rows, v_rows = cache.k[None], cache.v[None]
+    else:
+        k_rows = np.empty((count, c.n_layers, c.n_heads, n, c.head_dim))
+        v_rows = np.empty_like(k_rows)
 
-    attend = _chunk_attention(cache)
-    for lo in range(cache.length, n, PREFILL_CHUNK):
+    for lo in range(0, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
-        logits = trunk(weights, tokens[lo:hi], np.arange(lo, hi), attend, tail=int(hi == n))
-        cache.length = hi
-    return cache, logits[-1]
+        mid = min(max(p, lo), hi)
+        chunk, positions = _chunk_rows(prompts, lo, mid, hi)
+        # each prompt's last row, the last of its own rows
+        read = mid - lo - 1 + (hi - mid) * np.arange(1, count + 1) if hi == n else []
+        logits = trunk(weights, chunk, positions, _set_attention(k_rows, v_rows, lo, mid, hi), read)
+    if single:
+        cache.length = n
+        return cache, logits[0]
+    kv = PromptSetKv(
+        k_rows[0, :, :, :p].copy(), v_rows[0, :, :, :p].copy(),
+        k_rows[:, :, :, p:].copy(), v_rows[:, :, :, p:].copy(),
+    )
+    return kv, logits
 
 
 def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PREFILL_CHUNK, ModelConfig, Weights, prefill, sample_token, trunk
+from .model import ModelConfig, Weights, prefill, sample_token, trunk
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -333,15 +333,13 @@ class UserParty:
     """Holds the prompt-side secrets of one user: virtual prompts, the
     authentic index, and the private K/V rows of every stream.
 
-    The virtual prompts agree on every token before their first tagged
-    span, and so do the K/V rows prefill computes for those tokens, bit
-    for bit. Those p rows are kept once, in shared_k/shared_v of shape
-    (n_layers, n_heads, p, head_dim); p is 0 for a single prompt. The
-    virtual prompts share one length n, so stream i's n - p rows after p
-    are private_k[i]/private_v[i] of two (streams, n_layers, n_heads,
-    n - p, head_dim) arrays. A stream's prompt K/V are thus the shared
-    rows followed by its own, and the party holds p + streams * (n - p)
-    rows per layer and head instead of streams * n. A batched QUERY is
+    The virtual prompts share one length n and agree on their first p
+    tokens, up to the first tagged span. prefill runs them as one set, and
+    the party keeps their K/V rows in the layout of model.PromptSetKv:
+    the p shared rows once in shared_k/shared_v (p is 0 for a single
+    prompt), and stream i's n - p rows after them in
+    private_k[i]/private_v[i]. It holds p + streams * (n - p) rows per
+    layer and head instead of streams * n. A batched QUERY is
     answered with one kernel call that reads the shared rows once for
     all of its streams. During decode the party answers QUERY frames
     from these rows and samples from FINAL_Y distributions; it needs no
@@ -451,26 +449,15 @@ class UserParty:
         return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
 
 
-def _common_prefix(prompts) -> int:
-    """How many leading tokens the prompts all share; 0 for a single
-    prompt, which has nothing to share. Virtual prompts are pairwise
-    distinct and of one length, so the scan stops before their end."""
-    if len(prompts) < 2:
-        return 0
-    n = 0
-    while len({tokens[n] for tokens in prompts}) == 1:
-        n += 1
-    return n
-
-
 def user_prefill(
     party: UserParty,
     prompt: TaggedPrompt,
     config: ObfuscationConfig,
 ) -> list[ProtocolMessage]:
-    """Build the virtual prompts, prefill them all (their shared prefix
-    once), release the weights, and emit per-stream setup plus
-    first-token messages. Stream i of user u has the id u * 2**16 + i.
+    """Build the virtual prompts, prefill them as one set (the rows they
+    share run and are kept once), release the weights, and emit
+    per-stream setup plus first-token messages. Stream i of user u has
+    the id u * 2**16 + i.
 
     Raises InsufficientObfuscationError (the obfuscation abort) when fewer
     than lambda_min decoys exist; the weights handle stays valid in that
@@ -479,7 +466,7 @@ def user_prefill(
     if party.streams:
         raise ValueError("a user party prefills once")
     weights = party.weights_handle.get()
-    party.config = c = weights.config
+    party.config = weights.config
 
     if prompt.spans and config.lambda_max > 0 and config.epsilon > 0:
         fake_sets = multi_segment_gqs(prompt, config, party.oracle)
@@ -488,30 +475,16 @@ def user_prefill(
     party.vps = build_virtual_prompts(prompt, fake_sets, config, party.user_id)
     prompts = party.vps.prompts
 
-    # the virtual prompts share one length n and agree up to their first
-    # tagged span. prefill chunks every prompt at the same bounds, so a
-    # K/V row's bits depend only on the tokens up to the end of its chunk
-    # and on where that chunk ends: prefill the common prefix's whole
-    # chunks once and every prompt from them, and keep its p rows once
-    n, p = len(prompts[0]), _common_prefix(prompts)
-    start = p // PREFILL_CHUNK * PREFILL_CHUNK
-    base = prefill(weights, list(prompts[0][:start]))[0] if start else None
-    shape = (len(prompts), c.n_layers, c.n_heads, n - p, c.head_dim)
-    party.private_k, party.private_v = np.zeros(shape), np.zeros(shape)
+    kv, logits = prefill(weights, prompts)
+    party.shared_k, party.shared_v = kv.shared_k, kv.shared_v
+    party.private_k, party.private_v = kv.private_k, kv.private_v
     messages = []
-    for index, tokens in enumerate(prompts):
+    for index, (tokens, row) in enumerate(zip(prompts, logits)):
         stream_id = party.user_id * 2**16 + index
-        cache, logits = prefill(weights, list(tokens), prefix=base)
-        # copy the prompt rows so the max_seq-row cache can be freed
-        if index == 0:
-            party.shared_k = cache.k[:, :, :p].copy()
-            party.shared_v = cache.v[:, :, :p].copy()
-        party.private_k[index] = cache.k[:, :, p:n]
-        party.private_v[index] = cache.v[:, :, p:n]
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
         party.streams[stream_id] = stream = _UserStream(stream_id, index, tokens=[], rule=rule)
         setup = ProtocolMessage(TAG_CONTROL, stream_id, payload=encode_setup(len(tokens)))
-        messages += [setup, party._draw(stream, logits)]
+        messages += [setup, party._draw(stream, row)]
 
     party.weights_handle.release()
     party.pending_setup = list(messages)

@@ -215,9 +215,11 @@ def suite_protocol() -> list[Check]:
               f"{killed} streams killed; responses {responses[0]} and {responses[1]}")
     )
 
-    # 100-token prompt tagged at 40: the four virtual prompts share a
-    # 32-row prefix, prefilled once, and each prefills 68 rows past it;
-    # the party keeps the 40 rows before the tag once and 60 per stream
+    # 100-token prompt tagged at 40: the four virtual prompts prefill as
+    # one set. Chunk [0, 32) runs once, chunk [32, 64) runs the 8 rows
+    # before the tag once and each prompt's 24 after it, and later chunks
+    # run each prompt's own rows; the party keeps the 40 rows before the
+    # tag once and 60 per stream
     weights = init_model(ModelConfig(
         n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=128, seed=3
     ))

@@ -245,40 +245,29 @@ class TestPrefillDecode:
             seq.append(token)
         assert cached == uncached[: len(cached)]
 
-    def test_prefix_not_whole_chunks_rejected(self, small_weights):
-        prompt = list(range(2 * PREFILL_CHUNK))
-        base, _ = prefill(small_weights, prompt[: PREFILL_CHUNK - 1])
-        with pytest.raises(ValueError, match="multiple of PREFILL_CHUNK"):
-            prefill(small_weights, prompt, prefix=base)
-
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_prefix_not_shorter_than_prompt_rejected(self, small_weights, extra):
-        prompt = list(range(PREFILL_CHUNK + extra))
-        base, _ = prefill(small_weights, prompt[:PREFILL_CHUNK])
-        with pytest.raises(ValueError, match="shorter than"):
-            prefill(small_weights, prompt[: PREFILL_CHUNK - extra], prefix=base)
-
-    def test_prefix_of_another_config_rejected(self, small_config, small_weights):
-        other = init_model(ModelConfig(**{**small_config.__dict__, "seed": 8}))
-        prompt = list(range(PREFILL_CHUNK + 1))
-        base, _ = prefill(other, prompt[:PREFILL_CHUNK])
-        with pytest.raises(ValueError, match="another model config"):
-            prefill(small_weights, prompt, prefix=base)
-
     def test_prefix_continues_bit_identically(self):
         # head_dim 64, where BLAS picks its kernel by the score product's
-        # shape: only chunking at fixed bounds keeps the bits
+        # shape. Three prompts that agree up to a chunk bound and differ
+        # from it on prefill as one set; each one's rows and logits are
+        # those of its own lone prefill, bit for bit
         weights = init_model(ModelConfig(
             n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=160, seed=5
         ))
-        prompt = rng(3).integers(0, 63, size=weights.config.max_seq).tolist()
-        cache, logits = prefill(weights, prompt)
-        for p in range(0, len(prompt), PREFILL_CHUNK):
-            base, _ = prefill(weights, prompt[:p]) if p else (None, None)
-            got, got_logits = prefill(weights, prompt, prefix=base)
-            assert got.length == cache.length
-            assert np.array_equal(got.k, cache.k) and np.array_equal(got.v, cache.v)
-            assert np.array_equal(got_logits, logits)
+        n = weights.config.max_seq
+        prompt = rng(3).integers(0, 63, size=n).tolist()
+        for p in range(0, n, PREFILL_CHUNK):
+            prompts = [prompt] + [
+                prompt[:p] + [(prompt[p] + i) % 64] + rng(4 + p + i).integers(0, 63, size=n - p - 1).tolist()
+                for i in (1, 2)
+            ]
+            kv, logits = prefill(weights, prompts)
+            assert kv.shared_k.shape[2] == p and kv.private_k.shape[3] == n - p
+            for i, tokens in enumerate(prompts):
+                cache, want = prefill(weights, tokens)
+                k = np.concatenate([kv.shared_k, kv.private_k[i]], axis=2)
+                v = np.concatenate([kv.shared_v, kv.private_v[i]], axis=2)
+                assert np.array_equal(k, cache.k[:, :, :n]) and np.array_equal(v, cache.v[:, :, :n])
+                assert np.array_equal(logits[i], want)
 
     def test_decode_on_empty_cache_rejected(self, small_weights):
         from splitdecode.model import KvCache
@@ -385,7 +374,7 @@ class TestPrefillTail:
         rows, silu = [], _silu
 
         def counting_silu(x):
-            rows.append(x.shape[0])
+            rows.append(x.size // x.shape[-1])
             return silu(x)
 
         monkeypatch.setattr(model_module, "_silu", counting_silu)
@@ -396,11 +385,72 @@ class TestPrefillTail:
         full_forward(deep_weights, list(range(n % 64)) or [0])
         assert sum(rows) == layers * max(n % 64, 1)
 
-    @pytest.mark.parametrize("tail", [-1, 4])
-    def test_tail_outside_the_rows_rejected(self, deep_weights, tail):
-        with pytest.raises(ValueError, match="tail"):
+    @pytest.mark.parametrize("row", [-1, 4])
+    def test_tail_outside_the_rows_rejected(self, deep_weights, row):
+        with pytest.raises(ValueError, match="outside"):
             trunk(deep_weights, [1, 2, 3], np.arange(3),
-                  lambda layer, q, k, v: causal_attention(q, k, v), tail=tail)
+                  lambda layer, q, k, v: causal_attention(q, k, v), read=[row])
+
+
+class TestPromptSetPrefill:
+    """prefill of a set of equal-length prompts checks its input before
+    any trunk work. (TestSharedPrefixPrefill in test_protocol.py compares
+    sets with their prompts' lone prefills.)"""
+
+    @pytest.mark.parametrize("prompts,error", [
+        ([], "empty prompt"),
+        (np.zeros((0, 3), dtype=int), "empty prompt"),
+        ([[], []], "empty prompt"),
+        ([[1, 2], [3]], "unequal lengths"),
+        ([[1] * 97, [2] * 97], "exceeds max_seq"),
+        ([[1, 2, 3], [1, 2, 4], [1, 2, 3]], "identical"),
+        ([[1, 2], [64, 2]], "token 64 outside"),
+    ])
+    def test_bad_set_rejected_before_the_trunk(self, small_weights, prompts, error, monkeypatch):
+        assert small_weights.config.max_seq == 96
+
+        def no_trunk(*args, **kwargs):
+            raise AssertionError("the trunk ran")
+
+        monkeypatch.setattr(model_module, "trunk", no_trunk)
+        with pytest.raises(ValueError, match=error):
+            prefill(small_weights, prompts)
+
+
+class TestRowPlacement:
+    """The premise of the set prefill, checked against the BLAS in use: in
+    every matrix product the trunk runs at the benchmark's pinned model and
+    at head_dim 64 with d_model 128, permuting the left operand's rows, or
+    moving them into other blocks of a 3-D stack, permutes the output rows
+    bit for bit. A BLAS that picked its kernel by a row's place would fail
+    here, by name, before any stream comparison did."""
+
+    @pytest.mark.parametrize("d,vocab", [(256, 256), (128, 64)])
+    @pytest.mark.parametrize(
+        "product", ["d x d", "d x 4d", "4d x d", "d x vocab", "scores", "values"]
+    )
+    def test_rows_move_bit_for_bit(self, d, vocab, product):
+        head_dim, keys = 64, 160
+        inner, cols = {
+            "d x d": (d, d), "d x 4d": (d, 4 * d), "4d x d": (4 * d, d),
+            "d x vocab": (d, vocab), "scores": (head_dim, keys), "values": (keys, head_dim),
+        }[product]
+        g = rng(d + inner + cols)
+        right = g.standard_normal((inner, cols))
+        if product == "scores":
+            # causal_attention multiplies by a transposed view of K
+            right = np.ascontiguousarray(right.T).T
+        for rows in range(1, 65):
+            left = g.standard_normal((rows, inner))
+            want = left @ right
+            order = g.permutation(rows)
+            assert np.array_equal(left[order] @ right, want[order]), rows
+            # the rows in random places of a stack of two blocks of rows
+            places = g.permutation(2 * rows)[:rows]
+            stack = g.standard_normal((2 * rows, inner))
+            stack[places] = left
+            got = (stack.reshape(2, rows, inner) @ right).reshape(2 * rows, -1)
+            assert np.array_equal(got[places], want), rows
 
 
 class TestInPlaceKernels:

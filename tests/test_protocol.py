@@ -980,38 +980,52 @@ def long_weights():
 
 def _prefill_rows(weights, lam, prompt, span, monkeypatch):
     """user_prefill the prompt with lam decoys at span, counting the
-    token rows model.trunk runs and recording every prefill's logits."""
+    token rows model.trunk runs, padding rows included, and recording the
+    logits prefill returns for the virtual prompts."""
     rows, logits = [], []
     trunk, prefill_ = model_module.trunk, protocol.prefill
 
     def counting_trunk(weights, tokens, *args, **kwargs):
-        rows.append(len(tokens))
+        rows.append(np.size(tokens))
         return trunk(weights, tokens, *args, **kwargs)
 
     def recording_prefill(*args, **kwargs):
-        cache, last = prefill_(*args, **kwargs)
+        kv, last = prefill_(*args, **kwargs)
         logits.append(last)
-        return cache, last
+        return kv, last
 
     with monkeypatch.context() as patch:
         patch.setattr(model_module, "trunk", counting_trunk)
         patch.setattr(protocol, "prefill", recording_prefill)
         user = decoy_user(weights, lam, prompt=prompt, span=span)
-    return user, sum(rows), logits[-(lam + 1):]
+    assert len(logits) == 1
+    return user, sum(rows), logits[0]
+
+
+def _set_rows(n, p, prompts):
+    """The trunk rows prefill runs for prompts of n tokens that agree on
+    p: per chunk of m rows, its U distinct rows in ceil(U / m) blocks."""
+    total = 0
+    for lo in range(0, n, PREFILL_CHUNK):
+        hi = min(lo + PREFILL_CHUNK, n)
+        mid = min(max(p, lo), hi)
+        distinct = (mid - lo) + prompts * (hi - mid)
+        total += -(-distinct // (hi - lo)) * (hi - lo)
+    return total
 
 
 class TestSharedPrefixPrefill:
-    """The virtual prompts' shared prefix is prefilled once and its rows
-    are kept once. Every stream's prompt rows (the shared rows, then its
-    own) and first-token logits are bit-identical to prefilling its
-    prompt alone, and no tolerance is allowed."""
+    """The virtual prompts prefill as one set: the rows they share run
+    once per chunk and are kept once. Every stream's prompt rows (the
+    shared rows, then its own) and first-token logits are bit-identical
+    to prefilling its prompt alone, and no tolerance is allowed."""
 
     LAMBDAS = (0, 1, 3, 7)
     CASES = [
         (n, s)
-        for n in (1, 31, 32, 33, 64, 128, 160)  # 160 is max_seq
-        for s in sorted({0, 1, 31, 32, 33, n - 1})
-        if s < n
+        for n in (1, 2, 3, 4, 31, 32, 33, 34, 35, 44, 64, 128, 160)  # 160 is max_seq
+        for s in sorted({0, 1, 31, 32, 33, n - 3, n - 2, n - 1})
+        if 0 <= s < n
     ]
 
     @pytest.mark.parametrize("n,span", CASES)
@@ -1019,8 +1033,8 @@ class TestSharedPrefixPrefill:
         prompt = rng(1000 * n + span).integers(0, 63, size=n).tolist()
         for lam in self.LAMBDAS:
             user, rows, logits = _prefill_rows(long_weights, lam, prompt, span, monkeypatch)
-            shared = 0 if lam == 0 else span - span % PREFILL_CHUNK
-            assert rows == shared + (lam + 1) * (n - shared)
+            p = span if lam else 0
+            assert rows == _set_rows(n, p, lam + 1)
             for i, tokens in enumerate(user.vps.prompts):
                 assert len(tokens) == n and list(tokens[:span]) == prompt[:span]
                 cache, want = prefill(long_weights, list(tokens))
@@ -1028,7 +1042,6 @@ class TestSharedPrefixPrefill:
                 k, v = stream_rows(user, i)
                 assert np.array_equal(k, cache.k[:, :, :n])
                 assert np.array_equal(v, cache.v[:, :, :n])
-            p = span if lam else 0
             assert user.shared_k.shape[2] == p
             c = long_weights.config
             assert user.private_k.shape == (lam + 1, c.n_layers, c.n_heads, n - p, c.head_dim)
@@ -1036,12 +1049,13 @@ class TestSharedPrefixPrefill:
             assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
 
     def test_prefill_rows_grow_sub_linearly_in_lambda(self, long_weights, monkeypatch):
-        # prefill_decoys' shape: 128 tokens, one tagged token at 124; the
-        # 124 shared tokens round down to 96, prefilled once, and each of
-        # the 4 streams prefills its last chunk of 32
+        # prefill_decoys' shape: 128 tokens, one tagged token at 124. The
+        # first three chunks are shared and run once; the last holds the
+        # 28 shared rows 96-123 once and each of the 4 streams' 4 own
+        # rows, 44 distinct rows in two blocks of 32
         prompt = rng(7).integers(0, 63, size=128).tolist()
         _, rows, _ = _prefill_rows(long_weights, 3, prompt, 124, monkeypatch)
-        assert rows == 96 + 4 * 32
+        assert rows == 96 + 2 * 32 == _set_rows(128, 124, 4)
 
     def test_stored_rows_grow_sub_linearly_in_lambda(self, long_weights):
         # the same shape: the 124 rows before the tag are kept once, and

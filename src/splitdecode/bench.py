@@ -24,7 +24,6 @@ from .model import (
     ModelConfig,
     init_model,
     prefill,
-    reset_weight_alloc_count,
     sample_token,
     trunk,
     weight_alloc_count,
@@ -206,7 +205,6 @@ def run_mode(config: BenchConfig) -> BenchRecord:
     Token outputs must agree across repetitions; per-token latency is the
     median/p95 over all decode rounds of all repetitions.
     """
-    reset_weight_alloc_count()
     prompts = bench_prompts(config)
     runner = _RUNNERS[config.mode]
     all_round_times: list[float] = []

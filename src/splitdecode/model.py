@@ -46,7 +46,6 @@ __all__ = [
     "init_model",
     "load_weights",
     "prefill",
-    "reset_weight_alloc_count",
     "sample_token",
     "save_weights",
     "trunk",
@@ -149,11 +148,6 @@ def weight_alloc_count() -> int:
     return _weight_allocations
 
 
-def reset_weight_alloc_count():
-    global _weight_allocations
-    _weight_allocations = 0
-
-
 def _tensor_layout(c: ModelConfig) -> list[tuple[int, int, float, bool]]:
     """Every tensor of the weights in file order, as (rows, cols, init
     scale, gain): embed; per layer wq, wk, wv, wo, w_in, w_out, gain_attn,
@@ -212,6 +206,11 @@ class KvCache:
         c = self.config
         shape = (c.n_layers, c.n_heads, c.max_seq, c.head_dim)
         self.k, self.v = np.zeros(shape), np.zeros(shape)
+
+    def as_set(self) -> PromptSetKv:
+        """The cache as a set of one prompt with no shared rows, in views
+        of its arrays: the row at position r is private_k[0][:, :, r]."""
+        return PromptSetKv(self.k[:, :, :0], self.v[:, :, :0], self.k[None], self.v[None])
 
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -372,20 +371,6 @@ def _check_tokens(config: ModelConfig, tokens):
             raise ValueError(f"token {token} outside [0, {config.vocab_size})")
 
 
-def _chunk_attention(cache: KvCache):
-    """attend for a chunk of one session's consecutive tokens: it writes
-    their K/V at rows cache.length onward and attends causally over the
-    rows up to the chunk's end; the caller advances cache.length."""
-
-    def attend(layer, q, k, v):
-        lo, hi = cache.length, cache.length + k.shape[1]
-        cache.k[layer, :, lo:hi] = k
-        cache.v[layer, :, lo:hi] = v
-        return causal_attention(q, cache.k[layer, :, :hi], cache.v[layer, :, :hi])
-
-    return attend
-
-
 def full_forward(weights: Weights, tokens) -> np.ndarray:
     """Logits for every position of tokens, recomputed from scratch."""
     tokens = list(tokens)
@@ -406,7 +391,10 @@ class PromptSetKv:
     shared_k/shared_v of shape (n_layers, n_heads, p, head_dim). Prompt
     i's n - p rows after them are private_k[i]/private_v[i] of two
     (prompts, n_layers, n_heads, n - p, head_dim) arrays. p is 0 for a set
-    of one, which has nothing to share.
+    of one, which has nothing to share. prefill writes every row here
+    once, and the user party decodes from the same arrays. A KvCache is
+    a set of one in this layout too, with max_seq private rows
+    (KvCache.as_set).
     """
 
     shared_k: np.ndarray
@@ -456,20 +444,24 @@ def _chunk_rows(prompts: np.ndarray, lo: int, mid: int, hi: int):
     return tokens[rows].reshape(-1, m), positions[rows].reshape(-1, m)
 
 
-def _set_attention(k_rows: np.ndarray, v_rows: np.ndarray, lo: int, mid: int, hi: int):
-    """attend for chunk [lo, hi) of a prompt set whose prompts agree
-    before mid, over the distinct rows _chunk_rows lays out: the shared
-    rows first, then prompt i's own rows at shared + i * own.
+def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
+    """attend for chunk [lo, hi) of the prompt set whose rows kv holds,
+    the prompts agreeing before mid, over the distinct rows _chunk_rows
+    lays out: the shared rows first, then prompt i's own rows at
+    shared + i * own.
 
-    It writes every prompt's K/V rows of the chunk, the shared ones and
-    its own, into k_rows[i]/v_rows[i], and attends each prompt's chunk
-    rows over its rows :hi, in the (n_heads, hi - lo, hi) score shape a
-    lone prompt's chunk has; each output row goes back to its distinct
-    row, and padding rows get zeros. A chunk of shared rows only is
-    attended once, for the first prompt. At the last layer q holds the
-    rows the trunk reads, prompt i's last row at i, and each attends as
-    one row, as a lone prompt's final chunk does."""
-    count, layers, heads, _, head_dim = k_rows.shape
+    It writes the chunk's shared K/V rows once, and each prompt's own
+    rows into its slot, then attends each prompt's chunk rows over its
+    rows :hi, in the (n_heads, hi - lo, hi) score shape a lone prompt's
+    chunk has. Those rows are views of kv, gathered into one array only
+    for a chunk that needs both shared and own rows. Each output row goes
+    back to its distinct row, and padding rows get zeros. A chunk of
+    shared rows only is attended once, for the first prompt. At the last
+    layer q holds the rows the trunk reads, prompt i's last row at i, and
+    in a one-row chunk (a decode step is one) each prompt's one row; each
+    attends as one row, as a lone prompt's final chunk does."""
+    count, layers, heads, _, head_dim = kv.private_k.shape
+    p = kv.shared_k.shape[2]
     shared, own = mid - lo, hi - mid
     distinct = shared + count * own
 
@@ -477,24 +469,37 @@ def _set_attention(k_rows: np.ndarray, v_rows: np.ndarray, lo: int, mid: int, hi
         # (heads, rows, head_dim) distinct rows -> (count, heads, own, head_dim)
         return x[:, shared:distinct].reshape(heads, count, own, head_dim).swapaxes(0, 1)
 
+    def prompt_rows(shared_x: np.ndarray, private_x: np.ndarray, prompts: int) -> np.ndarray:
+        # the first prompts' rows :hi of one layer, (prompts, heads, hi, head_dim)
+        if hi <= p:
+            return shared_x[None, :, :hi]
+        if p == 0:
+            return private_x[:prompts, :, :hi]
+        rows = np.empty((prompts, heads, hi, head_dim))
+        rows[:, :, :p] = shared_x
+        rows[:, :, p:] = private_x[:prompts, :, : hi - p]
+        return rows
+
     def attend(layer, q, k, v):
-        for rows, new in ((k_rows, k), (v_rows, v)):
-            rows[:, layer, :, lo:mid] = new[:, :shared]
-            rows[:, layer, :, mid:hi] = own_rows(new)
-        if layer == layers - 1:
-            reads = q.shape[1]
-            a = causal_attention(
-                q.swapaxes(0, 1)[:, :, None], k_rows[:reads, layer, :, :hi],
-                v_rows[:reads, layer, :, :hi],
-            )
+        if shared:
+            kv.shared_k[layer, :, lo:mid] = k[:, :shared]
+            kv.shared_v[layer, :, lo:mid] = v[:, :shared]
+        if own:
+            kv.private_k[:, layer, :, mid - p : hi - p] = own_rows(k)
+            kv.private_v[:, layer, :, mid - p : hi - p] = own_rows(v)
+        # at the last layer, and in a one-row chunk, q holds one row for
+        # each prompt it attends
+        one_row = layer == layers - 1 or hi - lo == 1
+        prompts = q.shape[1] if one_row else count if own else 1
+        keys = prompt_rows(kv.shared_k[layer], kv.private_k[:, layer], prompts)
+        values = prompt_rows(kv.shared_v[layer], kv.private_v[:, layer], prompts)
+        if one_row:
+            a = causal_attention(q.swapaxes(0, 1)[:, :, None], keys, values)
             return a[:, :, 0].swapaxes(0, 1)
-        attending = count if own else 1
-        qs = np.empty((attending, heads, hi - lo, head_dim))
+        qs = np.empty((prompts, heads, hi - lo, head_dim))
         qs[:, :, :shared] = q[:, :shared]
-        qs[:, :, shared:] = own_rows(q)[:attending]
-        a = causal_attention(
-            qs, k_rows[:attending, layer, :, :hi], v_rows[:attending, layer, :, :hi]
-        )
+        qs[:, :, shared:] = own_rows(q)[:prompts]
+        a = causal_attention(qs, keys, values)
         out = np.zeros_like(q)
         out[:, :shared] = a[0, :, :shared]
         out[:, shared:distinct] = a[:, :, shared:].swapaxes(0, 1).reshape(heads, -1, head_dim)
@@ -542,10 +547,11 @@ def prefill(weights: Weights, tokens):
     p = _common_prefix(prompts)
     if single:
         cache = KvCache(config=c)
-        k_rows, v_rows = cache.k[None], cache.v[None]
+        kv = cache.as_set()
     else:
-        k_rows = np.empty((count, c.n_layers, c.n_heads, n, c.head_dim))
-        v_rows = np.empty_like(k_rows)
+        shared = (c.n_layers, c.n_heads, p, c.head_dim)
+        own = (count, c.n_layers, c.n_heads, n - p, c.head_dim)
+        kv = PromptSetKv(np.empty(shared), np.empty(shared), np.empty(own), np.empty(own))
 
     for lo in range(0, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
@@ -553,22 +559,20 @@ def prefill(weights: Weights, tokens):
         chunk, positions = _chunk_rows(prompts, lo, mid, hi)
         # each prompt's last row, the last of its own rows
         read = mid - lo - 1 + (hi - mid) * np.arange(1, count + 1) if hi == n else []
-        logits = trunk(weights, chunk, positions, _set_attention(k_rows, v_rows, lo, mid, hi), read)
+        logits = trunk(weights, chunk, positions, _set_attention(kv, lo, mid, hi), read)
     if single:
         cache.length = n
         return cache, logits[0]
-    kv = PromptSetKv(
-        k_rows[0, :, :, :p].copy(), v_rows[0, :, :, :p].copy(),
-        k_rows[:, :, :, p:].copy(), v_rows[:, :, :, p:].copy(),
-    )
     return kv, logits
 
 
 def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.ndarray:
     """Append token's K/V to the cache and return next-token logits.
 
-    Equivalent (within 1e-10) to recomputing the full sequence without a
-    cache; see the cache/no-cache equivalence tests.
+    The token attends as a one-row chunk of its cache, through the attend
+    prefill uses (_set_attention over KvCache.as_set). Equivalent (within
+    1e-10) to recomputing the full sequence without a cache; see the
+    cache/no-cache equivalence tests.
     """
     c = weights.config
     if cache.length == 0:
@@ -576,7 +580,8 @@ def decode_step_monolithic(weights: Weights, cache: KvCache, token: int) -> np.n
     if cache.length >= c.max_seq:
         raise CacheFullError(f"cache full at max_seq={c.max_seq}")
     _check_tokens(c, [token])
-    logits = trunk(weights, [token], [cache.length], _chunk_attention(cache))
+    n = cache.length
+    logits = trunk(weights, [token], [n], _set_attention(cache.as_set(), n, n, n + 1))
     cache.length += 1
     return logits[0]
 

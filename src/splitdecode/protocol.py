@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, Weights, prefill, sample_token, trunk
+from .model import ModelConfig, PromptSetKv, Weights, prefill, sample_token, trunk
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -335,15 +335,15 @@ class UserParty:
 
     The virtual prompts share one length n and agree on their first p
     tokens, up to the first tagged span. prefill runs them as one set, and
-    the party keeps their K/V rows in the layout of model.PromptSetKv:
-    the p shared rows once in shared_k/shared_v (p is 0 for a single
-    prompt), and stream i's n - p rows after them in
-    private_k[i]/private_v[i]. It holds p + streams * (n - p) rows per
-    layer and head instead of streams * n. A batched QUERY is
-    answered with one kernel call that reads the shared rows once for
-    all of its streams. During decode the party answers QUERY frames
-    from these rows and samples from FINAL_Y distributions; it needs no
-    weights, and its weights handle is released at the end of prefill.
+    the party keeps the model.PromptSetKv it returns as kv: the p shared
+    rows once in kv.shared_k/shared_v (p is 0 for a single prompt), and
+    stream i's n - p rows after them in kv.private_k[i]/private_v[i]. It
+    holds p + streams * (n - p) rows per layer and head instead of
+    streams * n. A batched QUERY is answered with one kernel call that
+    reads the shared rows once for all of its streams. During decode the
+    party answers QUERY frames from these rows and samples from FINAL_Y
+    distributions; it needs no weights, and its weights handle is
+    released at the end of prefill.
     """
 
     def __init__(
@@ -365,10 +365,7 @@ class UserParty:
         self.sample_seed = sample_seed
         self.config: ModelConfig | None = None
         self.streams: dict[int, _UserStream] = {}
-        self.shared_k: np.ndarray | None = None
-        self.shared_v: np.ndarray | None = None
-        self.private_k: np.ndarray | None = None
-        self.private_v: np.ndarray | None = None
+        self.kv: PromptSetKv | None = None
         self.vps: VirtualPromptSet | None = None
         self.pending_setup: list[ProtocolMessage] = []
         self._outward: deque = deque()
@@ -436,13 +433,13 @@ class UserParty:
                 "must name the first, and no stream may appear twice"
             )
         arena = _arena_rows([self._live_stream(int(sid)).index for sid in ids])
-        shared = None
-        if self.shared_k.shape[2]:
-            shared = (self.shared_k[msg.layer], self.shared_v[msg.layer])
+        kv, shared = self.kv, None
+        if kv.shared_k.shape[2]:
+            shared = (kv.shared_k[msg.layer], kv.shared_v[msg.layer])
         a, gamma, m = _softmax_partial(
             qs.reshape(count, c.n_heads, c.head_dim),
-            self.private_k[arena, msg.layer],
-            self.private_v[arena, msg.layer],
+            kv.private_k[arena, msg.layer],
+            kv.private_v[arena, msg.layer],
             prefix=shared,
         )
         values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
@@ -475,9 +472,7 @@ def user_prefill(
     party.vps = build_virtual_prompts(prompt, fake_sets, config, party.user_id)
     prompts = party.vps.prompts
 
-    kv, logits = prefill(weights, prompts)
-    party.shared_k, party.shared_v = kv.shared_k, kv.shared_v
-    party.private_k, party.private_v = kv.private_k, kv.private_v
+    party.kv, logits = prefill(weights, prompts)
     messages = []
     for index, (tokens, row) in enumerate(zip(prompts, logits)):
         stream_id = party.user_id * 2**16 + index

@@ -232,8 +232,8 @@ def suite_protocol() -> list[Check]:
     for i, tokens in enumerate(user.vps.prompts):
         cache, _ = prefill(weights, list(tokens))
         # the stream's prompt rows: the shared rows, then its own
-        k = np.concatenate([user.shared_k, user.private_k[i]], axis=2)
-        v = np.concatenate([user.shared_v, user.private_v[i]], axis=2)
+        k = np.concatenate([user.kv.shared_k, user.kv.private_k[i]], axis=2)
+        v = np.concatenate([user.kv.shared_v, user.kv.private_v[i]], axis=2)
         n = len(tokens)
         if not (np.array_equal(k, cache.k[:, :, :n]) and np.array_equal(v, cache.v[:, :, :n])):
             differing += 1
@@ -242,7 +242,7 @@ def suite_protocol() -> list[Check]:
               differing == 0 and len(user.streams) == 4,
               f"{differing} of {len(user.streams)} streams differ from their own prefill")
     )
-    stored = user.shared_k.shape[2] + user.private_k.shape[0] * user.private_k.shape[3]
+    stored = user.kv.shared_k.shape[2] + user.kv.private_k.shape[0] * user.kv.private_k.shape[3]
     checks.append(
         Check("the shared prefix is stored once: 40 + 4 * 60 = 280 rows per layer and head",
               stored == 40 + 4 * 60,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,16 @@ class TestDemoCommand:
         assert main(["demo", "--seed", "3", "--out", str(out1)]) == 0
         assert main(["demo", "--seed", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_demo_transcript_pinned(self, tmp_path, capsys):
+        # the default demo's transcript, byte for byte: a change to any
+        # token, frame or byte count of the run moves it
+        out = tmp_path / "t.txt"
+        assert main(["demo", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (len(data), data.count(b"\n")) == (13712, 472)
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        assert digest == "196c2e24946ff0aa081747bfe02e41f3"
 
     def test_demo_obfuscation_abort_exit_code(self, tmp_path, capsys):
         # the demo corpus cannot yield 500 decoys; lambda_min forces a halt

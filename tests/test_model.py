@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from splitdecode.model import (
     FileFormatError,
     KvCache,
     ModelConfig,
-    _chunk_attention,
     _rms_norm,
     _silu,
     attention_reference,
@@ -346,6 +346,76 @@ def deep_weights():
     ))
 
 
+@pytest.fixture(scope="module")
+def pinned_weights():
+    """The benchmark's pinned model shape: 4 layers, 4 heads, d_model 256,
+    max_seq 160."""
+    return init_model(ModelConfig(
+        n_layers=4, n_heads=4, d_model=256, head_dim=64, vocab_size=256, max_seq=160,
+        seed=20240928,
+    ))
+
+
+def reference_chunk_attention(cache):
+    """attend for a chunk of one session's consecutive tokens, kept apart
+    from the model's own: it writes their K/V at rows cache.length onward
+    and attends causally over the rows up to the chunk's end; the caller
+    advances cache.length."""
+
+    def attend(layer, q, k, v):
+        lo, hi = cache.length, cache.length + k.shape[1]
+        cache.k[layer, :, lo:hi] = k
+        cache.v[layer, :, lo:hi] = v
+        return causal_attention(q, cache.k[layer, :, :hi], cache.v[layer, :, :hi])
+
+    return attend
+
+
+class TestDecodeStep:
+    """decode_step_monolithic attends as a one-row chunk of its cache. Its
+    logits and the row it appends are those of a trunk run whose attend
+    writes the row and attends over rows :n + 1 directly, bit for bit."""
+
+    @pytest.mark.parametrize("weights", ["deep_weights", "pinned_weights"])
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, "max_seq - 1"])
+    def test_bit_identical_to_direct_cache_attention(self, request, weights, length):
+        weights = request.getfixturevalue(weights)
+        c = weights.config
+        n = c.max_seq - 1 if length == "max_seq - 1" else length
+        prompt = rng(300 + n).integers(0, c.vocab_size, size=n).tolist()
+        cache, logits = prefill(weights, prompt)
+        reference = KvCache(config=c)
+        reference.k[:], reference.v[:], reference.length = cache.k, cache.v, n
+        token = sample_token(logits)
+        got = decode_step_monolithic(weights, cache, token)
+        want = trunk(weights, [token], [n], reference_chunk_attention(reference))
+        assert cache.length == n + 1
+        assert np.array_equal(got, want[0])
+        assert np.array_equal(cache.k, reference.k) and np.array_equal(cache.v, reference.v)
+
+
+class TestPrefillMemory:
+    def test_set_prefill_peak_below_twice_its_rows(self, pinned_weights):
+        # 8 prompts of 160 tokens that agree up to token 40: prefill
+        # writes every K/V row once, straight into the PromptSetKv it
+        # returns, so its allocations peak below twice that set's bytes
+        c = pinned_weights.config
+        prefix = rng(21).integers(0, c.vocab_size, size=40).tolist()
+        prompts = [
+            prefix + [i] + rng(22 + i).integers(0, c.vocab_size, size=119).tolist()
+            for i in range(8)
+        ]
+        tracemalloc.start()
+        try:
+            kv, _ = prefill(pinned_weights, prompts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kv.shared_k.shape[2] == 40 and kv.private_k.shape[3] == 120
+        held = sum(a.nbytes for a in (kv.shared_k, kv.shared_v, kv.private_k, kv.private_v))
+        assert peak < 2 * held
+
+
 class TestPrefillTail:
     """prefill runs its last layer's Q side, attention, MLP and
     unembedding only for the row it returns. Every K/V row stays the one
@@ -358,7 +428,7 @@ class TestPrefillTail:
         prompt = rng(200 + n).integers(0, c.vocab_size, size=n).tolist()
         cache, logits = prefill(deep_weights, prompt)
         full = KvCache(config=c)
-        attend = _chunk_attention(full)
+        attend = reference_chunk_attention(full)
         for lo in range(0, n, PREFILL_CHUNK):
             hi = min(lo + PREFILL_CHUNK, n)
             rows = trunk(deep_weights, prompt[lo:hi], np.arange(lo, hi), attend)

@@ -536,8 +536,8 @@ def decoy_user(weights, lam, user_id=1, prompt=(5, 3, 8), span=0):
 def stream_rows(user, index):
     """The prompt K/V of the user's stream at index: the shared rows,
     then the stream's own."""
-    return (np.concatenate([user.shared_k, user.private_k[index]], axis=2),
-            np.concatenate([user.shared_v, user.private_v[index]], axis=2))
+    return (np.concatenate([user.kv.shared_k, user.kv.private_k[index]], axis=2),
+            np.concatenate([user.kv.shared_v, user.kv.private_v[index]], axis=2))
 
 
 class TestMalformedPartial:
@@ -1042,9 +1042,9 @@ class TestSharedPrefixPrefill:
                 k, v = stream_rows(user, i)
                 assert np.array_equal(k, cache.k[:, :, :n])
                 assert np.array_equal(v, cache.v[:, :, :n])
-            assert user.shared_k.shape[2] == p
+            assert user.kv.shared_k.shape[2] == p
             c = long_weights.config
-            assert user.private_k.shape == (lam + 1, c.n_layers, c.n_heads, n - p, c.head_dim)
+            assert user.kv.private_k.shape == (lam + 1, c.n_layers, c.n_heads, n - p, c.head_dim)
             run_sessions(ModelParty(long_weights), Controller(), [user], 2)
             assert user.authentic_response() == greedy_decode(long_weights, prompt, 2)
 
@@ -1062,9 +1062,9 @@ class TestSharedPrefixPrefill:
         # each of the 4 streams keeps its last 4
         prompt = rng(7).integers(0, 63, size=128).tolist()
         user = decoy_user(long_weights, 3, prompt=prompt, span=124)
-        assert user.shared_k.shape == (2, 2, 124, 64)
-        assert user.private_k.shape == (4, 2, 2, 4, 64)
-        stored = user.shared_k.shape[2] + user.private_k.shape[0] * user.private_k.shape[3]
+        assert user.kv.shared_k.shape == (2, 2, 124, 64)
+        assert user.kv.private_k.shape == (4, 2, 2, 4, 64)
+        stored = user.kv.shared_k.shape[2] + user.kv.private_k.shape[0] * user.kv.private_k.shape[3]
         assert stored == 124 + 4 * 4
 
 
@@ -1095,9 +1095,9 @@ class TestConfidentiality:
             run_sessions(ModelParty(small_weights), Controller(), [user], 12)
             wire_bytes = setup + b"".join(frames)
 
-            rows = [user.shared_k, user.shared_v]
+            rows = [user.kv.shared_k, user.kv.shared_v]
             for index in range(lam + 1):
-                rows += [user.private_k[index], user.private_v[index]]
+                rows += [user.kv.private_k[index], user.kv.private_v[index]]
             scanned = 0
             for kv in rows:
                 for row in kv.reshape(-1, c.head_dim):

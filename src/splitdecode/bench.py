@@ -73,6 +73,8 @@ class BenchConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.users < 1:
             raise ValueError("users must be >= 1")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
         if self.repetitions < 3:
             raise ValueError("repetitions must be >= 3")
         if self.in_tokens < 1 or self.out_tokens < 1:
@@ -168,19 +170,15 @@ def _run_monolithic(config: BenchConfig, prompts) -> tuple[dict, list[float], in
 def _run_spd(config: BenchConfig, prompts) -> tuple[dict, list[float], int, float]:
     start_allocs = weight_alloc_count()
     weights = init_model(config.model)
-    # the sampler's pool includes the authentic n-gram, so lam decoys
-    # need a pool cap of lam + 1
-    obf = ObfuscationConfig(
-        epsilon=1.0 if config.lam > 0 else 0.0,
-        lambda_max=config.lam + 1,
-        prf_key=b"bench",
-    )
+    # one tagged token under the uniform oracle gives a pool of lam + 1
+    # equal-length n-grams, the authentic one among them, and so lam
+    # decoys; at lam 0 the pool holds only the authentic n-gram
+    obf = ObfuscationConfig(epsilon=1.0, lambda_max=config.lam + 1, prf_key=b"bench")
     oracle = _uniform_oracle(config.model.vocab_size)
     parties = []
     for i, prompt in enumerate(prompts):
         party = UserParty(user_id=i, weights_handle=WeightsHandle(weights), oracle=oracle)
-        # one tagged token gives lam equal-length decoys under the uniform oracle
-        tagged = TaggedPrompt(tokens=prompt, spans=((0, 1),) if config.lam > 0 else ())
+        tagged = TaggedPrompt(tokens=prompt, spans=((0, 1),))
         user_prefill(party, tagged, obf)
         parties.append(party)
     model = ModelParty(weights, stop_at_eos=False)

@@ -1,8 +1,8 @@
 """Command-line entry point: end-to-end demo, verification suites, and
 the scaling bench.
 
-Exit codes: 0 success, 1 resource exhaustion (bench), 2 usage error or
-invariant failure, 3 obfuscation abort, 4 protocol violation.
+Exit codes: 0 success, 1 resource exhaustion (bench), 2 usage or config
+error or invariant failure, 3 obfuscation abort, 4 protocol violation.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import BenchConfig, bench_csv, sweep
+from .bench import bench_csv, sweep
 from .config import ConfigError, load_run_config
 from .corpora import demo_rules_text, demo_text
 from .langmodel import tokenize_text, train_ngram
@@ -70,13 +70,20 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
     if len(vocab) + 1 > cfg.model.vocab_size:
         print("demo corpus does not fit the model vocabulary", file=sys.stderr)
         return EXIT_INVARIANT
-    oracle = train_ngram(
-        sequences, order=int(cfg.demo["ngram_order"]), vocab_size=cfg.model.vocab_size
-    )
-    rules = parse_tag_rules(demo_rules_text())
-    prompt_words = str(cfg.demo["prompt"]).split()
+    weights = init_model(cfg.model)
     try:
-        prompt_tokens = [vocab[w] for w in prompt_words]
+        oracle = train_ngram(
+            sequences, order=cfg.demo["ngram_order"], vocab_size=cfg.model.vocab_size
+        )
+        user = UserParty(
+            user_id=cfg.demo["user_id"], weights_handle=WeightsHandle(weights), oracle=oracle
+        )
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    rules = parse_tag_rules(demo_rules_text())
+    try:
+        prompt_tokens = [vocab[w] for w in cfg.demo["prompt"].split()]
     except KeyError as exc:
         print(f"prompt word {exc} not in the demo vocabulary", file=sys.stderr)
         return EXIT_INVARIANT
@@ -84,15 +91,9 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
     print(f"prompt: {cfg.demo['prompt']}")
     print(f"tagged spans: {list(tagged.spans)}")
 
-    weights = init_model(cfg.model)
     model_party = ModelParty(weights)
     ctrl = Controller()
-    user = UserParty(
-        user_id=int(cfg.demo["user_id"]),
-        weights_handle=WeightsHandle(weights),
-        oracle=oracle,
-    )
-    max_tokens = int(cfg.demo["max_tokens"])
+    max_tokens = cfg.demo["max_tokens"]
     try:
         user_prefill(user, tagged, cfg.obfuscation)
         if verbosity >= 1:
@@ -111,7 +112,7 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
         return EXIT_PROTOCOL
 
     authentic = user.authentic_response()
-    print(f"virtual prompts decoded: {user.vps.lam + 1}")
+    print(f"virtual prompts decoded: {len(user.vps.prompts)}")
     print(f"authentic response: {_words_for(authentic, vocab)}")
 
     report = comm_accounting(transcript)
@@ -143,24 +144,8 @@ def cmd_verify(suite: str) -> int:
 
 
 def cmd_bench(cfg, out_path: str | None) -> int:
-    b = cfg.bench
-    configs = [
-        BenchConfig(
-            mode=mode,
-            users=int(users),
-            in_tokens=int(b["in_tokens"]),
-            out_tokens=int(b["out_tokens"]),
-            lam=int(lam),
-            model=b["model"],
-            repetitions=int(b["repetitions"]),
-            seed=b["model"].seed,
-        )
-        for mode in b["modes"]
-        for users in b["users"]
-        for lam in b["lambdas"]
-    ]
     try:
-        records = sweep(configs)
+        records = sweep(cfg.bench)
     except MemoryError as exc:
         print(f"resource exhaustion: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,6 +1,7 @@
 """Run configuration: one nested JSON file mirroring the model,
 obfuscation and bench dataclasses. Unknown keys are rejected everywhere
-so silent typos cannot change an experiment.
+so silent typos cannot change an experiment, and a value the sections'
+types reject is a ConfigError before anything runs.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .bench import BenchConfig
 from .model import ConfigError, ModelConfig
 from .obfuscation import ObfuscationConfig
 
@@ -85,27 +87,45 @@ def _merge(section: str, defaults: dict, given: dict) -> dict:
 class RunConfig:
     model: ModelConfig
     obfuscation: ObfuscationConfig
-    demo: dict
-    bench: dict
+    demo: dict  # the demo section, each value cast to its default's type
+    bench: list[BenchConfig]  # the sweep: one config per mode, users and lambda
 
 
 def parse_run_config(raw: dict, seed: int | None = None) -> RunConfig:
     _check_keys("config", raw, DEFAULTS)
     merged = _merge("config", DEFAULTS, raw)
     model_kwargs = dict(merged["model"])
-    bench = dict(merged["bench"])
+    bench = merged["bench"]
+    bench_model_kwargs = dict(bench["model"])
     if seed is not None:
-        model_kwargs["seed"] = seed
-        bench["model"] = dict(bench["model"], seed=seed)
+        model_kwargs["seed"] = bench_model_kwargs["seed"] = seed
     obf_kwargs = dict(merged["obfuscation"])
     obf_kwargs["prf_key"] = str(obf_kwargs["prf_key"]).encode("utf-8")
     try:
         model = ModelConfig(**model_kwargs)
         obf = ObfuscationConfig(**obf_kwargs)
-        bench["model"] = ModelConfig(**bench["model"])
+        demo = {key: type(DEFAULTS["demo"][key])(value) for key, value in merged["demo"].items()}
+        bench_model = ModelConfig(**bench_model_kwargs)
+        sweep = [
+            BenchConfig(
+                mode=mode,
+                users=int(users),
+                in_tokens=int(bench["in_tokens"]),
+                out_tokens=int(bench["out_tokens"]),
+                lam=int(lam),
+                model=bench_model,
+                repetitions=int(bench["repetitions"]),
+                seed=bench_model.seed,
+            )
+            for mode in bench["modes"]
+            for users in bench["users"]
+            for lam in bench["lambdas"]
+        ]
+        if not sweep:
+            raise ValueError("bench needs at least one mode, users count and lambda")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(model=model, obfuscation=obf, demo=merged["demo"], bench=bench)
+    return RunConfig(model=model, obfuscation=obf, demo=demo, bench=sweep)
 
 
 def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:

@@ -373,10 +373,7 @@ def _check_tokens(config: ModelConfig, tokens):
 
 def full_forward(weights: Weights, tokens) -> np.ndarray:
     """Logits for every position of tokens, recomputed from scratch."""
-    tokens = list(tokens)
-    if not 1 <= len(tokens) <= weights.config.max_seq:
-        raise ValueError(f"sequence length must be in [1, {weights.config.max_seq}]")
-    _check_tokens(weights.config, tokens)
+    tokens = _prompt_set(weights.config, [tokens])[0]
     return trunk(
         weights, tokens, np.arange(len(tokens)), lambda layer, q, k, v: causal_attention(q, k, v)
     )

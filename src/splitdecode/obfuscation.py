@@ -152,12 +152,12 @@ def tag_sensitive(tokens, rules: list[TagRule], vocab: dict[str, int]) -> Tagged
 class FakeNgramSet:
     """Sampler output for one segment: same-length candidate replacements.
 
-    candidates are in rank order (smallest log-probability gap first, ties
-    by token ids); the authentic segment is always a member.
+    gqs returns its candidates in rank order (smallest log-probability gap
+    first, ties by token ids), the authentic segment among them; when the
+    budget would have pruned it, it takes the last place.
     """
 
     candidates: tuple
-    includes_authentic: bool
 
     def __post_init__(self):
         object.__setattr__(
@@ -182,8 +182,9 @@ def gqs(
     before the tag start. Temperature (config.temperature) reshapes the
     oracle's distributions before binning. After each position the pool is
     pruned to the lambda_max best candidates by absolute running
-    log-probability gap against the authentic prefix; the authentic prefix
-    itself is always retained.
+    log-probability gap against the authentic prefix, in that rank order;
+    the authentic prefix itself is always retained, in the last place if
+    it did not rank among them.
     """
     start, n = segment
     if n < 1:
@@ -224,12 +225,7 @@ def gqs(
             kept[-1] = (auth_prefix, extended[auth_prefix])
         pool = dict(kept)
 
-    return FakeNgramSet(
-        candidates=tuple(cand for cand, _ in sorted(
-            pool.items(), key=lambda kv: (abs(kv[1] - authentic_logprob), kv[0])
-        )),
-        includes_authentic=authentic in pool,
-    )
+    return FakeNgramSet(candidates=tuple(pool))
 
 
 def verify_bound(
@@ -296,20 +292,22 @@ def prf_index(key: bytes, session_id: int, lam: int) -> int:
 
 @dataclass(frozen=True)
 class VirtualPromptSet:
-    """lambda+1 equal-length prompts with the authentic one at a PRF index."""
+    """lambda+1 equal-length prompts with the authentic one at a PRF index;
+    lambda, the number of decoys, is len(prompts) - 1."""
 
     prompts: tuple
     idx: int
-    lam: int
 
     def __post_init__(self):
         object.__setattr__(self, "prompts", tuple(tuple(p) for p in self.prompts))
-        if len(self.prompts) != self.lam + 1:
-            raise ValueError("need exactly lam+1 prompts")
-        if not 0 <= self.idx <= self.lam:
+        if not 0 <= self.idx < len(self.prompts):
             raise ValueError("authentic index out of range")
         if len({len(p) for p in self.prompts}) != 1:
             raise ValueError("prompts must share one length")
+
+    @property
+    def lam(self) -> int:
+        return len(self.prompts) - 1
 
 
 def build_virtual_prompts(
@@ -322,16 +320,15 @@ def build_virtual_prompts(
 
     Replacement combinations are drawn in candidate rank order, skipping
     the all-authentic combination; lambda = min(lambda_max, combinations
-    available). Raises InsufficientObfuscationError — the user-facing
-    alert — when that falls short of lambda_min.
+    available), and 0 when no fake set was sampled. Raises
+    InsufficientObfuscationError — the user-facing alert — when that falls
+    short of lambda_min.
     """
     authentic_combo = tuple(prompt.segment(span) for span in prompt.spans)
-    combos = []
-    for combo in itertools.product(*(fs.candidates for fs in fake_sets)):
-        if combo != authentic_combo:
-            combos.append(combo)
-        if len(combos) >= config.lambda_max:
-            break
+    sampled = itertools.product(*(fs.candidates for fs in fake_sets)) if fake_sets else ()
+    combos = list(itertools.islice(
+        (combo for combo in sampled if combo != authentic_combo), config.lambda_max
+    ))
     lam = len(combos)
     if lam < config.lambda_min:
         raise InsufficientObfuscationError(lam, config.lambda_min)
@@ -348,7 +345,7 @@ def build_virtual_prompts(
     prompts = [
         prompt.tokens if i == idx else substitute(next(fakes)) for i in range(lam + 1)
     ]
-    return VirtualPromptSet(prompts=tuple(prompts), idx=idx, lam=lam)
+    return VirtualPromptSet(prompts=tuple(prompts), idx=idx)
 
 
 def winnow(responses, idx: int):

@@ -31,6 +31,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -914,23 +915,24 @@ class CommReport:
     vector plus the softmax denominator and its running max; the running
     max rides along so the merge can rescale safely, which is why each
     round costs 2*head_dim + 2 scalars per head rather than a bare
-    2*head_dim + 1.
+    2*head_dim + 1. The attention exchange of a round is its QUERY and
+    PARTIAL scalars together, n_layers * n_heads * (2*head_dim + 2).
     """
 
     query_scalars_per_round: int
     partial_scalars_per_round: int
-    round_scalars_per_round: int
     final_scalars_per_round: int
     constant_per_round: bool
     total_bytes: int
     steps: int
-    note: str = (
+    note: ClassVar[str] = (
         "per-head partial = head_dim + 2 scalars (weighted values, denominator, "
         "running max); the running max is transmitted for numerically safe merging"
     )
 
-    def expected_round_scalars(self, config: ModelConfig) -> int:
-        return config.n_layers * config.n_heads * (2 * config.head_dim + 2)
+    @property
+    def round_scalars_per_round(self) -> int:
+        return self.query_scalars_per_round + self.partial_scalars_per_round
 
     def to_text(self) -> str:
         lines = [
@@ -976,7 +978,6 @@ def comm_accounting(transcript: Transcript) -> CommReport:
     return CommReport(
         query_scalars_per_round=next(iter(queries), 0),
         partial_scalars_per_round=next(iter(partials), 0),
-        round_scalars_per_round=next(iter(queries), 0) + next(iter(partials), 0),
         final_scalars_per_round=next(iter(finals), 0),
         constant_per_round=constant,
         total_bytes=transcript.total_bytes(),

@@ -105,7 +105,7 @@ def adversary_trial(
 ) -> bool:
     """One attack: obtain a uniform eta-subset of the lambda+1 prompts,
     guess within it proportionally to P; True iff the guess is authentic."""
-    n = prompts.lam + 1
+    n = len(prompts.prompts)
     if not 1 <= eta <= n:
         raise ValueError(f"eta must be in [1, {n}]")
     subset = rng.permutation(n)[:eta]
@@ -155,7 +155,7 @@ def monte_carlo_success(
 ) -> AdversaryResult:
     """Vectorized repetition of adversary_trial with a Wilson interval and
     the closed-form bounds attached. Deterministic given the seed."""
-    n = prompts.lam + 1
+    n = len(prompts.prompts)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 1 <= eta <= n:

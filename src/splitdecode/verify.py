@@ -157,13 +157,13 @@ def suite_bounds() -> list[Check]:
     checks = []
     r1 = monte_carlo_success(oracle, vps, eta=1, trials=20000, seed=3,
                              epsilon=config.epsilon, delta=0.0)
-    target = 1.0 / (vps.lam + 1)
+    target = 1.0 / len(vps.prompts)
     checks.append(
         Check("one obtained prompt is pure random guessing",
               r1.ci_lo <= target <= r1.ci_hi,
               f"rate {r1.rate:.4f}, CI [{r1.ci_lo:.4f}, {r1.ci_hi:.4f}] vs {target:.4f}")
     )
-    r_all = monte_carlo_success(oracle, vps, eta=vps.lam + 1, trials=20000, seed=4,
+    r_all = monte_carlo_success(oracle, vps, eta=len(vps.prompts), trials=20000, seed=4,
                                 epsilon=config.epsilon, delta=0.0)
     sigma = 3 * np.sqrt(max(r_all.rate * (1 - r_all.rate), 1e-9) / r_all.trials)
     ok = r_all.bound_lo - sigma <= r_all.rate <= r_all.bound_hi + sigma
@@ -202,10 +202,8 @@ def suite_protocol() -> list[Check]:
         user = UserParty(user_id=1, weights_handle=WeightsHandle(weights),
                          oracle=NgramModel(order=1, vocab_size=config.vocab_size),
                          temperature=0.9, sample_seed=42)
-        spans, obf = ((0, 1),), ObfuscationConfig(1.0, lam + 1, prf_key=b"verify")
-        if not lam:
-            spans, obf = (), ObfuscationConfig(0.0, 0)
-        user_prefill(user, TaggedPrompt(tokens=prompt, spans=spans), obf)
+        user_prefill(user, TaggedPrompt(tokens=prompt, spans=((0, 1),)),
+                     ObfuscationConfig(1.0, lam + 1, prf_key=b"verify"))
         run_sessions(ModelParty(weights), ctrl, [user], 12)
         killed += len(ctrl.killed)
         responses.append(user.authentic_response())

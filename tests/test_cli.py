@@ -33,7 +33,7 @@ class TestConfig:
         path = write_config(tmp_path, {"model": {"seed": 1}})
         cfg = load_run_config(path, seed=99)
         assert cfg.model.seed == 99
-        assert cfg.bench["model"].seed == 99
+        assert cfg.bench and all(b.model.seed == 99 for b in cfg.bench)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -49,6 +49,31 @@ class TestConfig:
         path = write_config(tmp_path, {"model": {"d_model": 10}})
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_bench_section_is_the_sweep(self, tmp_path):
+        path = write_config(tmp_path, {"bench": {"modes": ["spd"], "users": [1, 2],
+                                                 "lambdas": [0, 3]}})
+        cfg = load_run_config(path)
+        assert [(b.mode, b.users, b.lam) for b in cfg.bench] == [
+            ("spd", 1, 0), ("spd", 1, 3), ("spd", 2, 0), ("spd", 2, 3)
+        ]
+
+    # a value of the right key but the wrong type or range is a config
+    # error (exit 2), never a traceback (exit 1 is resource exhaustion)
+    @pytest.mark.parametrize("command,data", [
+        ("demo", {"demo": {"max_tokens": "many"}}),
+        ("demo", {"demo": {"user_id": 70000}}),
+        ("demo", {"demo": {"ngram_order": 0}}),
+        ("bench", {"bench": {"users": [1, "x"]}}),
+        ("bench", {"bench": {"modes": ["bogus"]}}),
+        ("bench", {"bench": {"repetitions": 2}}),
+        ("bench", {"bench": {"lambdas": [-1]}}),
+        ("bench", {"bench": {"modes": []}}),
+    ])
+    def test_invalid_value_is_a_config_error(self, tmp_path, capsys, command, data):
+        path = write_config(tmp_path, data)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestDemoCommand:
@@ -82,6 +107,19 @@ class TestDemoCommand:
         )
         assert main(["demo", "--config", path]) == 3
 
+    # without decoys the demo runs as a set of one prompt, unless
+    # lambda_min asks for decoys (the default asks for 1)
+    @pytest.mark.parametrize("obfuscation,code", [
+        ({"epsilon": 0.0, "lambda_min": 0}, 0),
+        ({"lambda_max": 0, "lambda_min": 0}, 0),
+        ({"epsilon": 0.0}, 3),
+    ])
+    def test_demo_without_decoys(self, tmp_path, capsys, obfuscation, code):
+        path = write_config(tmp_path, {"obfuscation": obfuscation})
+        assert main(["demo", "--config", path]) == code
+        if code == 0:
+            assert "virtual prompts decoded: 1\n" in capsys.readouterr().out
+
     def test_demo_unknown_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"bogus_section": {}})
         assert main(["demo", "--config", path]) == 2
@@ -92,7 +130,7 @@ class TestDemoCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["theorem1", "bounds", "protocol"])
+    @pytest.mark.parametrize("suite", ["theorem1", "gqs", "bounds", "protocol"])
     def test_suites_pass(self, suite, capsys):
         assert main(["verify", suite]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -5,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from splitdecode.corpora import date_category_corpus, date_prompt
+from splitdecode.corpora import date_category_corpus, date_prompt, zipf_corpus
 from splitdecode.langmodel import seq_logprob, tempered, train_ngram
 from splitdecode.obfuscation import (
     FakeNgramSet,
@@ -122,7 +123,7 @@ class TestGqs:
         prompt = one_span_prompt((0, 1), 1, 1)
         out = gqs(prompt, (1, 1), ObfuscationConfig(epsilon=0.5, lambda_max=16), UNIFORM4)
         assert set(out.candidates) == {(0,), (1,), (2,), (3,)}
-        assert out.includes_authentic
+        assert prompt.segment((1, 1)) in out.candidates
 
     def test_constructed_bins(self):
         # ln .5 = -0.693 and ln .45 = -0.799 share bin [-1, 0) at width 1;
@@ -152,7 +153,7 @@ class TestGqs:
         prompt = one_span_prompt(tuple(rng(1).integers(0, 8, size=6).tolist()), 2, 3)
         out = gqs(prompt, (2, 3), ObfuscationConfig(epsilon=2.0, lambda_max=32), oracle)
         assert all(len(c) == 3 for c in out.candidates)
-        assert out.includes_authentic
+        assert prompt.segment((2, 3)) in out.candidates
 
     def test_lambda_max_prunes_but_keeps_authentic(self):
         prompt = one_span_prompt((0, 3), 1, 1)  # authentic token 3, the lexicographically last
@@ -281,12 +282,9 @@ class TestPrfIndex:
 
 
 class TestVirtualPrompts:
-    def fake_set(self, candidates):
-        return FakeNgramSet(candidates=candidates, includes_authentic=True)
-
     def test_abort_below_lambda_min(self):
         prompt = one_span_prompt((9, 0, 9), 1, 1)
-        fakes = self.fake_set(((0,), (1,), (2,)))  # authentic + 2 decoys
+        fakes = FakeNgramSet(candidates=((0,), (1,), (2,)))  # authentic + 2 decoys
         config = ObfuscationConfig(epsilon=0.1, lambda_max=8, lambda_min=3)
         with pytest.raises(InsufficientObfuscationError):
             build_virtual_prompts(prompt, [fakes], config, session_id=1)
@@ -315,7 +313,7 @@ class TestVirtualPrompts:
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="prompts must share one length"):
-            VirtualPromptSet(prompts=((1, 2, 3), (1, 2)), idx=0, lam=1)
+            VirtualPromptSet(prompts=((1, 2, 3), (1, 2)), idx=0)
 
     def test_index_comes_from_prf(self):
         prompt = one_span_prompt((0, 1), 1, 1)
@@ -323,6 +321,24 @@ class TestVirtualPrompts:
         config = ObfuscationConfig(epsilon=0.5, lambda_max=7, prf_key=b"shared")
         vps = build_virtual_prompts(prompt, [out], config, session_id=77)
         assert vps.idx == prf_index(b"shared", 77, vps.lam)
+
+    def test_no_fake_sets_no_decoys(self):
+        # a tagged prompt whose segments were not sampled has no decoys;
+        # the empty combination is not one
+        prompt = one_span_prompt((9, 0, 9), 1, 1)
+        vps = build_virtual_prompts(prompt, [], ObfuscationConfig(0.0, 4), session_id=3)
+        assert vps.lam == 0 and vps.prompts == (prompt.tokens,)
+
+    @pytest.mark.parametrize("lambda_max", [0, 1, 2, 3])
+    def test_decoys_capped_at_lambda_max(self, lambda_max):
+        prompt = one_span_prompt((9, 2, 9), 1, 1)
+        # four decoys; the authentic (2,) is not the first candidate
+        fakes = FakeNgramSet(candidates=((0,), (1,), (2,), (3,), (4,)))
+        config = ObfuscationConfig(epsilon=0.1, lambda_max=lambda_max)
+        vps = build_virtual_prompts(prompt, [fakes], config, session_id=2)
+        assert vps.lam == lambda_max
+        assert vps.prompts[vps.idx] == prompt.tokens
+        assert len(set(vps.prompts)) == lambda_max + 1
 
     def test_no_spans_single_prompt(self):
         vps = build_virtual_prompts(
@@ -372,7 +388,7 @@ class TestTransformerAsOracle:
         prompt = one_span_prompt((3, 9, 27, 4), 2, 1)
         config = ObfuscationConfig(epsilon=2.0, lambda_max=16)
         out = gqs(prompt, (2, 1), config, oracle)
-        assert out.includes_authentic
+        assert prompt.segment((2, 1)) in out.candidates
         ctx = list(prompt.tokens[:2])
         authentic = prompt.segment((2, 1))
         assert all(
@@ -427,3 +443,34 @@ class TestDateCategoryCurve:
         assert all(
             verify_bound(authentic, c, ctx, config.epsilon, view) for c in out.candidates
         )
+
+
+# blake2b-16 of every candidate tuple and virtual prompt set below. gqs
+# returns its pool in the order it ranked it, so any change to the ranking,
+# the pruning or where the authentic candidate lands moves this digest
+DECOY_PIPELINE_DIGEST = "9a6c6757808e5aed7e7d90d8281519bd"
+
+
+def test_decoy_pipeline_pinned(date_oracle):
+    oracle, vocab = date_oracle
+    zipf = train_ngram(zipf_corpus(5, 8, n_sequences=60), order=2, vocab_size=8)
+    zipf_prompts = [TaggedPrompt(tokens=(3, 1, 4, 1, 5, 2, 6, 5), spans=spans)
+                    for spans in (((2, 2),), ((1, 1), (4, 3)))]
+    cases = [(date_prompt(vocab, word), oracle, eps, lmax, temp)
+             for word in ("d123", "d018")
+             for eps in (0.05, 0.1, 0.5, 1.0)
+             for lmax in (1, 2, 3, 8, 64)
+             for temp in (1.0, 2.0)]
+    cases += [(prompt, zipf, eps, lmax, temp)
+              for prompt in zipf_prompts
+              for eps in (0.3, 2.0)
+              for lmax in (1, 2, 4, 11)
+              for temp in (0.7, 2.0)]
+    digest = hashlib.blake2b(digest_size=16)
+    for session, (prompt, orc, eps, lmax, temp) in enumerate(cases):
+        config = ObfuscationConfig(epsilon=eps, lambda_max=lmax, temperature=temp, prf_key=b"pin")
+        sets = multi_segment_gqs(prompt, config, orc)
+        vps = build_virtual_prompts(prompt, sets, config, session_id=session)
+        digest.update(repr(([fs.candidates for fs in sets], vps.prompts, vps.idx)).encode())
+    assert len(cases) == 112
+    assert digest.hexdigest() == DECOY_PIPELINE_DIGEST

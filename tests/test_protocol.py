@@ -505,6 +505,21 @@ class TestOutOfOrder:
         with pytest.raises(ProtocolError, match="stream 4 ran past max_seq"):
             model_batch_step(model, [(4, link)], Controller())
 
+    @pytest.mark.parametrize("back", [7, 1, 0])
+    def test_stream_decodes_up_to_max_seq(self, small_weights, back):
+        # the stream stops when its last row is written, with every token
+        # equal to the monolithic decode's and none of them killed
+        max_seq = small_weights.config.max_seq
+        prompt = rng(back).integers(0, 63, size=max_seq - back).tolist()
+        user = UserParty(user_id=1, weights_handle=WeightsHandle(small_weights))
+        user_prefill(user, TaggedPrompt(tokens=prompt), NO_OBF)
+        model, ctrl = ModelParty(small_weights, stop_at_eos=False), Controller()
+        transcript = run_sessions(model, ctrl, [user], 16)
+        sid = next(iter(user.streams))
+        assert transcript.tokens[sid] == greedy_decode(small_weights, prompt, 16, stop_at_eos=False)
+        assert len(transcript.tokens[sid]) == 1 + back
+        assert not ctrl.killed and model.active_streams() == []
+
     def test_user_rejects_unknown_stream(self, small_weights):
         model, ctrl, user = make_session(small_weights, [1, 2])
         bad = serialize(ProtocolMessage(tag=TAG_FINAL_Y, session_id=424242, payload=b""))
@@ -564,6 +579,40 @@ class TestMalformedPartial:
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=f"for 2 stream.* at layer 1 carries {count} scalars"):
             run_sessions(model, ctrl, [user], 4, transport=transport)
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+
+
+class TestOutOfOrderReply:
+    """A reply whose tag, stream or layer is not the one the model party
+    waits for is a typed error, on either transport."""
+
+    # field -> edit of the header of the user's layer-1 PARTIAL
+    EDITS = {
+        "tag": lambda msg: {"tag": TAG_TOKEN},
+        "stream": lambda msg: {"session_id": msg.session_id + 1},
+        "layer": lambda msg: {"layer": 0},
+    }
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("field", sorted(EDITS))
+    def test_wrong_reply_header_raises(self, small_weights, transport, field):
+        user = decoy_user(small_weights, 1)
+        sid = next(iter(user.streams))
+        honest = user.handle_frame
+
+        def misaddressed(frame):
+            replies = honest(frame)
+            if protocol.deserialize(frame).tag != TAG_QUERY:
+                return replies
+            reply = protocol.deserialize(replies[0])
+            if reply.layer != 1:
+                return replies
+            return [serialize(dataclasses.replace(reply, **self.EDITS[field](reply)))]
+
+        user.handle_frame = misaddressed
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=f"out-of-order reply: expected PARTIAL {sid}/1/2"):
+            run_sessions(ModelParty(small_weights), Controller(), [user], 4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
 
 
@@ -1129,7 +1178,7 @@ class TestCommAccounting:
         assert report.constant_per_round
         assert report.query_scalars_per_round == c.n_layers * c.n_heads * c.head_dim
         assert report.partial_scalars_per_round == c.n_layers * c.n_heads * (c.head_dim + 2)
-        assert report.round_scalars_per_round == report.expected_round_scalars(c)
+        assert report.round_scalars_per_round == c.n_layers * c.n_heads * (2 * c.head_dim + 2)
 
     def test_doubling_width_doubles_query_scalars(self, small_config):
         wide = init_model(
@@ -1207,7 +1256,7 @@ class TestCommAccounting:
         assert queries and all(e.head == 2 for e in queries)
         report = comm_accounting(transcript)
         assert report.constant_per_round and report.steps == 6
-        assert report.round_scalars_per_round == report.expected_round_scalars(c)
+        assert report.round_scalars_per_round == c.n_layers * c.n_heads * (2 * c.head_dim + 2)
 
         # a PARTIAL sent twice at step 3 over-charges that round's streams
         e = next(e for e in transcript.entries if e.tag == TAG_PARTIAL and e.step == 3)

@@ -51,7 +51,7 @@ class ShiftedOracle:
 
 def uniform_prompt_set(lam=3, length=2):
     prompts = tuple(tuple([i] * length) for i in range(lam + 1))
-    return VirtualPromptSet(prompts=prompts, idx=1, lam=lam)
+    return VirtualPromptSet(prompts=prompts, idx=1)
 
 
 class TestAuthenticity:
@@ -64,7 +64,7 @@ class TestAuthenticity:
     def test_double_probability_gives_two(self):
         # single-token prompts with P = [1/2, 1/4, 1/4, 0...] via counts
         oracle = train_ngram([[0, 0, 1, 2]], order=1, smoothing=1e-9, vocab_size=4)
-        vps = VirtualPromptSet(prompts=((0,), (1,)), idx=1, lam=1)
+        vps = VirtualPromptSet(prompts=((0,), (1,)), idx=1)
         report = authenticity_C(oracle, vps)
         assert report.C == pytest.approx(2.0, rel=1e-6)
 

@@ -75,6 +75,8 @@ class BenchConfig:
             raise ValueError("users must be >= 1")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.lam >= self.model.vocab_size:  # spd's one tagged token has V - 1 decoys
+            raise ValueError(f"lam must be < vocab_size ({self.model.vocab_size})")
         if self.repetitions < 3:
             raise ValueError("repetitions must be >= 3")
         if self.in_tokens < 1 or self.out_tokens < 1:

@@ -64,57 +64,54 @@ DEFAULTS = {
 }
 
 
-def _check_keys(section: str, given: dict, allowed) -> None:
-    unknown = set(given) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
-
-
-def _merge(section: str, defaults: dict, given: dict) -> dict:
-    _check_keys(section, given, defaults)
-    merged = dict(defaults)
-    for key, value in given.items():
-        if isinstance(defaults.get(key), dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{section}.{key} must be an object")
-            merged[key] = _merge(f"{section}.{key}", defaults[key], value)
-        else:
-            merged[key] = value
-    return merged
+def _merge(name: str, default, value):
+    """A fresh copy of value merged over its default and checked against
+    it: an object takes only its default's keys, a list only a list, and
+    an integer or a string only its own type (int() would cut 2.9 to 2
+    and take True)."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object")
+        unknown = set(value) - set(default)
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+        return {k: _merge(f"{name}.{k}", d, value.get(k, d)) for k, d in default.items()}
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_merge(name, default[0], item) for item in value]
+    if isinstance(default, (int, str)) and type(value) is not type(default):
+        raise ConfigError(f"{name} must be {type(default).__name__}, got {value!r}")
+    return value
 
 
 @dataclass
 class RunConfig:
     model: ModelConfig
     obfuscation: ObfuscationConfig
-    demo: dict  # the demo section, each value cast to its default's type
+    demo: dict
     bench: list[BenchConfig]  # the sweep: one config per mode, users and lambda
 
 
 def parse_run_config(raw: dict, seed: int | None = None) -> RunConfig:
-    _check_keys("config", raw, DEFAULTS)
     merged = _merge("config", DEFAULTS, raw)
-    model_kwargs = dict(merged["model"])
-    bench = merged["bench"]
-    bench_model_kwargs = dict(bench["model"])
+    bench, obf_kwargs = merged["bench"], merged["obfuscation"]
     if seed is not None:
-        model_kwargs["seed"] = bench_model_kwargs["seed"] = seed
-    obf_kwargs = dict(merged["obfuscation"])
-    obf_kwargs["prf_key"] = str(obf_kwargs["prf_key"]).encode("utf-8")
+        merged["model"]["seed"] = bench["model"]["seed"] = seed
+    obf_kwargs["prf_key"] = obf_kwargs["prf_key"].encode("utf-8")
     try:
-        model = ModelConfig(**model_kwargs)
+        model = ModelConfig(**merged["model"])
         obf = ObfuscationConfig(**obf_kwargs)
-        demo = {key: type(DEFAULTS["demo"][key])(value) for key, value in merged["demo"].items()}
-        bench_model = ModelConfig(**bench_model_kwargs)
+        bench_model = ModelConfig(**bench["model"])
         sweep = [
             BenchConfig(
                 mode=mode,
-                users=int(users),
-                in_tokens=int(bench["in_tokens"]),
-                out_tokens=int(bench["out_tokens"]),
-                lam=int(lam),
+                users=users,
+                in_tokens=bench["in_tokens"],
+                out_tokens=bench["out_tokens"],
+                lam=lam,
                 model=bench_model,
-                repetitions=int(bench["repetitions"]),
+                repetitions=bench["repetitions"],
                 seed=bench_model.seed,
             )
             for mode in bench["modes"]
@@ -125,7 +122,7 @@ def parse_run_config(raw: dict, seed: int | None = None) -> RunConfig:
             raise ValueError("bench needs at least one mode, users count and lambda")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(model=model, obfuscation=obf, demo=demo, bench=sweep)
+    return RunConfig(model=model, obfuscation=obf, demo=merged["demo"], bench=sweep)
 
 
 def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:

@@ -8,10 +8,11 @@ arena, and sends each user link one QUERY carrying every head of every
 stream of that user. The user party answers with one PARTIAL (per stream
 and head: weighted values, denominator, running max), computed in one
 kernel call over its private rows; the model merges it with its
-own public partials, finishes the layer, and after the last layer
-returns each stream's next-token distribution (FINAL_Y). The user
-samples and emits the token both back to the model and outward through
-the controller gate.
+own public partials and finishes the layer. After the last layer the
+controller draws each stream's token with its committed rule, and the
+model party sends it as a TOKEN that the user keeps, queues outward
+through the controller gate and echoes back. No logits leave the model
+party; the user party draws only token 0, from its prefill logits.
 
 User parties never touch weights after prefill (the handle is released
 and any later access faults), and their private K/V rows never
@@ -52,7 +53,6 @@ from .wire import (
     MAX_BODY,
     TAG_ABORT,
     TAG_CONTROL,
-    TAG_FINAL_Y,
     TAG_NAMES,
     TAG_PARTIAL,
     TAG_QUERY,
@@ -148,8 +148,8 @@ class TranscriptEntry:
 @dataclass
 class Transcript:
     """What crossed the links (entries, one per frame) and what the gate
-    decided (gate_log, one per outward token); the gate's TOKENs never
-    cross a link, so they are not entries."""
+    decided (gate_log, one per outward token); the outward TOKENs the
+    gate sees never cross a link, so they are not entries."""
 
     config: ModelConfig
     entries: list = field(default_factory=list)
@@ -301,8 +301,8 @@ def decode_setup(payload: bytes) -> int:
 class TokenRule:
     """How a stream turns logits into its token number t: the argmax, or
     with a temperature a draw seeded by (seed, key, t). The user party
-    draws with it and commits it to the controller, which recomputes each
-    decoded token. key is a digest of the stream's virtual prompt."""
+    draws token 0 with it; the controller, to which it is committed, draws
+    every later token. key is a digest of the stream's virtual prompt."""
 
     temperature: float | None = None
     seed: int = 0
@@ -342,9 +342,10 @@ class UserParty:
     holds p + streams * (n - p) rows per layer and head instead of
     streams * n. A batched QUERY is answered with one kernel call that
     reads the shared rows once for all of its streams. During decode the
-    party answers QUERY frames from these rows and samples from FINAL_Y
-    distributions; it needs no weights, and its weights handle is
-    released at the end of prefill.
+    party answers QUERY frames from these rows and keeps, queues outward
+    and echoes each TOKEN, the controller's draw; it sees no logits and
+    draws only token 0, at prefill, which the gate passes unchecked. It
+    needs no weights, and its weights handle is released after prefill.
     """
 
     def __init__(
@@ -382,11 +383,8 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
-    def _draw(self, stream: _UserStream, logits: np.ndarray) -> ProtocolMessage:
-        """Draw the stream's next token from logits with its rule, keep it,
-        queue it outward for the gate, and return its TOKEN for the model
-        party."""
-        token = stream.rule.token(logits, len(stream.tokens))
+    def _emit(self, stream: _UserStream, token: int) -> ProtocolMessage:
+        """Keep the stream's next token, queue it outward; return its TOKEN."""
         stream.tokens.append(token)
         msg = ProtocolMessage(TAG_TOKEN, stream.stream_id, payload=encode_token(token))
         self._queue_outward(msg)
@@ -408,13 +406,13 @@ class UserParty:
         stream = self._live_stream(msg.session_id)
         if msg.tag == TAG_QUERY:
             return [self._answer_query(msg)]
-        if msg.tag == TAG_FINAL_Y:
-            if len(msg.payload) != 8 * self.config.vocab_size:
+        if msg.tag == TAG_TOKEN:
+            if len(msg.payload) != 8 or decode_token(msg.payload) >= self.config.vocab_size:
                 raise ProtocolError(
-                    f"FINAL_Y for stream {msg.session_id} carries {len(msg.payload) / 8:g} "
-                    f"logits, not vocab_size = {self.config.vocab_size}"
+                    f"TOKEN for stream {msg.session_id} is not one token id below "
+                    f"vocab_size = {self.config.vocab_size}"
                 )
-            return [serialize(self._draw(stream, decode_f64s(msg.payload)))]
+            return [serialize(self._emit(stream, decode_token(msg.payload)))]
         if msg.tag == TAG_ABORT:
             stream.alive = False
             return []
@@ -444,7 +442,8 @@ class UserParty:
             prefix=shared,
         )
         values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
-        return _frame(TAG_PARTIAL, msg.session_id, msg.layer, count, values)
+        return serialize(ProtocolMessage(TAG_PARTIAL, msg.session_id, msg.layer, count,
+                                         encode_f64s(values)))
 
 
 def user_prefill(
@@ -480,7 +479,7 @@ def user_prefill(
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
         party.streams[stream_id] = stream = _UserStream(stream_id, index, tokens=[], rule=rule)
         setup = ProtocolMessage(TAG_CONTROL, stream_id, payload=encode_setup(len(tokens)))
-        messages += [setup, party._draw(stream, row)]
+        messages += [setup, party._emit(stream, rule.token(row, 0))]
 
     party.weights_handle.release()
     party.pending_setup = list(messages)
@@ -506,14 +505,13 @@ class _GateStream:
 
 class Controller:
     """Token inspector at the boundary: only TOKEN frames whose value
-    equals the model party's ground truth may exit.
+    equals the controller's own draw may exit.
 
     Each stream is opened with the token rule its user committed (greedy
-    when none is given); expect() recomputes the stream's exact token
-    from each round's logits with that rule, sampled or greedy alike.
-    The first token of each stream is drawn by the user party during
-    prefill, before the model has any ground truth for it; exactly one
-    unverified token per stream is let through.
+    when none is given). expect() draws each later token from a round's
+    logits with it, and the model party continues with that draw. The
+    user party draws the first token at prefill, before the model has any
+    ground truth; exactly one unverified token per stream is let through.
     """
 
     def __init__(self):
@@ -525,12 +523,13 @@ class Controller:
         self.streams[stream_id] = _GateStream(rule)
         self.killed.pop(stream_id, None)
 
-    def expect(self, stream_id: int, logits: np.ndarray):
-        """Queue the ground truth for the stream's next token: the
+    def expect(self, stream_id: int, logits: np.ndarray) -> int:
+        """Draw, queue for the gate and return the stream's next token: the
         committed rule applied to logits at the stream's token count."""
         stream = self.streams[stream_id]
         stream.decoded += 1
         stream.expected.append(stream.rule.token(logits, stream.decoded))
+        return stream.expected[-1]
 
     def kill(self, stream_id: int, reason: str):
         self.killed[stream_id] = reason
@@ -670,15 +669,6 @@ class ModelParty:
         return [s.stream_id for s in self.streams.values() if s.live]
 
 
-def _frame(tag: int, stream_id: int, layer: int = 0, head: int = 0, values=()) -> bytes:
-    """One serialized frame whose payload is the float64 values."""
-    return serialize(
-        ProtocolMessage(
-            tag=tag, session_id=stream_id, layer=layer, head=head, payload=encode_f64s(values)
-        )
-    )
-
-
 def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
     """The batched QUERY naming stream_ids, with their (S, n_heads,
     head_dim) queries."""
@@ -718,16 +708,16 @@ def model_batch_step(
     controller: Controller,
     step: int = 1,
 ) -> None:
-    """Advance every listed (stream_id, link) pair by one token in one
-    batched pass, queueing each stream's ground truth on the controller.
+    """Advance every listed (stream_id, link) pair by one token in one batched pass.
 
     The streams run through the model trunk stacked. At each layer the
     attention callback sends each link one QUERY for all of its streams,
     then writes the public K/V into the arena and computes every stream's
     public partial in one kernel call (partition._slot_attention), and
-    merges them with the PARTIAL replies. The resulting tokens are
-    identical to running each stream alone. A listed stream with no row
-    left raises.
+    merges them with the PARTIAL replies. The controller draws each
+    stream's token from the logits, identical to running the stream
+    alone, and the stream continues with it once the user party's TOKEN
+    reply echoes it. A listed stream with no row left raises.
     """
     c = model.config
     for sid, _ in sessions:
@@ -766,9 +756,14 @@ def model_batch_step(
         st.pending_token = None
     logits = trunk(model.weights, tokens, [st.pos for st in states], attend)
     for (sid, link), st, row in zip(live, states, logits):
-        controller.expect(sid, row)
-        link.send(_frame(TAG_FINAL_Y, sid, values=row))
-        model.handle_user_frame(_expect(link, TAG_TOKEN, sid))
+        token = controller.expect(sid, row)
+        sent = ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(token))
+        link.send(serialize(sent))
+        echo = _expect(link, TAG_TOKEN, sid).payload
+        if echo != sent.payload:
+            got = f"token {decode_token(echo)}" if len(echo) == 8 else f"a {len(echo)}-byte payload"
+            raise ProtocolError(f"stream {sid} echoed {got}, not the controller's draw {token}")
+        model.handle_user_frame(sent)
         st.pos += 1
         if st.pos >= c.max_seq:
             st.done = True
@@ -794,7 +789,7 @@ def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
             transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
         elif sid in ctrl.killed and sid in model.streams and not model.streams[sid].done:
             model.streams[sid].done = True
-            link.send(_frame(TAG_ABORT, sid))
+            link.send(serialize(ProtocolMessage(TAG_ABORT, sid)))
 
 
 _USER_JOIN_S = 5.0  # how long a socket session waits for its user threads to end
@@ -917,11 +912,11 @@ class CommReport:
     round costs 2*head_dim + 2 scalars per head rather than a bare
     2*head_dim + 1. The attention exchange of a round is its QUERY and
     PARTIAL scalars together, n_layers * n_heads * (2*head_dim + 2).
+    Beyond it a round moves one TOKEN each way per stream and no logits.
     """
 
     query_scalars_per_round: int
     partial_scalars_per_round: int
-    final_scalars_per_round: int
     constant_per_round: bool
     total_bytes: int
     steps: int
@@ -940,7 +935,6 @@ class CommReport:
             f"query scalars per stream-round: {self.query_scalars_per_round}",
             f"partial scalars per stream-round: {self.partial_scalars_per_round}",
             f"attention-exchange scalars per stream-round: {self.round_scalars_per_round}",
-            f"final-distribution scalars per stream-round: {self.final_scalars_per_round}",
             f"constant across rounds: {self.constant_per_round}",
             f"total bytes on the wire: {self.total_bytes}",
             f"note: {self.note}",
@@ -953,32 +947,21 @@ def comm_accounting(transcript: Transcript) -> CommReport:
     and check that the per-round count is constant.
 
     Every stream of a batched frame gets the same share, so the share is
-    kept once per (step, kind, the frame's session id); a FINAL_Y frame's
-    session id is its one stream."""
+    kept once per (step, tag, the frame's session id)."""
     share: dict[tuple, int] = {}
     for e in transcript.entries:
-        if e.step < 1:
-            continue
-        if e.tag == TAG_FINAL_Y:
-            kind, scalars = "final", e.payload_len // 8
-        elif e.tag == TAG_QUERY and e.head:
-            kind, scalars = "query", (e.payload_len - 4 * e.head) // 8 // e.head
-        elif e.tag == TAG_PARTIAL and e.head:
-            kind, scalars = "partial", e.payload_len // 8 // e.head
-        else:
-            continue
-        key = (e.step, kind, e.session_id)
-        share[key] = share.get(key, 0) + scalars
-
-    queries, partials, finals = (
-        {v for (_, k, _), v in share.items() if k == kind} for kind in ("query", "partial", "final")
+        if e.step >= 1 and e.head and e.tag in (TAG_QUERY, TAG_PARTIAL):
+            ids = 4 * e.head if e.tag == TAG_QUERY else 0
+            key = (e.step, e.tag, e.session_id)
+            share[key] = share.get(key, 0) + (e.payload_len - ids) // 8 // e.head
+    queries, partials = (
+        {v for (_, t, _), v in share.items() if t == tag} for tag in (TAG_QUERY, TAG_PARTIAL)
     )
-    constant = len(queries) <= 1 and len(partials) <= 1 and len(finals) <= 1
+    constant = len(queries) <= 1 and len(partials) <= 1
     steps = len({step for step, _, _ in share})
     return CommReport(
         query_scalars_per_round=next(iter(queries), 0),
         partial_scalars_per_round=next(iter(partials), 0),
-        final_scalars_per_round=next(iter(finals), 0),
         constant_per_round=constant,
         total_bytes=transcript.total_bytes(),
         steps=steps,

@@ -35,6 +35,7 @@ from .partition import (
 from .protocol import (
     Controller,
     ModelParty,
+    ProtocolError,
     TokenRule,
     UserParty,
     WeightsHandle,
@@ -43,7 +44,7 @@ from .protocol import (
     user_prefill,
 )
 from .security import monte_carlo_success
-from .wire import TAG_NAMES, TAG_TOKEN, ProtocolMessage, encode_token
+from .wire import TAG_NAMES, TAG_TOKEN, ProtocolMessage, deserialize, encode_token, serialize
 
 __all__ = ["Check", "SUITES", "run_suite"]
 
@@ -213,6 +214,23 @@ def suite_protocol() -> list[Check]:
               f"{killed} streams killed; responses {responses[0]} and {responses[1]}")
     )
 
+    # a user party that replies token 11 to whatever token it was sent
+    user = UserParty(user_id=4, weights_handle=WeightsHandle(weights))
+    user_prefill(user, TaggedPrompt(tokens=prompt), ObfuscationConfig(0.0, 0))
+    honest, error = user.handle_frame, "none"
+    user.handle_frame = lambda frame: [
+        serialize(ProtocolMessage(TAG_TOKEN, m.session_id, payload=encode_token(11)))
+        if m.tag == TAG_TOKEN else serialize(m) for m in map(deserialize, honest(frame))]
+    try:
+        run_sessions(ModelParty(weights), Controller(), [user], 12)
+    except ProtocolError as exc:
+        error = str(exc)
+    held = user.authentic_response()  # all that the user party can pass the exact gate
+    checks.append(Check(
+        "a reply that does not echo its token is a typed error and cannot steer the stream",
+        "echoed token 11" in error and held == greedy_decode(weights, prompt, 12)[:len(held)],
+        f"error: {error}; stream {held}"))
+
     # 100-token prompt tagged at 40: the four virtual prompts prefill as
     # one set. Chunk [0, 32) runs once, chunk [32, 64) runs the 8 rows
     # before the tag once and each prompt's 24 after it, and later chunks
@@ -270,9 +288,8 @@ def suite_protocol() -> list[Check]:
     for name, sid, rule, logits in flips:
         ctrl = Controller()
         ctrl.open_stream(sid, rule)
-        ctrl.expect(sid, logits)
         flipped = ProtocolMessage(
-            tag=TAG_TOKEN, session_id=sid, payload=encode_token(rule.token(logits, 1) ^ 1)
+            tag=TAG_TOKEN, session_id=sid, payload=encode_token(ctrl.expect(sid, logits) ^ 1)
         )
         decision = controller_gate(ctrl, flipped)
         checks.append(Check(f"{name} is blocked and the session killed",

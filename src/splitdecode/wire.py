@@ -24,8 +24,10 @@ by stream and head by head within a stream (stream-major, then head):
              the softmax denominator and its running max, in the
              QUERY's stream order
 
-FINAL_Y payloads are one stream's float64 logits; TOKEN payloads are one
-u64. The serializer accepts only ProtocolMessage values — there is
+TOKEN payloads are one u64: each round the model party sends every
+stream the token the controller drew and the user party echoes it, so
+no logits leave the model party (the user party draws only token 0, at
+prefill). The serializer accepts only ProtocolMessage values — there is
 deliberately no code path that turns a KV partition into a frame.
 """
 
@@ -43,7 +45,6 @@ __all__ = [
     "ProtocolMessage",
     "TAG_ABORT",
     "TAG_CONTROL",
-    "TAG_FINAL_Y",
     "TAG_NAMES",
     "TAG_PARTIAL",
     "TAG_QUERY",
@@ -62,7 +63,7 @@ __all__ = [
 TAG_QUERY = 0x01
 TAG_PARTIAL = 0x02
 TAG_TOKEN = 0x03
-TAG_FINAL_Y = 0x04
+# 0x04 is unassigned
 TAG_CONTROL = 0x05
 TAG_ABORT = 0x06
 
@@ -70,7 +71,6 @@ TAG_NAMES = {
     TAG_QUERY: "QUERY",
     TAG_PARTIAL: "PARTIAL",
     TAG_TOKEN: "TOKEN",
-    TAG_FINAL_Y: "FINAL_Y",
     TAG_CONTROL: "CONTROL",
     TAG_ABORT: "ABORT",
 }

@@ -69,6 +69,14 @@ class TestConfig:
         ("bench", {"bench": {"repetitions": 2}}),
         ("bench", {"bench": {"lambdas": [-1]}}),
         ("bench", {"bench": {"modes": []}}),
+        # an integer field takes no float, bool or numeric string
+        ("demo", {"demo": {"max_tokens": 2.9}}),
+        ("demo", {"demo": {"max_tokens": True}}),
+        ("demo", {"demo": {"max_tokens": "8"}}),
+        ("bench", {"bench": {"users": [2.9]}}),
+        ("bench", {"bench": {"lambdas": [True]}}),
+        ("bench", {"bench": {"in_tokens": "8"}}),
+        ("bench", {"bench": {"users": 2}}),
     ])
     def test_invalid_value_is_a_config_error(self, tmp_path, capsys, command, data):
         path = write_config(tmp_path, data)
@@ -96,9 +104,9 @@ class TestDemoCommand:
         out = tmp_path / "t.txt"
         assert main(["demo", "--out", str(out)]) == 0
         data = out.read_bytes()
-        assert (len(data), data.count(b"\n")) == (13712, 472)
+        assert (len(data), data.count(b"\n")) == (13328, 472)
         digest = hashlib.blake2b(data, digest_size=16).hexdigest()
-        assert digest == "196c2e24946ff0aa081747bfe02e41f3"
+        assert digest == "7332ff59a78c6127c12801a8add4aca0"
 
     def test_demo_obfuscation_abort_exit_code(self, tmp_path, capsys):
         # the demo corpus cannot yield 500 decoys; lambda_min forces a halt

@@ -3,6 +3,7 @@ import itertools
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,9 +37,9 @@ from splitdecode.protocol import (
     user_prefill,
 )
 from splitdecode.wire import (
+    HEADER_SIZE,
     TAG_ABORT,
     TAG_CONTROL,
-    TAG_FINAL_Y,
     TAG_NAMES,
     TAG_PARTIAL,
     TAG_QUERY,
@@ -354,29 +355,22 @@ class TestSampledOutputInvariance:
         assert_flip_kills(user, ModelParty(small_weights), Controller(),
                           self.reference(small_weights))
 
-    def draw_with(self, weights, seed):
-        """Decode a user that commits sample seed 42 at setup but then
-        draws with seed."""
-        user = self.sampled_user(weights, 0)
+    def test_swapping_the_seed_after_setup_changes_nothing(self, small_weights):
+        # the user party commits sample seed 42 at setup and then swaps in
+        # 43; every decoded token is the controller's draw with the
+        # committed rule, so the response is the committed one
+        user = self.sampled_user(small_weights, 0)
         honest = user.handle_frame
 
         def cheat(frame):
             for stream in user.streams.values():
-                stream.rule = dataclasses.replace(stream.rule, seed=seed)
+                stream.rule = dataclasses.replace(stream.rule, seed=43)
             return honest(frame)
 
         user.handle_frame = cheat
         ctrl = Controller()
-        transcript = run_sessions(ModelParty(weights), ctrl, [user], 12)
-        return ctrl, transcript, next(iter(user.streams))
-
-    def test_drawing_with_an_uncommitted_seed_kills(self, small_weights):
-        ctrl, _, _ = self.draw_with(small_weights, 42)
-        assert not ctrl.killed
-        ctrl, transcript, sid = self.draw_with(small_weights, 43)
-        assert ctrl.killed == {sid: "token mismatch"}
-        # the prefill token passed; the first decoded token was blocked
-        assert [g[:3] for g in transcript.gate_log] == [(0, sid, True), (1, sid, False)]
+        transcript = run_sessions(ModelParty(small_weights), ctrl, [user], 12)
+        self.assert_authentic([user], ctrl, transcript, self.reference(small_weights))
 
 
 class TestReadFrame:
@@ -522,8 +516,8 @@ class TestOutOfOrder:
 
     def test_user_rejects_unknown_stream(self, small_weights):
         model, ctrl, user = make_session(small_weights, [1, 2])
-        bad = serialize(ProtocolMessage(tag=TAG_FINAL_Y, session_id=424242, payload=b""))
-        with pytest.raises(ProtocolError):
+        bad = serialize(ProtocolMessage(tag=TAG_TOKEN, session_id=424242, payload=encode_token(1)))
+        with pytest.raises(ProtocolError, match="unknown or dead stream 424242"):
             user.handle_frame(bad)
 
     def test_user_rejects_partial_frames(self, small_weights):
@@ -681,31 +675,33 @@ class TestMalformedQuery:
             self.run_with(small_weights, transport, monkeypatch, make_frame)
 
 
-class TestMalformedFinal:
-    """A FINAL_Y that does not carry vocab_size logits is a typed error at
-    the user party, on either transport; nothing is drawn from it and the
-    gate kills nothing."""
+class TestMalformedToken:
+    """A TOKEN from the model party that is not one u64 below vocab_size
+    is a typed error at the user party, on either transport; the party
+    keeps nothing of it and the gate kills nothing."""
+
+    # small_config's vocab_size is 64
+    PAYLOADS = {"short": b"\x00" * 4, "long": b"\x00" * 9,
+                "64": encode_token(64), "1000000": encode_token(10**6)}
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
-    @pytest.mark.parametrize("count", [3, 64 + 1])  # small_config's vocab_size is 64
-    def test_wrong_logit_count_raises(self, small_weights, transport, count):
+    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
+    def test_bad_token_raises(self, small_weights, transport, payload):
         user = decoy_user(small_weights, 1)
         sid = next(iter(user.streams))
         honest = user.handle_frame
 
-        def wrong_width(frame):
+        def bad_token(frame):
             msg = protocol.deserialize(frame)
-            if msg.tag == TAG_FINAL_Y:
-                frame = serialize(ProtocolMessage(
-                    tag=TAG_FINAL_Y, session_id=msg.session_id,
-                    payload=encode_f64s(np.zeros(count)),
-                ))
+            if msg.tag == TAG_TOKEN:
+                frame = serialize(dataclasses.replace(msg, payload=self.PAYLOADS[payload]))
             return honest(frame)
 
-        user.handle_frame = wrong_width
+        user.handle_frame = bad_token
         ctrl = Controller()
-        with pytest.raises(ProtocolError, match=f"FINAL_Y for stream {sid} carries {count} logits"):
+        with pytest.raises(ProtocolError, match=f"TOKEN for stream {sid} is not one token id"):
             run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
+        assert [len(s.tokens) for s in user.streams.values()] == [1, 1]
         assert not ctrl.killed
 
 
@@ -782,9 +778,9 @@ class TestStreamIsolation:
 
 
 class TestOutOfVocabularyToken:
-    """A TOKEN the model cannot embed is a typed error naming its stream,
-    on either transport, whether it comes with the setup or as a decode
-    reply that differs from the (honest) token the user sends outward."""
+    """A setup TOKEN the model cannot embed, and a decode reply that does
+    not echo the token the model party sent, are typed errors naming the
+    stream, on either transport."""
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("token", [64, 10**6])  # small_config's vocab_size is 64
@@ -801,23 +797,26 @@ class TestOutOfVocabularyToken:
                          transport=transport)
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
-    @pytest.mark.parametrize("token", [64, 10**6])
+    @pytest.mark.parametrize("token", [11, 64, 10**6, "short"])
     def test_decode_reply(self, small_weights, transport, token):
+        # the stream's first decoded token is not 11, so every case steers
         user = decoy_user(small_weights, 1)
         sid = next(iter(user.streams))
         honest = user.handle_frame
+        payload, named = (b"\x00" * 4, "a 4-byte payload") if token == "short" else (
+            encode_token(token), f"token {token}")
 
-        def out_of_vocabulary_reply(frame):
-            replies = honest(frame)
-            msg = protocol.deserialize(frame)
-            if msg.tag == TAG_FINAL_Y and msg.session_id == sid:
-                return [serialize(ProtocolMessage(
-                    tag=TAG_TOKEN, session_id=sid, payload=encode_token(token)))]
-            return replies
+        def steering_reply(frame):
+            return [
+                serialize(ProtocolMessage(tag=TAG_TOKEN, session_id=sid, payload=payload))
+                if reply.tag == TAG_TOKEN and reply.session_id == sid else serialize(reply)
+                for reply in map(protocol.deserialize, honest(frame))
+            ]
 
-        user.handle_frame = out_of_vocabulary_reply
+        user.handle_frame = steering_reply
         ctrl = Controller()
-        with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):
+        with pytest.raises(ProtocolError,
+                           match=f"stream {sid} echoed {named}, not the controller's draw"):
             run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
         assert not ctrl.killed
 
@@ -1210,6 +1209,30 @@ class TestCommAccounting:
         assert report.steps == 6
         assert report.constant_per_round
         assert report.round_scalars_per_round == c.n_layers * c.n_heads * (2 * c.head_dim + 2)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_one_round_moves_no_logits(self, small_weights, transport):
+        # two lambda=1 users: per layer and link one QUERY out and one
+        # PARTIAL back, per stream one TOKEN each way, and nothing else
+        c = small_weights.config
+        users = [decoy_user(small_weights, 1, user_id=u, prompt=(u + 2, 7, 1)) for u in (1, 2)]
+        transcript = run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                                  users, 1, transport=transport)
+        round_one = [e for e in transcript.entries if e.step == 1]
+        links, per_link = 2, 2
+        streams = links * per_link
+        assert Counter((e.direction, e.tag_name) for e in round_one) == {
+            ("m2u", "QUERY"): links * c.n_layers,
+            ("u2m", "PARTIAL"): links * c.n_layers,
+            ("m2u", "TOKEN"): streams,
+            ("u2m", "TOKEN"): streams,
+        }
+        query = HEADER_SIZE + per_link * (4 + 8 * c.n_heads * c.head_dim)
+        partial = HEADER_SIZE + per_link * 8 * c.n_heads * (c.head_dim + 2)
+        token = HEADER_SIZE + 8
+        assert sum(e.nbytes for e in round_one) == (
+            links * c.n_layers * (query + partial) + 2 * streams * token
+        )
 
     def test_report_documents_the_extra_scalars(self, small_weights):
         report = self.run_report(small_weights, [4, 5])

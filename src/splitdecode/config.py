@@ -7,6 +7,7 @@ types reject is a ConfigError before anything runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .bench import BenchConfig
@@ -66,9 +67,10 @@ DEFAULTS = {
 
 def _merge(name: str, default, value):
     """A fresh copy of value merged over its default and checked against
-    it: an object takes only its default's keys, a list only a list, and
-    an integer or a string only its own type (int() would cut 2.9 to 2
-    and take True)."""
+    it: an object takes only its default's keys, a list only a list, an
+    integer or a string only its own type (int() would cut 2.9 to 2 and
+    take True), and a float an int or float that a float can hold, not
+    the NaN or Infinity that json.load reads."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{name} must be an object")
@@ -82,6 +84,9 @@ def _merge(name: str, default, value):
         return [_merge(name, default[0], item) for item in value]
     if isinstance(default, (int, str)) and type(value) is not type(default):
         raise ConfigError(f"{name} must be {type(default).__name__}, got {value!r}")
+    if isinstance(default, float):
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
 

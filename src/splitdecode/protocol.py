@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -50,7 +49,6 @@ from .partition import _arena_rows, _slot_attention, _softmax_partial, merge_par
 # module; the batched exchange no longer calls them
 from .partition import batched_public_partials, private_partial  # noqa: F401
 from .wire import (
-    MAX_BODY,
     TAG_ABORT,
     TAG_CONTROL,
     TAG_NAMES,
@@ -58,15 +56,19 @@ from .wire import (
     TAG_QUERY,
     TAG_TOKEN,
     FrameError,
+    ProtocolError,
     ProtocolMessage,
-    decode_f64s,
+    decode_partial,
     decode_query,
+    decode_setup,
     decode_token,
     deserialize,
-    encode_f64s,
+    encode_partial,
     encode_query,
+    encode_setup,
     encode_token,
     parse_header,
+    read_frame,
     serialize,
 )
 
@@ -90,10 +92,6 @@ __all__ = [
     "serve_user_party",
     "user_prefill",
 ]
-
-
-class ProtocolError(RuntimeError):
-    """Message arrived out of order or malformed for the protocol state."""
 
 
 class WeightsReleasedError(RuntimeError):
@@ -204,38 +202,6 @@ class InProcLink:
         return frame
 
 
-_RECV_CHUNK = 1 << 16
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(min(n, _RECV_CHUNK))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one length-prefixed frame; None on clean EOF.
-
-    A length prefix above the largest legal frame body raises FrameError
-    before any of the body is read.
-    """
-    head = _read_exact(sock, 4)
-    if head is None:
-        return None
-    (body_len,) = struct.unpack("<I", head)
-    if body_len > MAX_BODY:
-        raise FrameError(f"length prefix {body_len} exceeds the largest frame body {MAX_BODY}")
-    body = _read_exact(sock, body_len)
-    if body is None:
-        raise ProtocolError("socket closed mid-frame")
-    return head + body
-
-
 def _no_delay(sock: socket.socket):
     """Send small frames at once: without TCP_NODELAY, Nagle's algorithm
     holds each reply back until the peer's delayed ACK arrives."""
@@ -277,21 +243,6 @@ def serve_user_party(user: "UserParty", sock: socket.socket):
         replies = user.handle_frame(frame)
         if replies:
             sock.sendall(b"".join(replies))
-
-
-# -- control payloads ---------------------------------------------------
-
-_SETUP = struct.Struct("<I")  # prompt length
-
-
-def encode_setup(prompt_len: int) -> bytes:
-    return _SETUP.pack(prompt_len)
-
-
-def decode_setup(payload: bytes) -> int:
-    if len(payload) != _SETUP.size:
-        raise ProtocolError("bad stream-setup payload")
-    return _SETUP.unpack(payload)[0]
 
 
 # -- user party ---------------------------------------------------------
@@ -435,15 +386,14 @@ class UserParty:
         kv, shared = self.kv, None
         if kv.shared_k.shape[2]:
             shared = (kv.shared_k[msg.layer], kv.shared_v[msg.layer])
-        a, gamma, m = _softmax_partial(
+        partial = _softmax_partial(
             qs.reshape(count, c.n_heads, c.head_dim),
             kv.private_k[arena, msg.layer],
             kv.private_v[arena, msg.layer],
             prefix=shared,
         )
-        values = np.concatenate([a, gamma[..., None], m[..., None]], axis=-1)
         return serialize(ProtocolMessage(TAG_PARTIAL, msg.session_id, msg.layer, count,
-                                         encode_f64s(values)))
+                                         encode_partial(*partial)))
 
 
 def user_prefill(
@@ -689,19 +639,6 @@ def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> Pr
     return msg
 
 
-def _expect_partials(link, stream_ids: list[int], layer: int, c: ModelConfig) -> np.ndarray:
-    """The (S, n_heads, head_dim + 2) reply to the QUERY naming stream_ids."""
-    count = len(stream_ids)
-    payload = _expect(link, TAG_PARTIAL, stream_ids[0], layer, count).payload
-    want = count * c.n_heads * (c.head_dim + 2)
-    if len(payload) != 8 * want:
-        raise ProtocolError(
-            f"PARTIAL for {count} stream(s) at layer {layer} carries {len(payload) / 8:g} "
-            f"scalars, not streams * n_heads * (head_dim + 2) = {want}"
-        )
-    return decode_f64s(payload).reshape(count, c.n_heads, c.head_dim + 2)
-
-
 def model_batch_step(
     model: ModelParty,
     sessions: list[tuple[int, object]],
@@ -745,10 +682,12 @@ def model_batch_step(
             link.send(_query_frame(sids, layer, qs[rows]))
         # the public side runs while socket peers compute their partials
         pub = public(layer, qs, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-        pvt = np.empty((len(live), c.n_heads, c.head_dim + 2))
+        a = np.empty((len(live), c.n_heads, c.head_dim))
+        gamma, m = np.empty((len(live), c.n_heads)), np.empty((len(live), c.n_heads))
         for link, rows, sids in batches:
-            pvt[rows] = _expect_partials(link, sids, layer, c)
-        out = merge_partial_arrays(pvt[..., :-2], pvt[..., -2], pvt[..., -1], *pub)
+            reply = _expect(link, TAG_PARTIAL, sids[0], layer, len(sids))
+            a[rows], gamma[rows], m[rows] = decode_partial(reply, c.n_heads, c.head_dim)
+        out = merge_partial_arrays(a, gamma, m, *pub)
         return out.transpose(1, 0, 2)
 
     tokens = [st.pending_token for st in states]

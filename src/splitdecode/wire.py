@@ -1,4 +1,5 @@
-"""Bit-exact length-prefixed framing for the two-party decode protocol.
+"""Bit-exact length-prefixed framing for the two-party decode protocol;
+any malformed frame raises FrameError, a ProtocolError.
 
 Frame layout, all little-endian:
 
@@ -9,6 +10,11 @@ Frame layout, all little-endian:
     u16 head
     u32 payload length
     ... payload bytes
+
+read_frame reads one frame from a stream socket; it refuses a length
+above MAX_BODY, the largest legal body, before reading any of the body.
+
+CONTROL payloads set up a stream: one u32, its prompt length.
 
 The attention exchange is batched: per decode round and layer, the
 model party sends one QUERY to each user link and gets one PARTIAL back.
@@ -33,6 +39,7 @@ deliberately no code path that turns a KV partition into a frame.
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +49,7 @@ __all__ = [
     "FrameError",
     "HEADER_SIZE",
     "MAX_BODY",
+    "ProtocolError",
     "ProtocolMessage",
     "TAG_ABORT",
     "TAG_CONTROL",
@@ -50,13 +58,18 @@ __all__ = [
     "TAG_QUERY",
     "TAG_TOKEN",
     "decode_f64s",
+    "decode_partial",
     "decode_query",
+    "decode_setup",
     "decode_token",
     "deserialize",
     "encode_f64s",
+    "encode_partial",
     "encode_query",
+    "encode_setup",
     "encode_token",
     "parse_header",
+    "read_frame",
     "serialize",
 ]
 
@@ -83,7 +96,11 @@ MAX_PAYLOAD = 1 << 30
 MAX_BODY = _HEADER.size + MAX_PAYLOAD
 
 
-class FrameError(ValueError):
+class ProtocolError(RuntimeError):
+    """Message arrived out of order or malformed for the protocol state."""
+
+
+class FrameError(ProtocolError, ValueError):
     """Frame violates the wire format."""
 
 
@@ -148,6 +165,34 @@ def deserialize(frame: bytes) -> ProtocolMessage:
     return ProtocolMessage(tag, session_id, layer, head, frame[HEADER_SIZE:])
 
 
+_RECV_CHUNK = 1 << 16
+
+
+def _read_exact(sock: socket.socket, n: int) -> bytes | None:
+    chunks = []
+    while n > 0:
+        chunk = sock.recv(min(n, _RECV_CHUNK))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def read_frame(sock: socket.socket) -> bytes | None:
+    """Read one length-prefixed frame; None on clean EOF."""
+    head = _read_exact(sock, 4)
+    if head is None:
+        return None
+    (body_len,) = struct.unpack("<I", head)
+    if body_len > MAX_BODY:
+        raise FrameError(f"length prefix {body_len} exceeds the largest frame body {MAX_BODY}")
+    body = _read_exact(sock, body_len)
+    if body is None:
+        raise ProtocolError("socket closed mid-frame")
+    return head + body
+
+
 def encode_f64s(values) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
@@ -175,6 +220,37 @@ def decode_query(payload: bytes, count: int, width: int) -> tuple[np.ndarray, np
         )
     ids = np.frombuffer(payload, dtype="<u4", count=count)
     return ids, np.frombuffer(payload, dtype="<f8", offset=4 * count).astype(np.float64)
+
+
+def encode_partial(a, gamma, m) -> bytes:
+    """Payload of a batched PARTIAL from the kernel's (a, gamma, m)."""
+    return encode_f64s(np.concatenate([a, gamma[..., None], m[..., None]], axis=-1))
+
+
+def decode_partial(msg: ProtocolMessage, n_heads: int, head_dim: int):
+    """(a, gamma, m) of a PARTIAL answering a QUERY for msg.head streams.
+    Any other payload size raises FrameError."""
+    count, want = msg.head, msg.head * n_heads * (head_dim + 2)
+    if len(msg.payload) != 8 * want:
+        raise FrameError(
+            f"PARTIAL for {count} stream(s) at layer {msg.layer} carries "
+            f"{len(msg.payload) / 8:g} scalars, not streams * n_heads * (head_dim + 2) = {want}"
+        )
+    values = decode_f64s(msg.payload).reshape(count, n_heads, head_dim + 2)
+    return values[..., :-2], values[..., -2], values[..., -1]
+
+
+_SETUP = struct.Struct("<I")  # prompt length
+
+
+def encode_setup(prompt_len: int) -> bytes:
+    return _SETUP.pack(prompt_len)
+
+
+def decode_setup(payload: bytes) -> int:
+    if len(payload) != _SETUP.size:
+        raise FrameError("bad stream-setup payload")
+    return _SETUP.unpack(payload)[0]
 
 
 def encode_token(token: int) -> bytes:

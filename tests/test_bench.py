@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -109,6 +110,17 @@ class TestRunMode:
         assert record.bytes_per_token > 0
         record = run_mode(config_for(bench_model, "no_protection", users=2))
         assert record.bytes_per_token == 0
+
+    def test_outputs_pinned(self, bench_model):
+        # the bench's counterpart of test_demo_transcript_pinned: a change
+        # to any token, frame or byte count of these runs moves the digest
+        records = [run_mode(config_for(bench_model, mode, lam=lam))
+                   for mode, lam in (("spd", 0), ("spd", 3), ("no_protection", 0))]
+        assert [(r.bytes_per_token, r.weight_copies) for r in records] == [
+            (1068.0, 1), (1023.375, 1), (0.0, 1)]
+        data = repr([(r.tokens, r.bytes_per_token, r.weight_copies) for r in records])
+        digest = hashlib.blake2b(data.encode(), digest_size=16).hexdigest()
+        assert digest == "64aee87e18fa704f9e49f3ea6b0da849"
 
     def test_spd_latency_nondecreasing_in_lambda(self, bench_model):
         # one wall-clock ordering, made robust to machine-speed phases: the

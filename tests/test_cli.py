@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from splitdecode import protocol
 from splitdecode.cli import main
 from splitdecode.config import ConfigError, load_run_config
+from splitdecode.wire import ProtocolMessage, decode_token, encode_token
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -77,6 +79,13 @@ class TestConfig:
         ("bench", {"bench": {"lambdas": [True]}}),
         ("bench", {"bench": {"in_tokens": "8"}}),
         ("bench", {"bench": {"users": 2}}),
+        # a float field takes a finite number, not a bool
+        ("demo", {"obfuscation": {"epsilon": True}}),
+        ("demo", {"obfuscation": {"epsilon": float("nan")}}),
+        ("demo", {"obfuscation": {"epsilon": float("inf")}}),
+        ("demo", {"obfuscation": {"temperature": True}}),
+        ("demo", {"obfuscation": {"temperature": float("nan")}}),
+        ("demo", {"obfuscation": {"temperature": float("inf")}}),
     ])
     def test_invalid_value_is_a_config_error(self, tmp_path, capsys, command, data):
         path = write_config(tmp_path, data)
@@ -127,6 +136,32 @@ class TestDemoCommand:
         assert main(["demo", "--config", path]) == code
         if code == 0:
             assert "virtual prompts decoded: 1\n" in capsys.readouterr().out
+
+    # a peer that breaks the protocol ends the demo with exit 4, whether a
+    # frame fails to parse or the controller kills a stream
+    def test_demo_malformed_partial_exit_code(self, capsys, monkeypatch):
+        answer = protocol.UserParty._answer_query
+
+        def unassigned_tag(party, msg):
+            frame = answer(party, msg)
+            return frame[:4] + b"\x04" + frame[5:]
+
+        monkeypatch.setattr(protocol.UserParty, "_answer_query", unassigned_tag)
+        assert main(["demo"]) == 4
+        assert capsys.readouterr().err.startswith("protocol violation: unknown tag 0x04")
+
+    def test_demo_killed_stream_exit_code(self, capsys, monkeypatch):
+        queue = protocol.UserParty._queue_outward
+
+        def flip_third(party, msg):
+            if len(party.streams[msg.session_id].tokens) == 3:
+                msg = ProtocolMessage(msg.tag, msg.session_id,
+                                      payload=encode_token(decode_token(msg.payload) ^ 1))
+            queue(party, msg)
+
+        monkeypatch.setattr(protocol.UserParty, "_queue_outward", flip_third)
+        assert main(["demo"]) == 4
+        assert capsys.readouterr().err.startswith("sessions killed by the controller: ")
 
     def test_demo_unknown_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"bogus_section": {}})

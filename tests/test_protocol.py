@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import socket
+import struct
 import threading
 import time
 from collections import Counter
@@ -608,6 +609,49 @@ class TestOutOfOrderReply:
         with pytest.raises(ProtocolError, match=f"out-of-order reply: expected PARTIAL {sid}/1/2"):
             run_sessions(ModelParty(small_weights), Controller(), [user], 4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
+
+
+class TestMalformedFrame:
+    """A user party's frame that breaks the wire format is a ProtocolError
+    on either transport, and kills no stream."""
+
+    @staticmethod
+    def unassigned_tag(user):
+        honest = user.handle_frame
+        user.handle_frame = lambda frame: [
+            reply[:4] + b"\x04" + reply[5:] if reply[4] == TAG_PARTIAL else reply
+            for reply in honest(frame)
+        ]
+
+    @staticmethod
+    def short_setup_token(user):
+        user.pending_setup = [
+            dataclasses.replace(msg, payload=msg.payload[:4]) if msg.tag == TAG_TOKEN else msg
+            for msg in user.pending_setup
+        ]
+
+    @staticmethod
+    def short_length_prefix(user):
+        # a prefix above the frame's size leaves a socket reader waiting
+        # for bytes that never come (socket links have no deadline yet),
+        # so this prefix undercounts by 8
+        honest = user.handle_frame
+        user.handle_frame = lambda frame: [
+            struct.pack("<I", len(reply) - 4 - 8) + reply[4:] for reply in honest(frame)
+        ]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("fault",
+                             ["unassigned_tag", "short_setup_token", "short_length_prefix"])
+    def test_broken_frame_is_a_protocol_error(self, small_weights, transport, fault):
+        user = decoy_user(small_weights, 1)
+        getattr(self, fault)(user)
+        ctrl = Controller()
+        start = time.monotonic()
+        with pytest.raises(ProtocolError):
+            run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+        assert not ctrl.killed
 
 
 def _kill_second(user, ids):

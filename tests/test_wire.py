@@ -19,6 +19,9 @@ from splitdecode.wire import (
     decode_token,
     deserialize,
     encode_f64s,
+    encode_partial,
+    encode_query,
+    encode_setup,
     encode_token,
     parse_header,
     serialize,
@@ -142,6 +145,42 @@ class TestPayloadCodecs:
             decode_token(b"1234")
         with pytest.raises(FrameError):
             encode_token(-1)
+
+
+# float64 little-endian
+ZERO, HALF, ONE = "0000000000000000", "000000000000e03f", "000000000000f03f"
+TWO, MINUS_ONE, MINUS_TWO = "0000000000000040", "000000000000f0bf", "00000000000000c0"
+
+
+class TestGoldenFrames:
+    def test_one_frame_of_each_tag_pinned(self):
+        # each frame: the u32 length, then tag, stream, layer, head and
+        # payload length, then the payload; 0x10000 is user 1's stream 0
+        sid = 0x10000
+        queries = np.array([[[1.0, 2.0]], [[-1.0, 0.5]]])  # 2 streams, 1 head, head_dim 2
+        a = np.array([[[0.5, 1.0]], [[2.0, -2.0]]])
+        gamma, m = np.array([[1.0], [2.0]]), np.array([[0.0], [-1.0]])
+        frames = [
+            ProtocolMessage(TAG_QUERY, sid, 1, 2, encode_query([sid, sid + 1], queries)),
+            ProtocolMessage(TAG_PARTIAL, sid, 1, 2, encode_partial(a, gamma, m)),
+            ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(7)),
+            ProtocolMessage(TAG_CONTROL, sid + 1, payload=encode_setup(9)),
+            ProtocolMessage(TAG_ABORT, sid + 1),
+        ]
+        assert [serialize(msg).hex() for msg in frames] == [
+            # QUERY at layer 1 naming two streams: their u32 ids, then the
+            # (2, 1, 2) queries
+            "35000000" "01" "00000100" "0100" "0200" "28000000" "00000100" "01000100"
+            + ONE + TWO + MINUS_ONE + HALF,
+            # its PARTIAL: per stream and head the weighted values, the
+            # denominator and the running max
+            "4d000000" "02" "00000100" "0100" "0200" "40000000"
+            + HALF + ONE + ONE + ZERO + TWO + MINUS_TWO + TWO + MINUS_ONE,
+            "15000000" "03" "00000100" "0000" "0000" "08000000" "0700000000000000",
+            # CONTROL: the stream's prompt length
+            "11000000" "05" "01000100" "0000" "0000" "04000000" "09000000",
+            "0d000000" "06" "01000100" "0000" "0000" "00000000",
+        ]
 
 
 class TestNoPartitionSerializer:

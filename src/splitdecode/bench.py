@@ -28,6 +28,7 @@ from .model import (
     trunk,
     weight_alloc_count,
 )
+from .numerics import philox_rng
 from .obfuscation import ObfuscationConfig, TaggedPrompt
 from .partition import _slot_attention
 from .protocol import (
@@ -109,7 +110,7 @@ class BenchRecord:
 
 def bench_prompts(config: BenchConfig) -> list[list[int]]:
     """Deterministic per-user prompts; EOS never appears in a prompt."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    rng = philox_rng(config.seed)
     v = config.model.vocab_size
     return [
         rng.integers(0, v - 1, size=config.in_tokens).tolist() for _ in range(config.users)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .langmodel import tokenize_text
+from .numerics import philox_rng
 from .obfuscation import TaggedPrompt
 
 __all__ = [
@@ -53,7 +54,7 @@ def zipf_corpus(
 ) -> list[list[int]]:
     """Random sequences with a heavy-tailed unigram distribution; gives
     oracles with non-trivial, unequal next-token probabilities."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = philox_rng(seed)
     weights = 1.0 / (np.arange(vocab_size) + 2.0)
     probs = weights / weights.sum()
     return [

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import DimensionError, seeded_matrix, stable_softmax_stats
+from .numerics import DimensionError, philox_rng, seeded_matrix, stable_softmax_stats
 
 __all__ = [
     "CacheFullError",
@@ -599,8 +599,7 @@ def sample_token(
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     stats = stable_softmax_stats(logits / temperature)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return int(rng.choice(logits.size, p=stats.weights))
+    return int(philox_rng(seed).choice(logits.size, p=stats.weights))
 
 
 def greedy_decode(

@@ -1,8 +1,9 @@
 """Seeded float64 matrices and stable softmax statistics.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects of dtype float64.
-Randomness comes from numpy's Philox 4x64 counter-based generator seeded
-through ``SeedSequence``, which gives identical streams on every platform.
+Randomness comes from ``philox_rng``: numpy's Philox 4x64 counter-based
+generator seeded through ``SeedSequence``, which gives identical streams
+on every platform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "DimensionError",
     "EmptyPartitionError",
     "SoftmaxStats",
+    "philox_rng",
     "seeded_matrix",
     "stable_softmax_stats",
 ]
@@ -28,6 +30,12 @@ class EmptyPartitionError(ValueError):
     """An operation that needs at least one score/row got none."""
 
 
+def philox_rng(seed) -> np.random.Generator:
+    """The package's one random generator: Philox 4x64 keyed via
+    SeedSequence(seed), seed being an int or a list of ints."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def seeded_matrix(seed: int, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
     """Deterministic rows x cols matrix of N(0, scale^2) entries.
 
@@ -36,8 +44,7 @@ def seeded_matrix(seed: int, rows: int, cols: int, scale: float = 1.0) -> np.nda
     """
     if rows < 0 or cols < 0:
         raise DimensionError("matrix dimensions must be non-negative")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return rng.standard_normal((rows, cols)) * float(scale)
+    return philox_rng(seed).standard_normal((rows, cols)) * float(scale)
 
 
 @dataclass(frozen=True)

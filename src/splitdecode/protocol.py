@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import socket
 import threading
 import time
@@ -208,21 +209,33 @@ def _no_delay(sock: socket.socket):
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
+_LINK_DEADLINE_S = 2.0  # how long a socket link waits on a silent peer
+
+
 class SocketLink:
-    """Model-party end of a localhost stream socket carrying frames."""
+    """Model-party end of a localhost stream socket carrying frames. A
+    send, or a receive call, that waits _LINK_DEADLINE_S on the peer
+    raises ProtocolError."""
 
     def __init__(self, sock: socket.socket, transcript: Transcript):
         _no_delay(sock)
+        sock.settimeout(_LINK_DEADLINE_S)
         self._sock = sock
         self.transcript = transcript
         self.step = 0
 
     def send(self, frame: bytes):
         self.transcript.record("m2u", self.step, frame)
-        self._sock.sendall(frame)
+        try:
+            self._sock.sendall(frame)
+        except TimeoutError as exc:
+            raise ProtocolError(f"peer took no frame within {_LINK_DEADLINE_S} s") from exc
 
     def recv(self) -> bytes:
-        frame = read_frame(self._sock)
+        try:
+            frame = read_frame(self._sock)
+        except TimeoutError as exc:
+            raise ProtocolError(f"no reply frame within {_LINK_DEADLINE_S} s") from exc
         if frame is None:
             raise ProtocolError("peer closed the connection")
         self.transcript.record("u2m", self.step, frame)
@@ -267,7 +280,6 @@ class TokenRule:
 
 @dataclass
 class _UserStream:
-    stream_id: int
     index: int  # the stream's row in the party's private K/V arrays
     tokens: list
     rule: TokenRule
@@ -334,10 +346,10 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
-    def _emit(self, stream: _UserStream, token: int) -> ProtocolMessage:
+    def _emit(self, stream_id: int, token: int) -> ProtocolMessage:
         """Keep the stream's next token, queue it outward; return its TOKEN."""
-        stream.tokens.append(token)
-        msg = ProtocolMessage(TAG_TOKEN, stream.stream_id, payload=encode_token(token))
+        self.streams[stream_id].tokens.append(token)
+        msg = ProtocolMessage(TAG_TOKEN, stream_id, payload=encode_token(token))
         self._queue_outward(msg)
         return msg
 
@@ -363,7 +375,7 @@ class UserParty:
                     f"TOKEN for stream {msg.session_id} is not one token id below "
                     f"vocab_size = {self.config.vocab_size}"
                 )
-            return [serialize(self._emit(stream, decode_token(msg.payload)))]
+            return [serialize(self._emit(msg.session_id, decode_token(msg.payload)))]
         if msg.tag == TAG_ABORT:
             stream.alive = False
             return []
@@ -427,9 +439,9 @@ def user_prefill(
     for index, (tokens, row) in enumerate(zip(prompts, logits)):
         stream_id = party.user_id * 2**16 + index
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
-        party.streams[stream_id] = stream = _UserStream(stream_id, index, tokens=[], rule=rule)
+        party.streams[stream_id] = _UserStream(index, tokens=[], rule=rule)
         setup = ProtocolMessage(TAG_CONTROL, stream_id, payload=encode_setup(len(tokens)))
-        messages += [setup, party._emit(stream, rule.token(row, 0))]
+        messages += [setup, party._emit(stream_id, rule.token(row, 0))]
 
     party.weights_handle.release()
     party.pending_setup = list(messages)
@@ -520,19 +532,13 @@ def controller_gate(ctrl: Controller, outbound: ProtocolMessage) -> GateDecision
 
 @dataclass
 class _ModelStream:
-    stream_id: int
     prompt_len: int
     pos: int  # absolute position of the next token to process
     # the stream's slot in the model party's public-KV arena, whose first
     # pos - prompt_len rows hold the K/V of every token processed so far
     slot: int
-    pending_token: int | None = None
-    done: bool = False  # set at EOS (when stopping there), kill, or pos reaching max_seq
-
-    @property
-    def live(self) -> bool:
-        """Whether the next decode round processes this stream."""
-        return not self.done and self.pending_token is not None
+    pending_token: int | None = None  # the next token to process
+    aborted: bool = False  # set when the controller kills the stream
 
 
 class ModelParty:
@@ -546,7 +552,8 @@ class ModelParty:
     the shortest registered prompt, the most rows any stream can write.
     Slots grow by doubling; growth copies only the rows written so far.
     Rounds attend over it with partition._slot_attention, as the bench's
-    monolithic batch does over its own stacked caches.
+    monolithic batch does over its own stacked caches. decodes() is the
+    one rule for which streams a round advances.
 
     stop_at_eos=False decodes fixed-length responses (bench workloads).
     """
@@ -579,7 +586,8 @@ class ModelParty:
         return slot
 
     def handle_user_frame(self, msg: ProtocolMessage):
-        """Take a stream's setup (CONTROL) or its next TOKEN, at setup or in a round."""
+        """Take a user party's setup frames: a stream's CONTROL, then the
+        TOKEN the party drew at prefill; later tokens are the controller's."""
         if msg.tag == TAG_CONTROL:
             if msg.session_id in self.streams:
                 raise ProtocolError(f"stream {msg.session_id} registered twice")
@@ -590,11 +598,9 @@ class ModelParty:
                     f"outside [1, max_seq={self.config.max_seq}]"
                 )
             self.streams[msg.session_id] = _ModelStream(
-                stream_id=msg.session_id,
                 prompt_len=prompt_len,
                 pos=prompt_len,
                 slot=self._open_slot(prompt_len),
-                done=prompt_len == self.config.max_seq,
             )
             return
         if msg.tag == TAG_TOKEN:
@@ -610,13 +616,20 @@ class ModelParty:
                     f"{self.config.vocab_size}-token vocabulary"
                 )
             stream.pending_token = token
-            if self.stop_at_eos and token == self.config.eos_token:
-                stream.done = True
             return
         raise ProtocolError(f"model party cannot handle {msg.tag_name} frames")
 
+    def decodes(self, stream_id: int) -> bool:
+        """Whether the next round advances the stream: it has a token, a row
+        below max_seq, no abort mark, and is not at EOS when stopping there."""
+        s = self.streams.get(stream_id)
+        if s is None or s.pending_token is None or s.aborted:
+            return False
+        at_eos = self.stop_at_eos and s.pending_token == self.config.eos_token
+        return s.pos < self.config.max_seq and not at_eos
+
     def active_streams(self) -> list[int]:
-        return [s.stream_id for s in self.streams.values() if s.live]
+        return [sid for sid in self.streams if self.decodes(sid)]
 
 
 def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
@@ -645,32 +658,32 @@ def model_batch_step(
     controller: Controller,
     step: int = 1,
 ) -> None:
-    """Advance every listed (stream_id, link) pair by one token in one batched pass.
+    """Advance every listed (stream_id, link) pair that ModelParty.decodes
+    by one token in one batched pass.
 
     The streams run through the model trunk stacked. At each layer the
-    attention callback sends each link one QUERY for all of its streams,
-    then writes the public K/V into the arena and computes every stream's
-    public partial in one kernel call (partition._slot_attention), and
-    merges them with the PARTIAL replies. The controller draws each
-    stream's token from the logits, identical to running the stream
-    alone, and the stream continues with it once the user party's TOKEN
+    attention callback sends one QUERY per run of consecutive streams on
+    one link, writes the public K/V into the arena and computes every
+    stream's public partial in one kernel call (partition._slot_attention),
+    and merges them with the PARTIAL replies. The controller draws each
+    stream's token from the logits, identical to running the stream alone,
+    and the stream continues with that draw once the user party's TOKEN
     reply echoes it. A listed stream with no row left raises.
     """
     c = model.config
     for sid, _ in sessions:
         if sid in model.streams and model.streams[sid].pos >= c.max_seq:
             raise ProtocolError(f"stream {sid} ran past max_seq")
-    live = [
-        (sid, link) for sid, link in sessions if sid in model.streams and model.streams[sid].live
-    ]
+    live = [(sid, link) for sid, link in sessions if model.decodes(sid)]
     if not live:
         return
     states = [model.streams[sid] for sid, _ in live]
-    by_link: dict[int, tuple[object, list[int]]] = {}
-    for i, (_, link) in enumerate(live):
+    runs, start = [], 0
+    for link, run in itertools.groupby(live, key=lambda pair: pair[1]):
         link.step = step
-        by_link.setdefault(id(link), (link, []))[1].append(i)
-    batches = [(link, rows, [live[i][0] for i in rows]) for link, rows in by_link.values()]
+        sids = [sid for sid, _ in run]
+        runs.append((link, slice(start, start + len(sids)), sids))
+        start += len(sids)
     public = _slot_attention(
         model.public_k, model.public_v, [st.slot for st in states],
         np.array([st.pos - st.prompt_len for st in states]),
@@ -678,34 +691,31 @@ def model_batch_step(
 
     def attend(layer, q, k, v):
         qs = q.transpose(1, 0, 2)  # (streams, heads, head_dim), the wire's order
-        for link, rows, sids in batches:
+        for link, rows, sids in runs:
             link.send(_query_frame(sids, layer, qs[rows]))
         # the public side runs while socket peers compute their partials
         pub = public(layer, qs, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-        a = np.empty((len(live), c.n_heads, c.head_dim))
-        gamma, m = np.empty((len(live), c.n_heads)), np.empty((len(live), c.n_heads))
-        for link, rows, sids in batches:
-            reply = _expect(link, TAG_PARTIAL, sids[0], layer, len(sids))
-            a[rows], gamma[rows], m[rows] = decode_partial(reply, c.n_heads, c.head_dim)
+        replies = [
+            decode_partial(_expect(link, TAG_PARTIAL, sids[0], layer, len(sids)),
+                           c.n_heads, c.head_dim)
+            for link, _, sids in runs
+        ]
+        a, gamma, m = (np.concatenate(parts) for parts in zip(*replies))
         out = merge_partial_arrays(a, gamma, m, *pub)
         return out.transpose(1, 0, 2)
 
-    tokens = [st.pending_token for st in states]
-    for st in states:
-        st.pending_token = None
-    logits = trunk(model.weights, tokens, [st.pos for st in states], attend)
+    logits = trunk(model.weights, [st.pending_token for st in states],
+                   [st.pos for st in states], attend)
     for (sid, link), st, row in zip(live, states, logits):
         token = controller.expect(sid, row)
-        sent = ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(token))
-        link.send(serialize(sent))
+        sent = encode_token(token)
+        link.send(serialize(ProtocolMessage(TAG_TOKEN, sid, payload=sent)))
         echo = _expect(link, TAG_TOKEN, sid).payload
-        if echo != sent.payload:
+        if echo != sent:
             got = f"token {decode_token(echo)}" if len(echo) == 8 else f"a {len(echo)}-byte payload"
             raise ProtocolError(f"stream {sid} echoed {got}, not the controller's draw {token}")
-        model.handle_user_frame(sent)
+        st.pending_token = token
         st.pos += 1
-        if st.pos >= c.max_seq:
-            st.done = True
 
 
 # -- session drivers ----------------------------------------------------
@@ -726,8 +736,8 @@ def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
         transcript.gate_log.append((step, sid, decision.passed, decision.reason))
         if decision.passed:
             transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
-        elif sid in ctrl.killed and sid in model.streams and not model.streams[sid].done:
-            model.streams[sid].done = True
+        elif sid in ctrl.killed and model.decodes(sid):
+            model.streams[sid].aborted = True
             link.send(serialize(ProtocolMessage(TAG_ABORT, sid)))
 
 

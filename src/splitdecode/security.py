@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .langmodel import ProbOracle, seq_logprob
+from .numerics import philox_rng
 from .obfuscation import VirtualPromptSet
 
 __all__ = [
@@ -160,7 +161,7 @@ def monte_carlo_success(
         raise ValueError("trials must be >= 1")
     if not 1 <= eta <= n:
         raise ValueError(f"eta must be in [1, {n}]")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = philox_rng(seed)
     weights = _prompt_weights(P, prompts)
 
     # uniform eta-subsets: the first eta slots of independent permutations

@@ -17,6 +17,7 @@ import numpy as np
 from .corpora import zipf_corpus
 from .langmodel import NgramModel, train_ngram
 from .model import ModelConfig, attention_reference, greedy_decode, init_model, prefill
+from .numerics import philox_rng
 from .obfuscation import (
     ObfuscationConfig,
     TaggedPrompt,
@@ -56,10 +57,6 @@ class Check:
     detail: str
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _merge_error(rng, n, head_dim, score_scale=1.0) -> float:
     q = rng.standard_normal(head_dim) * score_scale
     K = rng.standard_normal((n, head_dim))
@@ -75,7 +72,7 @@ def _merge_error(rng, n, head_dim, score_scale=1.0) -> float:
 
 
 def suite_theorem1() -> list[Check]:
-    rng = _rng(2024)
+    rng = philox_rng(2024)
     worst = 0.0
     for _ in range(300):
         n = int(rng.integers(1, 65))
@@ -239,7 +236,7 @@ def suite_protocol() -> list[Check]:
     weights = init_model(ModelConfig(
         n_layers=2, n_heads=2, d_model=128, head_dim=64, vocab_size=64, max_seq=128, seed=3
     ))
-    prompt = _rng(5).integers(0, 63, size=100).tolist()
+    prompt = philox_rng(5).integers(0, 63, size=100).tolist()
     user = UserParty(user_id=3, weights_handle=WeightsHandle(weights),
                      oracle=NgramModel(order=1, vocab_size=64))
     user_prefill(user, TaggedPrompt(tokens=prompt, spans=((40, 1),)),
@@ -267,7 +264,7 @@ def suite_protocol() -> list[Check]:
 
     ctrl = Controller()
     ctrl.open_stream(77)
-    rng = _rng(13)
+    rng = philox_rng(13)
     leaked = 0
     for _ in range(1000):
         tag = int(rng.choice([t for t in TAG_NAMES if t != TAG_TOKEN]))
@@ -283,7 +280,7 @@ def suite_protocol() -> list[Check]:
     flips = [  # (name, stream, rule, logits); greedy is token 9
         ("a flipped token", 5, TokenRule(), np.eye(config.vocab_size)[9]),
         ("a flipped sampled token", 6, TokenRule(temperature=0.9, seed=42, key=7),
-         _rng(21).standard_normal(32)),
+         philox_rng(21).standard_normal(32)),
     ]
     for name, sid, rule, logits in flips:
         ctrl = Controller()

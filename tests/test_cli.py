@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from splitdecode import protocol
+from splitdecode import cli, protocol
 from splitdecode.cli import main
 from splitdecode.config import ConfigError, load_run_config
 from splitdecode.wire import ProtocolMessage, decode_token, encode_token
@@ -162,6 +162,12 @@ class TestDemoCommand:
         monkeypatch.setattr(protocol.UserParty, "_queue_outward", flip_third)
         assert main(["demo"]) == 4
         assert capsys.readouterr().err.startswith("sessions killed by the controller: ")
+
+    def test_demo_invariance_failure_exit_code(self, capsys, monkeypatch):
+        # a response that differs from the monolithic decode ends the demo with exit 2
+        monkeypatch.setattr(cli, "greedy_decode", lambda *args, **kwargs: [])
+        assert main(["demo"]) == 2
+        assert capsys.readouterr().err.startswith("invariance check FAILED")
 
     def test_demo_unknown_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"bogus_section": {}})

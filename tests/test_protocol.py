@@ -400,6 +400,16 @@ class TestReadFrame:
             a.shutdown(socket.SHUT_WR)
             assert read_frame(b) is None
 
+    def test_socket_closed_mid_frame_raises(self):
+        frame = serialize(ProtocolMessage(tag=TAG_TOKEN, session_id=3, payload=encode_token(1)))
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(frame[:-3])
+            a.shutdown(socket.SHUT_WR)
+            with pytest.raises(ProtocolError, match="socket closed mid-frame"):
+                read_frame(b)
+
 
 class TestBatchedStep:
     def test_eight_sessions_match_serial(self, small_weights):
@@ -425,6 +435,30 @@ class TestBatchedStep:
     def test_empty_round_returns_nothing(self, small_weights):
         model = ModelParty(small_weights)
         assert model_batch_step(model, [], Controller()) is None
+
+    def test_interleaved_links_match_serial(self, small_weights):
+        # two lambda-1 users' streams listed alternately: every stream
+        # still decodes its own tokens
+        users = [decoy_user(small_weights, 1, user_id=u, prompt=p)
+                 for u, p in enumerate(([3, 1, 4], [1, 5, 9]))]
+        model, ctrl = ModelParty(small_weights), Controller()
+        transcript = Transcript(config=small_weights.config)
+        link_of = {}
+        for user in users:
+            link = InProcLink(user.handle_frame, transcript)
+            for msg in user.pending_setup:
+                model.handle_user_frame(msg)
+            for sid, stream in user.streams.items():
+                ctrl.open_stream(sid, stream.rule)
+                link_of[sid] = link
+        for step in range(1, 9):
+            sids = sorted(model.active_streams(), key=lambda sid: (sid % 2**16, sid))
+            assert len(sids) == 4 and len({link_of[sid] for sid in sids[1:3]}) == 2
+            model_batch_step(model, [(sid, link_of[sid]) for sid in sids], ctrl, step)
+        for user in users:
+            for sid, stream in user.streams.items():
+                prompt = list(user.vps.prompts[stream.index])
+                assert stream.tokens == greedy_decode(small_weights, prompt, 8)
 
 
 class TestOutOfOrder:
@@ -612,8 +646,9 @@ class TestOutOfOrderReply:
 
 
 class TestMalformedFrame:
-    """A user party's frame that breaks the wire format is a ProtocolError
-    on either transport, and kills no stream."""
+    """A user party's frame that breaks the wire format, or a reply it
+    never sends, is a ProtocolError on either transport, and kills no
+    stream."""
 
     @staticmethod
     def unassigned_tag(user):
@@ -632,17 +667,30 @@ class TestMalformedFrame:
 
     @staticmethod
     def short_length_prefix(user):
-        # a prefix above the frame's size leaves a socket reader waiting
-        # for bytes that never come (socket links have no deadline yet),
-        # so this prefix undercounts by 8
         honest = user.handle_frame
         user.handle_frame = lambda frame: [
             struct.pack("<I", len(reply) - 4 - 8) + reply[4:] for reply in honest(frame)
         ]
 
+    @staticmethod
+    def long_length_prefix(user):
+        # a socket reader waits for 8 bytes that never come, until the
+        # link's deadline
+        honest = user.handle_frame
+        user.handle_frame = lambda frame: [
+            struct.pack("<I", len(reply) - 4 + 8) + reply[4:] for reply in honest(frame)
+        ]
+
+    @staticmethod
+    def no_reply(user):
+        # the in-process link finds no reply queued; the socket link waits
+        # until its deadline
+        honest = user.handle_frame
+        user.handle_frame = lambda frame: [] if frame[4] == TAG_QUERY else honest(frame)
+
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
-    @pytest.mark.parametrize("fault",
-                             ["unassigned_tag", "short_setup_token", "short_length_prefix"])
+    @pytest.mark.parametrize("fault", ["unassigned_tag", "short_setup_token",
+                                       "short_length_prefix", "long_length_prefix", "no_reply"])
     def test_broken_frame_is_a_protocol_error(self, small_weights, transport, fault):
         user = decoy_user(small_weights, 1)
         getattr(self, fault)(user)
@@ -716,6 +764,19 @@ class TestMalformedQuery:
             ))
 
         with pytest.raises(ProtocolError, match=f"QUERY names {count} streams"):
+            self.run_with(small_weights, transport, monkeypatch, make_frame)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_layer_past_the_model_raises(self, small_weights, transport, monkeypatch):
+        n = small_weights.config.n_layers
+
+        def make_frame(user, ids, layer, qs):
+            return serialize(ProtocolMessage(
+                tag=TAG_QUERY, session_id=ids[0], layer=n, head=len(ids),
+                payload=encode_query(ids, qs),
+            ))
+
+        with pytest.raises(ProtocolError, match=f"QUERY for layer {n} of a {n}-layer model"):
             self.run_with(small_weights, transport, monkeypatch, make_frame)
 
 
@@ -810,6 +871,35 @@ class TestStreamIsolation:
         assert aborts == [(1, culprit)]
         assert transcript.tokens[next(iter(second.streams))] == greedy_decode(
             small_weights, self.PROMPTS[1], 6)
+
+    # a stream that has ended, at max_seq or at EOS, and whose last
+    # outward token is then flipped, is killed with no ABORT
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("end", ["max_seq", "eos"])
+    def test_a_stream_killed_after_it_ends_is_not_aborted(self, small_weights, end, transport):
+        if end == "eos":
+            prompt, stop_at_eos = [22, 35], True
+        else:
+            prompt, stop_at_eos = [3, 1, 4] * 31 + [1], False  # two rows below max_seq
+        honest = greedy_decode(small_weights, prompt, 16, stop_at_eos=stop_at_eos)
+        assert (honest[-1] == small_weights.config.eos_token) == (end == "eos")
+        user = decoy_user(small_weights, 0, prompt=prompt)
+        sid = next(iter(user.streams))
+        original_queue = user._queue_outward
+
+        def flip_last(msg):
+            if len(user.streams[sid].tokens) == len(honest):
+                msg = ProtocolMessage(tag=msg.tag, session_id=sid,
+                                      payload=encode_token(decode_token(msg.payload) ^ 1))
+            original_queue(msg)
+
+        user._queue_outward = flip_last
+        ctrl = Controller()
+        transcript = run_sessions(ModelParty(small_weights, stop_at_eos=stop_at_eos), ctrl,
+                                  [user], 16, transport=transport)
+        assert list(ctrl.killed) == [sid]
+        assert transcript.tokens[sid] == honest[:-1]
+        assert not [e for e in transcript.entries if e.tag == TAG_ABORT]
 
     def test_a_controller_serves_sequential_sessions(self, small_weights):
         model, ctrl = ModelParty(small_weights), Controller()

@@ -140,6 +140,8 @@ def load_run_config(path: str | None, seed: int | None = None) -> RunConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file does not parse: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file cannot be read: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     return parse_run_config(raw, seed=seed)

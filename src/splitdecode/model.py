@@ -454,9 +454,9 @@ def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
     for a chunk that needs both shared and own rows. Each output row goes
     back to its distinct row, and padding rows get zeros. A chunk of
     shared rows only is attended once, for the first prompt. At the last
-    layer q holds the rows the trunk reads, prompt i's last row at i, and
-    in a one-row chunk (a decode step is one) each prompt's one row; each
-    attends as one row, as a lone prompt's final chunk does."""
+    layer q holds the rows the trunk reads, prompt i's last row at i;
+    each attends as one row, as a lone prompt's final chunk does. A
+    one-row chunk (a decode step is one) takes the general path."""
     count, layers, heads, _, head_dim = kv.private_k.shape
     p = kv.shared_k.shape[2]
     shared, own = mid - lo, hi - mid
@@ -484,9 +484,8 @@ def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
         if own:
             kv.private_k[:, layer, :, mid - p : hi - p] = own_rows(k)
             kv.private_v[:, layer, :, mid - p : hi - p] = own_rows(v)
-        # at the last layer, and in a one-row chunk, q holds one row for
-        # each prompt it attends
-        one_row = layer == layers - 1 or hi - lo == 1
+        # at the last layer q holds one row for each prompt it attends
+        one_row = layer == layers - 1
         prompts = q.shape[1] if one_row else count if own else 1
         keys = prompt_rows(kv.shared_k[layer], kv.private_k[:, layer], prompts)
         values = prompt_rows(kv.shared_v[layer], kv.private_v[:, layer], prompts)

@@ -214,8 +214,8 @@ _LINK_DEADLINE_S = 2.0  # how long a socket link waits on a silent peer
 
 class SocketLink:
     """Model-party end of a localhost stream socket carrying frames. A
-    send, or a receive call, that waits _LINK_DEADLINE_S on the peer
-    raises ProtocolError."""
+    send, or a receive call, that waits _LINK_DEADLINE_S on the peer, or
+    fails in any other way (a reset, say), raises ProtocolError."""
 
     def __init__(self, sock: socket.socket, transcript: Transcript):
         _no_delay(sock)
@@ -230,12 +230,16 @@ class SocketLink:
             self._sock.sendall(frame)
         except TimeoutError as exc:
             raise ProtocolError(f"peer took no frame within {_LINK_DEADLINE_S} s") from exc
+        except OSError as exc:
+            raise ProtocolError(f"socket link failed: {exc!r}") from exc
 
     def recv(self) -> bytes:
         try:
             frame = read_frame(self._sock)
         except TimeoutError as exc:
             raise ProtocolError(f"no reply frame within {_LINK_DEADLINE_S} s") from exc
+        except OSError as exc:
+            raise ProtocolError(f"socket link failed: {exc!r}") from exc
         if frame is None:
             raise ProtocolError("peer closed the connection")
         self.transcript.record("u2m", self.step, frame)
@@ -414,9 +418,9 @@ def user_prefill(
     config: ObfuscationConfig,
 ) -> list[ProtocolMessage]:
     """Build the virtual prompts, prefill them as one set (the rows they
-    share run and are kept once), release the weights, and emit
-    per-stream setup plus first-token messages. Stream i of user u has
-    the id u * 2**16 + i.
+    share run and are kept once), release the weights, and emit one
+    CONTROL per stream: its prompt length and token 0, which the party
+    keeps and queues outward. Stream i of user u has id u * 2**16 + i.
 
     Raises InsufficientObfuscationError (the obfuscation abort) when fewer
     than lambda_min decoys exist; the weights handle stays valid in that
@@ -440,8 +444,10 @@ def user_prefill(
         stream_id = party.user_id * 2**16 + index
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
         party.streams[stream_id] = _UserStream(index, tokens=[], rule=rule)
-        setup = ProtocolMessage(TAG_CONTROL, stream_id, payload=encode_setup(len(tokens)))
-        messages += [setup, party._emit(stream_id, rule.token(row, 0))]
+        token = rule.token(row, 0)
+        party._emit(stream_id, token)
+        messages.append(ProtocolMessage(TAG_CONTROL, stream_id,
+                                        payload=encode_setup(len(tokens), token)))
 
     party.weights_handle.release()
     party.pending_setup = list(messages)
@@ -537,14 +543,14 @@ class _ModelStream:
     # the stream's slot in the model party's public-KV arena, whose first
     # pos - prompt_len rows hold the K/V of every token processed so far
     slot: int
-    pending_token: int | None = None  # the next token to process
+    pending_token: int  # the next token to process
     aborted: bool = False  # set when the controller kills the stream
 
 
 class ModelParty:
     """Owns the weights and, per stream, only public state: its position,
     its pending token and the KV rows of its processed tokens. Never sees
-    a private K/V row.
+    a private K/V row. One CONTROL frame per stream registers it.
 
     The public K/V of every stream live in one slot arena, public_k and
     public_v of shape (slots, n_layers, n_heads, rows, head_dim), one slot
@@ -586,44 +592,33 @@ class ModelParty:
         return slot
 
     def handle_user_frame(self, msg: ProtocolMessage):
-        """Take a user party's setup frames: a stream's CONTROL, then the
-        TOKEN the party drew at prefill; later tokens are the controller's."""
-        if msg.tag == TAG_CONTROL:
-            if msg.session_id in self.streams:
-                raise ProtocolError(f"stream {msg.session_id} registered twice")
-            prompt_len = decode_setup(msg.payload)
-            if not 1 <= prompt_len <= self.config.max_seq:
-                raise ProtocolError(
-                    f"stream {msg.session_id} set up with a {prompt_len}-token prompt, "
-                    f"outside [1, max_seq={self.config.max_seq}]"
-                )
-            self.streams[msg.session_id] = _ModelStream(
-                prompt_len=prompt_len,
-                pos=prompt_len,
-                slot=self._open_slot(prompt_len),
+        """Register the stream a user party's CONTROL sets up, with its
+        prompt length and token 0, the token the party drew at prefill;
+        every later token is the controller's. Takes no other frame."""
+        if msg.tag != TAG_CONTROL:
+            raise ProtocolError(f"model party cannot handle {msg.tag_name} frames")
+        sid = msg.session_id
+        if sid in self.streams:
+            raise ProtocolError(f"stream {sid} registered twice")
+        prompt_len, token = decode_setup(msg.payload)
+        if not 1 <= prompt_len <= self.config.max_seq:
+            raise ProtocolError(
+                f"stream {sid} set up with a {prompt_len}-token prompt, "
+                f"outside [1, max_seq={self.config.max_seq}]"
             )
-            return
-        if msg.tag == TAG_TOKEN:
-            stream = self.streams.get(msg.session_id)
-            if stream is None:
-                raise ProtocolError(f"token for unregistered stream {msg.session_id}")
-            if stream.pending_token is not None:
-                raise ProtocolError("duplicate token before a decode round")
-            token = decode_token(msg.payload)
-            if token >= self.config.vocab_size:
-                raise ProtocolError(
-                    f"stream {msg.session_id} sent token {token}, outside the "
-                    f"{self.config.vocab_size}-token vocabulary"
-                )
-            stream.pending_token = token
-            return
-        raise ProtocolError(f"model party cannot handle {msg.tag_name} frames")
+        if token >= self.config.vocab_size:
+            raise ProtocolError(
+                f"stream {sid} sent token {token}, outside the "
+                f"{self.config.vocab_size}-token vocabulary"
+            )
+        slot = self._open_slot(prompt_len)
+        self.streams[sid] = _ModelStream(prompt_len, prompt_len, slot, token)
 
     def decodes(self, stream_id: int) -> bool:
-        """Whether the next round advances the stream: it has a token, a row
-        below max_seq, no abort mark, and is not at EOS when stopping there."""
+        """Whether the next round advances the stream: it is registered, has
+        a row below max_seq, no abort mark and no EOS when stopping there."""
         s = self.streams.get(stream_id)
-        if s is None or s.pending_token is None or s.aborted:
+        if s is None or s.aborted:
             return False
         at_eos = self.stop_at_eos and s.pending_token == self.config.eos_token
         return s.pos < self.config.max_seq and not at_eos
@@ -800,12 +795,13 @@ def run_sessions(
 
     Each user gets one link: an in-process conduit (transport="inproc"),
     or a localhost TCP stream with the user party served from a thread
-    (transport="socket"). The setup frames arrive first through the
-    links; then each round advances all active streams of all users in
-    one batched model step, and its wall time, the step plus gate
-    routing, is appended to transcript.round_s. On exit, normal or not,
-    the model party forgets every stream the call registered; they hold
-    its last arena slots, which the next registrations reuse.
+    (transport="socket"). A link's first frames are one CONTROL per
+    stream of its own, and reading one registers the stream with the
+    model party and opens its gate; then each round advances all active
+    streams of all users in one batched model step, and its wall time,
+    the step plus gate routing, is appended to transcript.round_s. On
+    exit, normal or not, the model party forgets every stream the call
+    registered; they hold its last arena slots, which the next ones reuse.
     """
     if transport not in ("inproc", "socket"):
         raise ValueError(f"unknown transport {transport!r}")
@@ -826,10 +822,13 @@ def run_sessions(
         link_of = {sid: link for user, link in zip(users, links) for sid in user.streams}
         for user, link, setup_count in zip(users, links, setup_counts):
             for _ in range(setup_count):
-                model.handle_user_frame(deserialize(link.recv()))
-            for sid, stream in user.streams.items():
+                msg = deserialize(link.recv())
+                sid = msg.session_id
+                if link_of.get(sid) is not link:
+                    raise ProtocolError(f"setup frame names stream {sid}, not one of its link's")
+                model.handle_user_frame(msg)
                 # the rule goes to the controller directly, never over the link
-                ctrl.open_stream(sid, stream.rule)
+                ctrl.open_stream(sid, user.streams[sid].rule)
             _route_outward(user, link, link_of, model, ctrl, transcript, 0)
 
         for step in range(1, max_tokens + 1):

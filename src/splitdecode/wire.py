@@ -14,7 +14,8 @@ Frame layout, all little-endian:
 read_frame reads one frame from a stream socket; it refuses a length
 above MAX_BODY, the largest legal body, before reading any of the body.
 
-CONTROL payloads set up a stream: one u32, its prompt length.
+CONTROL payloads set up a stream, one per stream: a u32, its prompt
+length, then a u64, its token 0, which the user party drew at prefill.
 
 The attention exchange is batched: per decode round and layer, the
 model party sends one QUERY to each user link and gets one PARTIAL back.
@@ -240,17 +241,17 @@ def decode_partial(msg: ProtocolMessage, n_heads: int, head_dim: int):
     return values[..., :-2], values[..., -2], values[..., -1]
 
 
-_SETUP = struct.Struct("<I")  # prompt length
+_SETUP = struct.Struct("<IQ")  # prompt length, token 0
 
 
-def encode_setup(prompt_len: int) -> bytes:
-    return _SETUP.pack(prompt_len)
+def encode_setup(prompt_len: int, token: int) -> bytes:
+    return _SETUP.pack(prompt_len, token)
 
 
-def decode_setup(payload: bytes) -> int:
+def decode_setup(payload: bytes) -> tuple[int, int]:
     if len(payload) != _SETUP.size:
-        raise FrameError("bad stream-setup payload")
-    return _SETUP.unpack(payload)[0]
+        raise FrameError(f"stream-setup payload of {len(payload)} bytes, not {_SETUP.size}")
+    return _SETUP.unpack(payload)
 
 
 def encode_token(token: int) -> bytes:

@@ -113,9 +113,9 @@ class TestDemoCommand:
         out = tmp_path / "t.txt"
         assert main(["demo", "--out", str(out)]) == 0
         data = out.read_bytes()
-        assert (len(data), data.count(b"\n")) == (13328, 472)
+        assert (len(data), data.count(b"\n")) == (13144, 464)
         digest = hashlib.blake2b(data, digest_size=16).hexdigest()
-        assert digest == "7332ff59a78c6127c12801a8add4aca0"
+        assert digest == "304059ce50eaac522aceeb5c2f9d4de7"
 
     def test_demo_obfuscation_abort_exit_code(self, tmp_path, capsys):
         # the demo corpus cannot yield 500 decoys; lambda_min forces a halt
@@ -172,6 +172,17 @@ class TestDemoCommand:
     def test_demo_unknown_key_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"bogus_section": {}})
         assert main(["demo", "--config", path]) == 2
+
+    # a config path that names a directory, or a file that is not UTF-8
+    @pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "config.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"demo": {"prompt": "café"}}'.encode("latin-1"))
+        assert main(["demo", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config file cannot be read")
 
     def test_verbose_shows_virtual_prompts(self, capsys):
         assert main(["demo", "-v"]) == 0

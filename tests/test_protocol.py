@@ -47,9 +47,11 @@ from splitdecode.wire import (
     TAG_TOKEN,
     FrameError,
     ProtocolMessage,
+    decode_setup,
     decode_token,
     encode_f64s,
     encode_query,
+    encode_setup,
     encode_token,
     serialize,
 )
@@ -264,8 +266,7 @@ class TestVirtualPromptStreams:
         user = UserParty(1, WeightsHandle(small_weights), oracle=oracle, prf_key=b"t")
         msgs = user_prefill(user, TaggedPrompt(tokens=[4, 8, 15], spans=((0, 1),)), obf)
         assert len(user.streams) == 4
-        token_msgs = [m for m in msgs if m.tag == TAG_TOKEN]
-        assert len(token_msgs) == 4
+        assert [m.tag for m in msgs] == [TAG_CONTROL] * 4
         assert user.vps.lam == 3
 
     def test_every_stream_matches_its_own_monolithic(self, small_weights):
@@ -462,28 +463,20 @@ class TestBatchedStep:
 
 
 class TestOutOfOrder:
-    def test_model_rejects_unknown_stream_token(self, small_weights):
-        model = ModelParty(small_weights)
-        with pytest.raises(ProtocolError, match="token for unregistered stream 99"):
-            model.handle_user_frame(
-                ProtocolMessage(tag=TAG_TOKEN, session_id=99, payload=encode_token(1))
-            )
-
-    def test_model_rejects_duplicate_token(self, small_weights):
+    def test_model_rejects_token_frames(self, small_weights):
+        # a stream's CONTROL carries its token 0, so a setup TOKEN has no place
         model, ctrl, user = make_session(small_weights, [1, 2])
         for msg in user.pending_setup:
             model.handle_user_frame(msg)
         stream_id = next(iter(user.streams))
-        with pytest.raises(ProtocolError, match="duplicate token before a decode round"):
+        with pytest.raises(ProtocolError, match="model party cannot handle TOKEN frames"):
             model.handle_user_frame(
                 ProtocolMessage(tag=TAG_TOKEN, session_id=stream_id, payload=encode_token(1))
             )
 
     def test_model_rejects_duplicate_stream_registration(self, small_weights):
-        from splitdecode.protocol import encode_setup
-
         model = ModelParty(small_weights)
-        setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(3))
+        setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(3, 1))
         model.handle_user_frame(setup)
         with pytest.raises(ProtocolError, match="stream 4 registered twice"):
             model.handle_user_frame(setup)
@@ -500,12 +493,10 @@ class TestOutOfOrder:
         ids=["0", "max_seq", "max_seq + 1"],
     )
     def test_model_checks_the_setup_length(self, small_weights, length):
-        from splitdecode.protocol import encode_setup
-
         model = ModelParty(small_weights)
         max_seq = small_weights.config.max_seq
         n = length(max_seq)
-        setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(n))
+        setup = ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(n, 1))
         if n != max_seq:
             with pytest.raises(ProtocolError, match=f"stream 4 set up with a {n}-token prompt"):
                 model.handle_user_frame(setup)
@@ -513,22 +504,14 @@ class TestOutOfOrder:
             return
         # prefill allows a prompt of exactly max_seq; it leaves no room to decode
         model.handle_user_frame(setup)
-        model.handle_user_frame(
-            ProtocolMessage(tag=TAG_TOKEN, session_id=4, payload=encode_token(1))
-        )
         assert list(model.streams) == [4]
         assert model.active_streams() == []
 
     def test_model_step_rejects_a_stream_at_max_seq(self, small_weights):
-        from splitdecode.protocol import encode_setup
-
         model = ModelParty(small_weights)
         max_seq = small_weights.config.max_seq
         model.handle_user_frame(
-            ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(max_seq))
-        )
-        model.handle_user_frame(
-            ProtocolMessage(tag=TAG_TOKEN, session_id=4, payload=encode_token(1))
+            ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(max_seq, 1))
         )
         link = InProcLink(lambda frame: [], Transcript(config=small_weights.config))
         with pytest.raises(ProtocolError, match="stream 4 ran past max_seq"):
@@ -660,9 +643,9 @@ class TestMalformedFrame:
 
     @staticmethod
     def short_setup_token(user):
+        # each CONTROL keeps its prompt length and half of its token 0
         user.pending_setup = [
-            dataclasses.replace(msg, payload=msg.payload[:4]) if msg.tag == TAG_TOKEN else msg
-            for msg in user.pending_setup
+            dataclasses.replace(msg, payload=msg.payload[:8]) for msg in user.pending_setup
         ]
 
     @staticmethod
@@ -700,6 +683,55 @@ class TestMalformedFrame:
             run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
         assert not ctrl.killed
+
+    def test_socket_reset_is_a_protocol_error(self, small_weights, monkeypatch):
+        # the user side reads the first QUERY, then resets the connection
+        def reset_after_query(user, sock):
+            sock.sendall(b"".join(serialize(msg) for msg in user.pending_setup))
+            read_frame(sock)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+
+        monkeypatch.setattr(protocol, "serve_user_party", reset_after_query)
+        user = decoy_user(small_weights, 1)
+        ctrl = Controller()
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="socket link failed"):
+            run_sessions(ModelParty(small_weights), ctrl, [user], 4, transport="socket")
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+        assert not ctrl.killed
+
+
+class TestStreamSetup:
+    """Each stream is set up by one CONTROL frame on its own link, which
+    carries its prompt length and token 0."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_one_control_frame_per_stream(self, small_weights, transport):
+        # a lambda=3 user: step 0 carries its four streams' CONTROLs of 29
+        # bytes (length prefix and header, a u32 prompt length and a u64
+        # token 0) and nothing else, and the gate passes each token 0
+        user = decoy_user(small_weights, 3)
+        transcript = run_sessions(ModelParty(small_weights), Controller(), [user], 2,
+                                  transport=transport)
+        setup = [(e.direction, e.tag, e.session_id, e.nbytes)
+                 for e in transcript.entries if e.step == 0]
+        assert setup == [("u2m", TAG_CONTROL, sid, 29) for sid in user.streams]
+        assert [g for g in transcript.gate_log if g[0] == 0] == [
+            (0, sid, True, "first token (pre-decode)") for sid in user.streams]
+
+    # a CONTROL naming no user's stream, or another user's, placed first in
+    # the first user's setup
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("target", ["phantom", "other_user"])
+    def test_setup_names_only_its_links_streams(self, small_weights, transport, target):
+        first, second = (decoy_user(small_weights, 1, user_id=u) for u in (1, 2))
+        sid = 2**16 + 5000 if target == "phantom" else next(iter(second.streams))
+        first.pending_setup.insert(0, dataclasses.replace(first.pending_setup[0], session_id=sid))
+        model = ModelParty(small_weights)
+        with pytest.raises(ProtocolError, match=f"setup frame names stream {sid},"):
+            run_sessions(model, Controller(), [first, second], 4, transport=transport)
+        assert model.public_k.shape[0] == 0 and model.streams == {}
 
 
 def _kill_second(user, ids):
@@ -912,7 +944,7 @@ class TestStreamIsolation:
 
 
 class TestOutOfVocabularyToken:
-    """A setup TOKEN the model cannot embed, and a decode reply that does
+    """A setup token the model cannot embed, and a decode reply that does
     not echo the token the model party sent, are typed errors naming the
     stream, on either transport."""
 
@@ -922,8 +954,8 @@ class TestOutOfVocabularyToken:
         user = decoy_user(small_weights, 1)
         sid = next(iter(user.streams))
         user.pending_setup = [
-            ProtocolMessage(tag=TAG_TOKEN, session_id=sid, payload=encode_token(token))
-            if msg.tag == TAG_TOKEN and msg.session_id == sid else msg
+            dataclasses.replace(msg, payload=encode_setup(decode_setup(msg.payload)[0], token))
+            if msg.session_id == sid else msg
             for msg in user.pending_setup
         ]
         with pytest.raises(ProtocolError, match=f"stream {sid} sent token {token}, outside"):

@@ -164,7 +164,7 @@ class TestGoldenFrames:
             ProtocolMessage(TAG_QUERY, sid, 1, 2, encode_query([sid, sid + 1], queries)),
             ProtocolMessage(TAG_PARTIAL, sid, 1, 2, encode_partial(a, gamma, m)),
             ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(7)),
-            ProtocolMessage(TAG_CONTROL, sid + 1, payload=encode_setup(9)),
+            ProtocolMessage(TAG_CONTROL, sid + 1, payload=encode_setup(9, 7)),
             ProtocolMessage(TAG_ABORT, sid + 1),
         ]
         assert [serialize(msg).hex() for msg in frames] == [
@@ -177,8 +177,8 @@ class TestGoldenFrames:
             "4d000000" "02" "00000100" "0100" "0200" "40000000"
             + HALF + ONE + ONE + ZERO + TWO + MINUS_TWO + TWO + MINUS_ONE,
             "15000000" "03" "00000100" "0000" "0000" "08000000" "0700000000000000",
-            # CONTROL: the stream's prompt length
-            "11000000" "05" "01000100" "0000" "0000" "04000000" "09000000",
+            # CONTROL: the stream's prompt length, then its token 0
+            "19000000" "05" "01000100" "0000" "0000" "0c000000" "09000000" "0700000000000000",
             "0d000000" "06" "01000100" "0000" "0000" "00000000",
         ]
 

@@ -288,6 +288,7 @@ class _UserStream:
     tokens: list
     rule: TokenRule
     alive: bool = True
+    layer: int = 0  # the layer of its next QUERY; n_layers when a TOKEN is next
 
 
 def _prompt_digest(tokens) -> int:
@@ -369,6 +370,10 @@ class UserParty:
         return stream
 
     def handle_frame(self, frame: bytes) -> list[bytes]:
+        """Answer one frame of the round schedule: per round, a QUERY names
+        each live stream at layers 0 to n_layers - 1 in turn, then one
+        TOKEN per stream ends the round; it is kept, queued outward and
+        echoed. An ABORT ends the stream. Any other frame raises."""
         msg = deserialize(frame)
         stream = self._live_stream(msg.session_id)
         if msg.tag == TAG_QUERY:
@@ -379,6 +384,10 @@ class UserParty:
                     f"TOKEN for stream {msg.session_id} is not one token id below "
                     f"vocab_size = {self.config.vocab_size}"
                 )
+            if stream.layer != self.config.n_layers:
+                raise ProtocolError(f"TOKEN for stream {msg.session_id} at layer "
+                                    f"{stream.layer} of {self.config.n_layers}")
+            stream.layer = 0
             return [serialize(self._emit(msg.session_id, decode_token(msg.payload)))]
         if msg.tag == TAG_ABORT:
             stream.alive = False
@@ -398,7 +407,13 @@ class UserParty:
                 f"QUERY {msg.session_id} names the streams {ids.tolist()}: the header "
                 "must name the first, and no stream may appear twice"
             )
-        arena = _arena_rows([self._live_stream(int(sid)).index for sid in ids])
+        streams = [self._live_stream(int(sid)) for sid in ids]
+        for sid, stream in zip(ids, streams):
+            if stream.layer != msg.layer:
+                raise ProtocolError(f"QUERY for layer {msg.layer} names stream {sid} "
+                                    f"at layer {stream.layer} of {c.n_layers}")
+            stream.layer += 1
+        arena = _arena_rows([stream.index for stream in streams])
         kv, shared = self.kv, None
         if kv.shared_k.shape[2]:
             shared = (kv.shared_k[msg.layer], kv.shared_v[msg.layer])
@@ -463,28 +478,30 @@ class GateDecision:
     reason: str
 
 
+_PREFILL = -1  # a stream's owed slot until its first draw: token 0 passes unchecked
+
+
 @dataclass
 class _GateStream:
     rule: TokenRule
-    expected: deque = field(default_factory=deque)
     decoded: int = 0  # tokens decoded so far; the prefill token is number 0
-    first_passed: bool = False
+    owed: int | None = _PREFILL  # the next outward token; None once it went out
 
 
 class Controller:
-    """Token inspector at the boundary: only TOKEN frames whose value
-    equals the controller's own draw may exit.
+    """Token inspector at the boundary: each stream owes the gate one
+    token at a time, and only that token may exit.
 
     Each stream is opened with the token rule its user committed (greedy
     when none is given). expect() draws each later token from a round's
     logits with it, and the model party continues with that draw. The
-    user party draws the first token at prefill, before the model has any
-    ground truth; exactly one unverified token per stream is let through.
+    user party draws token 0 at prefill, before the model has any ground
+    truth; a stream owes it unchecked only until its first draw.
     """
 
     def __init__(self):
         self.streams: dict[int, _GateStream] = {}
-        self.killed: dict[int, str] = {}
+        self.killed: dict[int, str] = {}  # stream -> the reason of its first kill
 
     def open_stream(self, stream_id: int, rule: TokenRule = TokenRule()):
         """Start the stream's gate afresh, dropping any earlier kill of it."""
@@ -492,45 +509,40 @@ class Controller:
         self.killed.pop(stream_id, None)
 
     def expect(self, stream_id: int, logits: np.ndarray) -> int:
-        """Draw, queue for the gate and return the stream's next token: the
-        committed rule applied to logits at the stream's token count."""
+        """Draw, owe and return the stream's next token: the committed rule
+        applied to logits at its count. Still owing a draw kills the stream."""
         stream = self.streams[stream_id]
+        if stream.owed not in (None, _PREFILL):
+            self.killed.setdefault(stream_id, "draw withheld")
         stream.decoded += 1
-        stream.expected.append(stream.rule.token(logits, stream.decoded))
-        return stream.expected[-1]
-
-    def kill(self, stream_id: int, reason: str):
-        self.killed[stream_id] = reason
-
-    def gate(self, outbound: ProtocolMessage) -> GateDecision:
-        if outbound.tag != TAG_TOKEN:
-            return GateDecision(False, f"non-token frame ({outbound.tag_name})")
-        stream_id = outbound.session_id
-        if stream_id in self.killed:
-            return GateDecision(False, "session killed")
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            return GateDecision(False, "unknown session")
-        try:
-            token = decode_token(outbound.payload)
-        except FrameError:
-            self.kill(stream_id, "malformed token payload")
-            return GateDecision(False, "malformed token payload")
-        if not stream.expected:
-            if not stream.first_passed:
-                stream.first_passed = True
-                return GateDecision(True, "first token (pre-decode)")
-            self.kill(stream_id, "token without ground truth")
-            return GateDecision(False, "token without ground truth")
-        if token == stream.expected.popleft():
-            return GateDecision(True, "matches ground truth")
-        self.kill(stream_id, "token mismatch")
-        return GateDecision(False, "token mismatch")
+        stream.owed = stream.rule.token(logits, stream.decoded)
+        return stream.owed
 
 
 def controller_gate(ctrl: Controller, outbound: ProtocolMessage) -> GateDecision:
-    """Apply the boundary policy to one outbound message."""
-    return ctrl.gate(outbound)
+    """The boundary policy for one outbound message: a TOKEN passes if it
+    is the one its open stream owes, and any other kills the stream."""
+    if outbound.tag != TAG_TOKEN:
+        return GateDecision(False, f"non-token frame ({outbound.tag_name})")
+    stream_id = outbound.session_id
+    if stream_id in ctrl.killed:
+        return GateDecision(False, "session killed")
+    stream = ctrl.streams.get(stream_id)
+    if stream is None:
+        return GateDecision(False, "unknown session")
+    owed, stream.owed = stream.owed, None
+    try:
+        token = decode_token(outbound.payload)
+    except FrameError:
+        reason = "malformed token payload"
+    else:
+        if owed == _PREFILL:
+            return GateDecision(True, "first token (pre-decode)")
+        if token == owed:
+            return GateDecision(True, "matches ground truth")
+        reason = "token without ground truth" if owed is None else "token mismatch"
+    ctrl.killed[stream_id] = reason
+    return GateDecision(False, reason)
 
 
 # -- model party --------------------------------------------------------
@@ -720,8 +732,8 @@ def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
                    ctrl: Controller, transcript: Transcript, step: int):
     """Push the user party's outward messages through the gate, logging
     each decision in transcript.gate_log. A message naming a stream of
-    another link is blocked before the gate and kills nothing. A stream
-    the controller has killed is stopped and aborted once."""
+    another link is blocked before the gate and kills nothing. Then every
+    killed stream of the link is stopped and aborted once, silent or not."""
     for msg in user.take_outward():
         sid = msg.session_id
         if link_of.get(sid, link) is not link:
@@ -731,7 +743,8 @@ def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
         transcript.gate_log.append((step, sid, decision.passed, decision.reason))
         if decision.passed:
             transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
-        elif sid in ctrl.killed and model.decodes(sid):
+    for sid in ctrl.killed:
+        if link_of.get(sid) is link and model.decodes(sid):
             model.streams[sid].aborted = True
             link.send(serialize(ProtocolMessage(TAG_ABORT, sid)))
 

@@ -24,7 +24,6 @@ from .obfuscation import VirtualPromptSet
 __all__ = [
     "AdversaryResult",
     "AuthenticityReport",
-    "adversary_trial",
     "authenticity_C",
     "estimate_delta",
     "monte_carlo_success",
@@ -101,20 +100,6 @@ def _prompt_weights(P: ProbOracle, prompts: VirtualPromptSet) -> np.ndarray:
     return np.exp(logp - logp.max())
 
 
-def adversary_trial(
-    P: ProbOracle, prompts: VirtualPromptSet, eta: int, rng: np.random.Generator
-) -> bool:
-    """One attack: obtain a uniform eta-subset of the lambda+1 prompts,
-    guess within it proportionally to P; True iff the guess is authentic."""
-    n = len(prompts.prompts)
-    if not 1 <= eta <= n:
-        raise ValueError(f"eta must be in [1, {n}]")
-    subset = rng.permutation(n)[:eta]
-    weights = _prompt_weights(P, prompts)[subset]
-    guess = subset[rng.choice(eta, p=weights / weights.sum())]
-    return int(guess) == prompts.idx
-
-
 @dataclass(frozen=True)
 class AdversaryResult:
     eta: int
@@ -154,8 +139,10 @@ def monte_carlo_success(
     epsilon: float = 0.0,
     delta: float = 0.0,
 ) -> AdversaryResult:
-    """Vectorized repetition of adversary_trial with a Wilson interval and
-    the closed-form bounds attached. Deterministic given the seed."""
+    """Run the attack trials times: each trial obtains a uniform eta-subset
+    of the lambda+1 prompts and guesses within it proportionally to P. The
+    success rate comes with its Wilson interval and the closed-form bounds
+    attached. Deterministic given the seed."""
     n = len(prompts.prompts)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -228,6 +228,28 @@ def suite_protocol() -> list[Check]:
         "echoed token 11" in error and held == greedy_decode(weights, prompt, 12)[:len(held)],
         f"error: {error}; stream {held}"))
 
+    # a user party that withholds its token 0, then sends token 31 after
+    # decoded token 2: token 0's pass ends at the first draw, so nothing
+    # is owed for token 31, which is blocked and kills the stream
+    user = UserParty(user_id=5, weights_handle=WeightsHandle(weights))
+    user_prefill(user, TaggedPrompt(tokens=prompt), ObfuscationConfig(0.0, 0))
+    user.take_outward()
+    queue, sid = user._queue_outward, next(iter(user.streams))
+
+    def smuggle(msg):
+        queue(msg)
+        if len(user.streams[sid].tokens) == 3:
+            queue(ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(31)))
+
+    user._queue_outward = smuggle
+    ctrl = Controller()
+    released = run_sessions(ModelParty(weights), ctrl, [user], 6).tokens.get(sid)
+    checks.append(Check(
+        "a withheld token 0 lets no later token out",
+        released == greedy_decode(weights, prompt, 2)[1:]
+        and ctrl.killed == {sid: "token without ground truth"},
+        f"released {released}; kills {ctrl.killed}"))
+
     # 100-token prompt tagged at 40: the four virtual prompts prefill as
     # one set. Chunk [0, 32) runs once, chunk [32, 64) runs the 8 rows
     # before the tag once and each prompt's 24 after it, and later chunks

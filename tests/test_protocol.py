@@ -842,6 +842,64 @@ class TestMalformedToken:
         assert not ctrl.killed
 
 
+def _token_for(frame: bytes) -> bytes:
+    """A TOKEN for the first stream frame names."""
+    sid = protocol.deserialize(frame).session_id
+    return serialize(ProtocolMessage(tag=TAG_TOKEN, session_id=sid, payload=encode_token(1)))
+
+
+def _at_layer(frame: bytes, layer: int) -> bytes:
+    return serialize(dataclasses.replace(protocol.deserialize(frame), layer=layer))
+
+
+class TestRoundSchedule:
+    """A user party takes the round schedule only: per round, a QUERY
+    naming each of its live streams at layers 0, 1, ... in turn, then one
+    TOKEN per stream. The model party sending anything else is a
+    ProtocolError at the user party, on either transport, within
+    _USER_JOIN_S."""
+
+    # case -> (tag and layer of the round-1 frame replaced, the frames sent
+    # in its place, the user party's error); small_config has 2 layers
+    CASES = {
+        "early_token": ((TAG_QUERY, 0), lambda f: [_token_for(f), f],
+                        r"TOKEN for stream \d+ at layer 0 of 2"),
+        "two_tokens": ((TAG_TOKEN, 0), lambda f: [f, f], r"TOKEN for stream \d+ at layer 0 of 2"),
+        "skipped_layer": ((TAG_QUERY, 1), lambda f: [_token_for(f)],
+                          r"TOKEN for stream \d+ at layer 1 of 2"),
+        "repeated_layer": ((TAG_QUERY, 0), lambda f: [f, f],
+                           r"QUERY for layer 0 names stream \d+ at layer 1 of 2"),
+        "layer_1_before_0": ((TAG_QUERY, 0), lambda f: [_at_layer(f, 1)],
+                             r"QUERY for layer 1 names stream \d+ at layer 0 of 2"),
+        "1000_extra_queries": ((TAG_QUERY, 0), lambda f: [f] * 1001,
+                               r"QUERY for layer 0 names stream \d+ at layer 1 of 2"),
+    }
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_off_schedule_frames_raise(self, small_weights, transport, case, monkeypatch):
+        (tag, layer), frames, message = self.CASES[case]
+        link_class = protocol.SocketLink if transport == "socket" else InProcLink
+        send, replaced = link_class.send, []
+
+        def off_schedule(link, frame):
+            msg = protocol.deserialize(frame)
+            if replaced or link.step != 1 or (msg.tag, msg.layer) != (tag, layer):
+                return send(link, frame)
+            replaced.append(frame)
+            for sent in frames(frame):
+                send(link, sent)
+
+        monkeypatch.setattr(link_class, "send", off_schedule)
+        user = decoy_user(small_weights, 1)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=f"user party failed: .*{message}"):
+            run_sessions(ModelParty(small_weights), Controller(), [user], 4, transport=transport)
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+        # the user party kept no token beyond the honest ones
+        assert all(len(s.tokens) <= 2 for s in user.streams.values())
+
+
 class TestStreamIsolation:
     """One user's outward messages never gate, kill or abort another
     user's stream, a kill aborts its stream once, and a controller serves
@@ -941,6 +999,87 @@ class TestStreamIsolation:
             assert not ctrl.killed
             assert transcript.tokens[next(iter(user.streams))] == greedy_decode(
                 small_weights, prompt, 5)
+
+
+class TestOwedToken:
+    """A stream owes the gate one token at a time: token 0 until the first
+    draw, then each draw until the stream's next token goes out. A token
+    owed to no draw is blocked, and a draw still owed when the next is
+    made kills the stream, on either transport; a killed stream that
+    still decodes is aborted once, whether it sends anything or not."""
+
+    PROMPTS = ([3, 5, 7, 2], [9, 4, 4, 1])
+
+    def run(self, weights, transport, outward, withhold_token_0=False):
+        """Decode two one-stream users 6 rounds, the first one's outward
+        messages passing through outward(user, msg, queue), queue being
+        the honest one; the second user's tokens stay its greedy decode."""
+        first, second = (decoy_user(weights, 0, user_id=u, prompt=p)
+                         for u, p in enumerate(self.PROMPTS))
+        if withhold_token_0:
+            first.take_outward()
+        queue = first._queue_outward
+        first._queue_outward = lambda msg: outward(first, msg, queue)
+        ctrl = Controller()
+        transcript = run_sessions(ModelParty(weights), ctrl, [first, second], 6,
+                                  transport=transport)
+        assert transcript.tokens[next(iter(second.streams))] == greedy_decode(
+            weights, self.PROMPTS[1], 6)
+        return next(iter(first.streams)), ctrl, transcript
+
+    @staticmethod
+    def aborts(transcript):
+        return [(e.step, e.session_id) for e in transcript.entries if e.tag == TAG_ABORT]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_withheld_token_0_lets_no_later_token_out(self, small_weights, transport):
+        # token 0 never goes out; after decoded token 2 the user sends 63 too
+        def smuggle(user, msg, queue):
+            queue(msg)
+            if len(user.streams[msg.session_id].tokens) == 3:
+                queue(ProtocolMessage(tag=TAG_TOKEN, session_id=msg.session_id,
+                                      payload=encode_token(63)))
+
+        sid, ctrl, transcript = self.run(small_weights, transport, smuggle, withhold_token_0=True)
+        assert ctrl.killed == {sid: "token without ground truth"}
+        assert (2, sid, False, "token without ground truth") in transcript.gate_log
+        assert transcript.tokens[sid] == greedy_decode(small_weights, self.PROMPTS[0], 2)[1:]
+        assert self.aborts(transcript) == [(2, sid)]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_token_held_back_a_round_kills(self, small_weights, transport):
+        # decoded token 2 goes out in round 3, before token 3
+        held = []
+
+        def delay(user, msg, queue):
+            if len(user.streams[msg.session_id].tokens) == 3:
+                held.append(msg)
+                return
+            for early in held:
+                queue(early)
+            held.clear()
+            queue(msg)
+
+        sid, ctrl, transcript = self.run(small_weights, transport, delay)
+        assert ctrl.killed == {sid: "draw withheld"}
+        assert transcript.tokens[sid] == greedy_decode(small_weights, self.PROMPTS[0], 1)
+        assert [g for g in transcript.gate_log if g[1] == sid and not g[2]] == [
+            (3, sid, False, "session killed")] * 2
+        assert self.aborts(transcript) == [(3, sid)]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_silent_stream_is_aborted_once(self, small_weights, transport):
+        # the user sends tokens 0 and 1, then nothing
+        def silent(user, msg, queue):
+            if len(user.streams[msg.session_id].tokens) <= 2:
+                queue(msg)
+
+        sid, ctrl, transcript = self.run(small_weights, transport, silent)
+        assert ctrl.killed == {sid: "draw withheld"}
+        assert self.aborts(transcript) == [(3, sid)]
+        later = [e.session_id for e in transcript.entries if e.tag == TAG_QUERY and e.step > 3]
+        assert later and sid not in later
+        assert transcript.tokens[sid] == greedy_decode(small_weights, self.PROMPTS[0], 1)
 
 
 class TestOutOfVocabularyToken:
@@ -1076,6 +1215,38 @@ class TestController:
         second = ProtocolMessage(tag=TAG_TOKEN, session_id=3, payload=encode_token(1))
         assert not controller_gate(ctrl, second).passed
         assert 3 in ctrl.killed
+
+    @staticmethod
+    def token(value, sid=1):
+        return ProtocolMessage(tag=TAG_TOKEN, session_id=sid, payload=encode_token(value))
+
+    def test_a_draw_still_owed_at_the_next_kills(self):
+        ctrl = Controller()
+        ctrl.open_stream(1)
+        assert controller_gate(ctrl, self.token(5)).passed  # the prefill token
+        ctrl.expect(1, np.eye(64)[42])
+        assert 1 not in ctrl.killed
+        ctrl.expect(1, np.eye(64)[43])  # 42 never went out
+        assert ctrl.killed == {1: "draw withheld"}
+        assert not controller_gate(ctrl, self.token(43)).passed
+
+    def test_a_later_draw_keeps_the_first_kill_reason(self):
+        ctrl = Controller()
+        ctrl.open_stream(1)
+        ctrl.expect(1, np.eye(64)[42])
+        assert controller_gate(ctrl, self.token(41)).reason == "token mismatch"
+        ctrl.expect(1, np.eye(64)[42])
+        ctrl.expect(1, np.eye(64)[42])
+        assert ctrl.killed == {1: "token mismatch"}
+
+    def test_token_0_cannot_pass_after_the_first_draw(self):
+        ctrl = Controller()
+        ctrl.open_stream(1)
+        ctrl.expect(1, np.eye(64)[42])
+        assert controller_gate(ctrl, self.token(42)).passed
+        decision = controller_gate(ctrl, self.token(7))  # the held-back token 0
+        assert (decision.passed, decision.reason) == (False, "token without ground truth")
+        assert ctrl.killed == {1: "token without ground truth"}
 
 
 class TestArena:

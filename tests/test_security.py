@@ -13,7 +13,6 @@ from splitdecode.obfuscation import (
 )
 from splitdecode.security import (
     AdversaryResult,
-    adversary_trial,
     authenticity_C,
     estimate_delta,
     monte_carlo_success,
@@ -149,17 +148,17 @@ class TestSuccessBounds:
 
 class TestAdversary:
     def test_trial_uniform_all_prompts(self):
+        # all four prompts of a uniform set obtained: the guess is chance
         oracle = NgramModel(order=1, vocab_size=8)
         vps = uniform_prompt_set(lam=3)
-        g = rng(5)
-        hits = sum(adversary_trial(oracle, vps, eta=4, rng=g) for _ in range(4000))
+        result = monte_carlo_success(oracle, vps, eta=4, trials=4000, seed=5)
         p = 1 / 4
-        assert abs(hits - 4000 * p) <= 3 * math.sqrt(4000 * p * (1 - p))
+        assert abs(result.rate - p) <= 3 * math.sqrt(p * (1 - p) / 4000)
 
     def test_trial_eta_out_of_range(self):
         oracle = NgramModel(order=1, vocab_size=8)
         with pytest.raises(ValueError):
-            adversary_trial(oracle, uniform_prompt_set(lam=1), eta=3, rng=rng(0))
+            monte_carlo_success(oracle, uniform_prompt_set(lam=1), eta=3, trials=10, seed=0)
 
     def test_monte_carlo_deterministic(self):
         oracle = NgramModel(order=1, vocab_size=8)

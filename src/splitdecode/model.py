@@ -12,16 +12,10 @@ re-encoding on either side of the split.
 Every forward pass (full recompute, prefill, cached decode, and the
 two-party decode in the protocol module) runs through ``trunk``; they
 differ only in the attention callback they hand it.
-
-Weight file format (save_weights/load_weights): magic bytes ``OSPDW1``,
-then the seven config integers (n_layers, n_heads, d_model, head_dim,
-vocab_size, max_seq, seed) as little-endian int32, then every tensor in
-the order of ``_tensor_layout`` as row-major little-endian float64.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,7 +25,6 @@ from .numerics import DimensionError, philox_rng, seeded_matrix, stable_softmax_
 __all__ = [
     "CacheFullError",
     "ConfigError",
-    "FileFormatError",
     "KvCache",
     "LayerWeights",
     "ModelConfig",
@@ -44,15 +37,12 @@ __all__ = [
     "full_forward",
     "greedy_decode",
     "init_model",
-    "load_weights",
     "prefill",
     "sample_token",
-    "save_weights",
     "trunk",
     "weight_alloc_count",
 ]
 
-WEIGHT_FILE_MAGIC = b"OSPDW1"
 ROTARY_BASE = 10000.0
 RMS_EPS = 1e-6
 # rows per block of a prefill chunk. Fixed, not tuned per prompt: every
@@ -63,8 +53,8 @@ RMS_EPS = 1e-6
 # prompts of up to 32 tokens stay one chunk.
 PREFILL_CHUNK = 32
 
-# Monotonic count of weight-set instantiations (init + file load); the
-# bench harness reads the delta around a run to measure weight copies.
+# Monotonic count of init_model calls, each one weight copy; the bench
+# harness reads the delta around a run to measure weight copies.
 _weight_allocations = 0
 
 
@@ -74,10 +64,6 @@ class ConfigError(ValueError):
 
 class CacheFullError(ValueError):
     """A prompt longer than max_seq, or a decode step past it."""
-
-
-class FileFormatError(ValueError):
-    """Weight file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,7 @@ class Weights:
     unembed: np.ndarray
 
     def tensors(self):
-        """All tensors in file order (see _tensor_layout)."""
+        """All tensors in _tensor_layout order."""
         yield self.embed
         for lw in self.layers:
             yield from vars(lw).values()
@@ -149,12 +135,12 @@ def weight_alloc_count() -> int:
 
 
 def _tensor_layout(c: ModelConfig) -> list[tuple[int, int, float, bool]]:
-    """Every tensor of the weights in file order, as (rows, cols, init
-    scale, gain): embed; per layer wq, wk, wv, wo, w_in, w_out, gain_attn,
-    gain_mlp (LayerWeights' field order); final_gain; unembed. A gain is a
-    d_model vector 1 + N(0, scale^2), centred at 1 so early layers neither
-    kill nor blow up signal; every other tensor is a rows x cols matrix of
-    N(0, scale^2) entries."""
+    """Every tensor of the weights in the order init_model seeds them, as
+    (rows, cols, init scale, gain): embed; per layer wq, wk, wv, wo, w_in,
+    w_out, gain_attn, gain_mlp (LayerWeights' field order); final_gain;
+    unembed. A gain is a d_model vector 1 + N(0, scale^2), centred at 1 so
+    early layers neither kill nor blow up signal; every other tensor is a
+    rows x cols matrix of N(0, scale^2) entries."""
     d, h, v = c.d_model, c.mlp_hidden, c.vocab_size
     layer = [(d, d, d**-0.5, False)] * 4 + [
         (d, h, d**-0.5, False), (h, d, h**-0.5, False), (1, d, 0.1, True), (1, d, 0.1, True)
@@ -162,30 +148,25 @@ def _tensor_layout(c: ModelConfig) -> list[tuple[int, int, float, bool]]:
     return [(v, d, 1.0, False), *layer * c.n_layers, (1, d, 0.1, True), (d, v, d**-0.5, False)]
 
 
-def _assemble(config: ModelConfig, tensors: list[np.ndarray]) -> Weights:
-    """Weights from every tensor in _tensor_layout order; counts one
-    weight copy."""
-    global _weight_allocations
-    _weight_allocations += 1
-    n = len(fields(LayerWeights))
-    layers = [LayerWeights(*tensors[i : i + n]) for i in range(1, len(tensors) - 2, n)]
-    return Weights(config, tensors[0], layers, tensors[-2], tensors[-1])
-
-
 def init_model(config: ModelConfig) -> Weights:
-    """Build all weights deterministically from config.seed.
+    """Build all weights deterministically from config.seed; counts one
+    weight copy.
 
     Per-tensor seeds come from SeedSequence(config.seed).generate_state,
-    so distinct tensors never share a stream and two configs with the
-    same seed produce byte-identical weights.
+    one per _tensor_layout entry, so distinct tensors never share a stream
+    and two configs with the same seed produce byte-identical weights.
     """
+    global _weight_allocations
+    _weight_allocations += 1
     layout = _tensor_layout(config)
     seeds = np.random.SeedSequence(config.seed).generate_state(len(layout), dtype=np.uint64)
     tensors = []
     for seed, (rows, cols, scale, gain) in zip(seeds, layout):
         tensor = seeded_matrix(int(seed), rows, cols, scale)
         tensors.append(1.0 + tensor[0] if gain else tensor)
-    return _assemble(config, tensors)
+    n = len(fields(LayerWeights))
+    layers = [LayerWeights(*tensors[i : i + n]) for i in range(1, len(tensors) - 2, n)]
+    return Weights(config, tensors[0], layers, tensors[-2], tensors[-1])
 
 
 @dataclass
@@ -616,43 +597,3 @@ def greedy_decode(
         logits = decode_step_monolithic(weights, cache, out[-1])
         out.append(sample_token(logits))
     return out
-
-
-def save_weights(weights: Weights, path):
-    """Write weights in the portable binary layout (see module docstring)."""
-    c = weights.config
-    header = struct.pack(
-        "<7i", c.n_layers, c.n_heads, c.d_model, c.head_dim, c.vocab_size, c.max_seq, c.seed
-    )
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_FILE_MAGIC)
-        fh.write(header)
-        for tensor in weights.tensors():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-
-
-def load_weights(path) -> Weights:
-    """Read a weight file; raises FileFormatError on any malformation."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(WEIGHT_FILE_MAGIC):
-        raise FileFormatError("bad magic bytes")
-    off = len(WEIGHT_FILE_MAGIC)
-    try:
-        config = ModelConfig(*struct.unpack_from("<7i", data, off))
-    except struct.error as exc:
-        raise FileFormatError("truncated config header") from exc
-    off += struct.calcsize("<7i")
-
-    tensors = []
-    for rows, cols, _, gain in _tensor_layout(config):
-        nbytes = rows * cols * 8
-        if off + nbytes > len(data):
-            raise FileFormatError("truncated tensor data")
-        tensor = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off)
-        tensor = tensor.reshape(rows, cols).astype(np.float64)
-        off += nbytes
-        tensors.append(tensor[0] if gain else tensor)
-    if off != len(data):
-        raise FileFormatError(f"{len(data) - off} trailing bytes")
-    return _assemble(config, tensors)

@@ -665,8 +665,8 @@ def model_batch_step(
     controller: Controller,
     step: int = 1,
 ) -> None:
-    """Advance every listed (stream_id, link) pair that ModelParty.decodes
-    by one token in one batched pass.
+    """Advance every listed (stream_id, link) pair by one token in one
+    batched pass.
 
     The streams run through the model trunk stacked. At each layer the
     attention callback sends one QUERY per run of consecutive streams on
@@ -675,18 +675,18 @@ def model_batch_step(
     and merges them with the PARTIAL replies. The controller draws each
     stream's token from the logits, identical to running the stream alone,
     and the stream continues with that draw once the user party's TOKEN
-    reply echoes it. A listed stream with no row left raises.
+    reply echoes it. A listed stream that ModelParty.decodes refuses
+    raises before any frame is sent.
     """
     c = model.config
     for sid, _ in sessions:
-        if sid in model.streams and model.streams[sid].pos >= c.max_seq:
-            raise ProtocolError(f"stream {sid} ran past max_seq")
-    live = [(sid, link) for sid, link in sessions if model.decodes(sid)]
-    if not live:
+        if not model.decodes(sid):
+            raise ProtocolError(f"stream {sid} is listed but does not decode")
+    if not sessions:
         return
-    states = [model.streams[sid] for sid, _ in live]
+    states = [model.streams[sid] for sid, _ in sessions]
     runs, start = [], 0
-    for link, run in itertools.groupby(live, key=lambda pair: pair[1]):
+    for link, run in itertools.groupby(sessions, key=lambda pair: pair[1]):
         link.step = step
         sids = [sid for sid, _ in run]
         runs.append((link, slice(start, start + len(sids)), sids))
@@ -713,7 +713,7 @@ def model_batch_step(
 
     logits = trunk(model.weights, [st.pending_token for st in states],
                    [st.pos for st in states], attend)
-    for (sid, link), st, row in zip(live, states, logits):
+    for (sid, link), st, row in zip(sessions, states, logits):
         token = controller.expect(sid, row)
         sent = encode_token(token)
         link.send(serialize(ProtocolMessage(TAG_TOKEN, sid, payload=sent)))
@@ -728,12 +728,13 @@ def model_batch_step(
 # -- session drivers ----------------------------------------------------
 
 
-def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
+def _route_outward(user: UserParty, link, sids: list, link_of: dict, model: ModelParty,
                    ctrl: Controller, transcript: Transcript, step: int):
     """Push the user party's outward messages through the gate, logging
     each decision in transcript.gate_log. A message naming a stream of
     another link is blocked before the gate and kills nothing. Then every
-    killed stream of the link is stopped and aborted once, silent or not."""
+    killed stream of sids, the link's streams, is stopped and aborted
+    once, silent or not."""
     for msg in user.take_outward():
         sid = msg.session_id
         if link_of.get(sid, link) is not link:
@@ -743,8 +744,8 @@ def _route_outward(user: UserParty, link, link_of: dict, model: ModelParty,
         transcript.gate_log.append((step, sid, decision.passed, decision.reason))
         if decision.passed:
             transcript.tokens.setdefault(sid, []).append(decode_token(msg.payload))
-    for sid in ctrl.killed:
-        if link_of.get(sid) is link and model.decodes(sid):
+    for sid in sids:
+        if sid in ctrl.killed and model.decodes(sid):
             model.streams[sid].aborted = True
             link.send(serialize(ProtocolMessage(TAG_ABORT, sid)))
 
@@ -813,18 +814,19 @@ def run_sessions(
     model party and opens its gate; then each round advances all active
     streams of all users in one batched model step, and its wall time,
     the step plus gate routing, is appended to transcript.round_s. On
-    exit, normal or not, the model party forgets every stream the call
-    registered; they hold its last arena slots, which the next ones reuse.
+    exit, normal or not, the model party and the controller forget every
+    stream the call registered; they hold the model party's last arena
+    slots, which the next ones reuse. ctrl.killed keeps each kill until
+    its stream id is opened again.
     """
     if transport not in ("inproc", "socket"):
         raise ValueError(f"unknown transport {transport!r}")
     transcript = Transcript(config=model.config)
-    setup_counts = [len(user.pending_setup) for user in users]
     known = set(model.streams)
 
     def forget():
         for sid in model.streams.keys() - known:
-            del model.streams[sid]
+            del model.streams[sid], ctrl.streams[sid]
 
     with contextlib.ExitStack() as stack:
         stack.callback(forget)  # runs last, after every link is closed
@@ -832,9 +834,10 @@ def run_sessions(
             links = _socket_links(users, transcript, stack)
         else:
             links = [_inproc_link(user, transcript) for user in users]
-        link_of = {sid: link for user, link in zip(users, links) for sid in user.streams}
-        for user, link, setup_count in zip(users, links, setup_counts):
-            for _ in range(setup_count):
+        own = [list(user.streams) for user in users]  # each link's streams
+        link_of = {sid: link for link, sids in zip(links, own) for sid in sids}
+        for user, link, sids in zip(users, links, own):
+            for _ in sids:  # one CONTROL per stream of the link
                 msg = deserialize(link.recv())
                 sid = msg.session_id
                 if link_of.get(sid) is not link:
@@ -842,7 +845,7 @@ def run_sessions(
                 model.handle_user_frame(msg)
                 # the rule goes to the controller directly, never over the link
                 ctrl.open_stream(sid, user.streams[sid].rule)
-            _route_outward(user, link, link_of, model, ctrl, transcript, 0)
+            _route_outward(user, link, sids, link_of, model, ctrl, transcript, 0)
 
         for step in range(1, max_tokens + 1):
             pairs = [(sid, link_of[sid]) for sid in model.active_streams() if sid in link_of]
@@ -850,8 +853,8 @@ def run_sessions(
                 break
             t0 = time.perf_counter()
             model_batch_step(model, pairs, controller=ctrl, step=step)
-            for user, link in zip(users, links):
-                _route_outward(user, link, link_of, model, ctrl, transcript, step)
+            for user, link, sids in zip(users, links, own):
+                _route_outward(user, link, sids, link_of, model, ctrl, transcript, step)
             transcript.round_s.append(time.perf_counter() - t0)
     return transcript
 

@@ -22,7 +22,7 @@ def bench_model():
     )
 
 
-def config_for(bench_model, mode, users=2, lam=0, out_tokens=8):
+def config_for(bench_model, mode, users=2, lam=0, out_tokens=8, repetitions=3):
     return BenchConfig(
         mode=mode,
         users=users,
@@ -30,7 +30,7 @@ def config_for(bench_model, mode, users=2, lam=0, out_tokens=8):
         out_tokens=out_tokens,
         lam=lam,
         model=bench_model,
-        repetitions=3,
+        repetitions=repetitions,
         seed=3,
     )
 
@@ -128,14 +128,15 @@ class TestRunMode:
         # compares with the next lambda's from the same pass, which ran
         # within a second of it (medians taken across passes can come from
         # different phases); each record decodes as many rounds as max_seq
-        # allows
+        # allows, six times over: with three, machine-speed phases still
+        # reordered some medians
         lams = (0, 7, 15)
         out_tokens = bench_model.max_seq - config_for(bench_model, "spd").in_tokens
         records = {lam: [] for lam in lams}
         for _ in range(5):
             for lam in lams:
                 records[lam].append(run_mode(config_for(bench_model, "spd", users=1, lam=lam,
-                                                        out_tokens=out_tokens)))
+                                                        out_tokens=out_tokens, repetitions=6)))
         for lo, hi in zip(lams, lams[1:]):
             ratios = [b.ms_per_token_med / a.ms_per_token_med
                       for a, b in zip(records[lo], records[hi])]

@@ -12,7 +12,6 @@ from splitdecode.model import (
     ROTARY_BASE,
     CacheFullError,
     ConfigError,
-    FileFormatError,
     KvCache,
     ModelConfig,
     _rms_norm,
@@ -23,11 +22,9 @@ from splitdecode.model import (
     full_forward,
     greedy_decode,
     init_model,
-    load_weights,
     prefill,
     rotary_encode,
     sample_token,
-    save_weights,
     trunk,
     weight_alloc_count,
 )
@@ -105,23 +102,21 @@ class TestInitModel:
         "config, size, digest",
         [
             # the benchmark's pinned model, and small_config
-            (ModelConfig(4, 4, 256, 64, 256, 160, 20240928), 26_232_866,
-             "bb6c427b8c2286ac27563faf5e8455fc"),
-            (ModelConfig(2, 2, 16, 8, 64, 96, 7), 66_210, "649653ac35b2c1b2e4a7a57c69116d07"),
+            (ModelConfig(4, 4, 256, 64, 256, 160, 20240928), 26_232_832,
+             "c557f4c618a5299a2db90bb952014da5"),
+            (ModelConfig(2, 2, 16, 8, 64, 96, 7), 66_176, "16e4ba5c6e958e08e2fb6970b8636740"),
         ],
         ids=["pinned", "small"],
     )
-    def test_weight_file_bytes_are_pinned(self, config, size, digest, tmp_path):
-        # init_model and save_weights must keep every bit of these files,
-        # and init and load each count one weight copy
-        path = tmp_path / "model.bin"
+    def test_weight_file_bytes_are_pinned(self, config, size, digest):
+        # init_model must keep every bit of these weights, every tensor in
+        # _tensor_layout order as little-endian float64, and count one copy
         before = weight_alloc_count()
-        save_weights(init_model(config), path)
-        data = path.read_bytes()
+        weights = init_model(config)
+        assert weight_alloc_count() == before + 1
+        data = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in weights.tensors())
         assert len(data) == size
         assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
-        load_weights(path)
-        assert weight_alloc_count() == before + 2
 
     def test_seed_changes_logits(self, small_config):
         other = ModelConfig(
@@ -602,54 +597,3 @@ class TestSampleToken:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_token(np.zeros(4), 0.0)
-
-
-class TestWeightFile:
-    def test_roundtrip(self, small_weights, tmp_path):
-        path = tmp_path / "model.bin"
-        save_weights(small_weights, path)
-        loaded = load_weights(path)
-        assert loaded.config == small_weights.config
-        for t1, t2 in zip(small_weights.tensors(), loaded.tensors()):
-            assert np.array_equal(t1, t2)
-        tokens = [2, 4, 6]
-        assert np.array_equal(
-            full_forward(small_weights, tokens), full_forward(loaded, tokens)
-        )
-
-    def test_header_layout(self, small_weights, tmp_path):
-        path = tmp_path / "model.bin"
-        save_weights(small_weights, path)
-        blob = path.read_bytes()
-        assert blob[:6] == b"OSPDW1"
-        ints = np.frombuffer(blob[6 : 6 + 28], dtype="<i4")
-        c = small_weights.config
-        assert list(ints) == [
-            c.n_layers, c.n_heads, c.d_model, c.head_dim, c.vocab_size, c.max_seq, c.seed,
-        ]
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAWEIGHTFILE")
-        with pytest.raises(FileFormatError):
-            load_weights(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "model.bin"
-        path.write_bytes(b"OSPDW1" + b"\x00" * 27)
-        with pytest.raises(FileFormatError, match="truncated config header"):
-            load_weights(path)
-
-    def test_truncated(self, small_weights, tmp_path):
-        path = tmp_path / "model.bin"
-        save_weights(small_weights, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(FileFormatError):
-            load_weights(path)
-
-    def test_trailing_garbage(self, small_weights, tmp_path):
-        path = tmp_path / "model.bin"
-        save_weights(small_weights, path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(FileFormatError):
-            load_weights(path)

@@ -514,8 +514,24 @@ class TestOutOfOrder:
             ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(max_seq, 1))
         )
         link = InProcLink(lambda frame: [], Transcript(config=small_weights.config))
-        with pytest.raises(ProtocolError, match="stream 4 ran past max_seq"):
+        with pytest.raises(ProtocolError, match="stream 4 is listed but does not decode"):
             model_batch_step(model, [(4, link)], Controller())
+
+    @pytest.mark.parametrize("case", ["aborted", "ended", "unregistered"])
+    def test_model_step_rejects_a_stream_that_does_not_decode(self, small_weights, case):
+        # as a full stream: a listed stream that ModelParty.decodes refuses
+        # raises before any frame is sent
+        model = ModelParty(small_weights)
+        if case != "unregistered":
+            token = small_weights.config.eos_token if case == "ended" else 1
+            model.handle_user_frame(
+                ProtocolMessage(tag=TAG_CONTROL, session_id=4, payload=encode_setup(3, token))
+            )
+            model.streams[4].aborted = case == "aborted"
+        link = InProcLink(lambda frame: [], Transcript(config=small_weights.config))
+        with pytest.raises(ProtocolError, match="stream 4 is listed but does not decode"):
+            model_batch_step(model, [(4, link)], Controller())
+        assert link.transcript.entries == []
 
     @pytest.mark.parametrize("back", [7, 1, 0])
     def test_stream_decodes_up_to_max_seq(self, small_weights, back):
@@ -732,6 +748,20 @@ class TestStreamSetup:
         with pytest.raises(ProtocolError, match=f"setup frame names stream {sid},"):
             run_sessions(model, Controller(), [first, second], 4, transport=transport)
         assert model.public_k.shape[0] == 0 and model.streams == {}
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_user_party_is_served_once(self, small_weights, transport):
+        # its CONTROLs went out in the first call, so the second reads none
+        # for its streams: a typed error within the link's deadline, not an
+        # empty session
+        user = decoy_user(small_weights, 1)
+        model, ctrl = ModelParty(small_weights), Controller()
+        run_sessions(model, ctrl, [user], 3, transport=transport)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="reply frame"):
+            run_sessions(model, ctrl, [user], 3, transport=transport)
+        assert time.monotonic() - start < protocol._USER_JOIN_S
+        assert model.streams == {} and ctrl.streams == {}
 
 
 def _kill_second(user, ids):
@@ -999,6 +1029,32 @@ class TestStreamIsolation:
             assert not ctrl.killed
             assert transcript.tokens[next(iter(user.streams))] == greedy_decode(
                 small_weights, prompt, 5)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_a_controller_forgets_a_calls_streams(self, small_weights, transport):
+        # user 1's decoded token 2 is flipped in the first call, then user 2
+        # decodes honestly on the same parties: neither call leaves a stream
+        # open, and the kill stays until its stream id is opened again
+        model, ctrl = ModelParty(small_weights), Controller()
+        first, second = (decoy_user(small_weights, 0, user_id=u, prompt=p)
+                         for u, p in zip((1, 2), self.PROMPTS))
+        culprit = next(iter(first.streams))
+        original_queue = first._queue_outward
+
+        def flip_token_2(msg):
+            if len(first.streams[culprit].tokens) == 3:
+                msg = ProtocolMessage(tag=TAG_TOKEN, session_id=culprit,
+                                      payload=encode_token(decode_token(msg.payload) ^ 1))
+            original_queue(msg)
+
+        first._queue_outward = flip_token_2
+        run_sessions(model, ctrl, [first], 6, transport=transport)
+        assert ctrl.killed == {culprit: "token mismatch"} and ctrl.streams == {}
+        transcript = run_sessions(model, ctrl, [second], 6, transport=transport)
+        assert ctrl.streams == {} and model.streams == {}
+        assert ctrl.killed == {culprit: "token mismatch"}
+        assert transcript.tokens[next(iter(second.streams))] == greedy_decode(
+            small_weights, self.PROMPTS[1], 6)
 
 
 class TestOwedToken:

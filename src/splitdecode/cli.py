@@ -12,13 +12,13 @@ import sys
 
 from .bench import bench_csv, sweep
 from .config import ConfigError, load_run_config
-from .corpora import demo_rules_text, demo_text
+from .corpora import DEMO_PATTERNS, demo_text
 from .langmodel import tokenize_text, train_ngram
 from .model import greedy_decode, init_model
 from .obfuscation import (
     InsufficientObfuscationError,
+    TaggedPrompt,
     dump_virtual_prompts,
-    parse_tag_rules,
     tag_sensitive,
 )
 from .protocol import (
@@ -81,13 +81,13 @@ def cmd_demo(cfg, verbosity: int, out_path: str | None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    rules = parse_tag_rules(demo_rules_text())
+    words = cfg.demo["prompt"].split()
     try:
-        prompt_tokens = [vocab[w] for w in cfg.demo["prompt"].split()]
+        tokens = [vocab[w] for w in words]
     except KeyError as exc:
         print(f"prompt word {exc} not in the demo vocabulary", file=sys.stderr)
         return EXIT_INVARIANT
-    tagged = tag_sensitive(prompt_tokens, rules, vocab)
+    tagged = TaggedPrompt(tokens, tag_sensitive(words, DEMO_PATTERNS))
     print(f"prompt: {cfg.demo['prompt']}")
     print(f"tagged spans: {list(tagged.spans)}")
 

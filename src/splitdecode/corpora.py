@@ -8,6 +8,8 @@ log-probability bin.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .langmodel import tokenize_text
@@ -16,9 +18,9 @@ from .obfuscation import TaggedPrompt
 
 __all__ = [
     "DATE_CATEGORY_SIZE",
+    "DEMO_PATTERNS",
     "date_category_corpus",
     "date_prompt",
-    "demo_rules_text",
     "demo_text",
     "zipf_corpus",
 ]
@@ -64,6 +66,8 @@ def zipf_corpus(
 
 _NAMES = ["alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"]
 _DAYS = ["monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"]
+# the demo's sensitive words: its patients' names and its days
+DEMO_PATTERNS = (re.compile("|".join(_NAMES)), re.compile("|".join(_DAYS)))
 
 
 def demo_text() -> str:
@@ -75,12 +79,3 @@ def demo_text() -> str:
         for day in _DAYS
     ]
     return "\n".join(lines)
-
-
-def demo_rules_text() -> str:
-    return "\n".join(
-        [
-            "name\t" + "|".join(_NAMES),
-            "date\t" + "|".join(_DAYS),
-        ]
-    )

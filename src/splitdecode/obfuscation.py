@@ -20,7 +20,6 @@ import hashlib
 import hmac
 import itertools
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,14 +30,12 @@ __all__ = [
     "FakeNgramSet",
     "InsufficientObfuscationError",
     "ObfuscationConfig",
-    "TagRule",
     "TaggedPrompt",
     "VirtualPromptSet",
     "build_virtual_prompts",
     "dump_virtual_prompts",
     "gqs",
     "multi_segment_gqs",
-    "parse_tag_rules",
     "prf_index",
     "tag_sensitive",
     "verify_bound",
@@ -99,44 +96,20 @@ class TaggedPrompt:
         return self.tokens[start : start + length]
 
 
-@dataclass(frozen=True)
-class TagRule:
-    category: str
-    pattern: re.Pattern
+def tag_sensitive(words, patterns) -> tuple:
+    """The (start, length) spans of words that patterns mark sensitive.
 
-
-def parse_tag_rules(text: str) -> list[TagRule]:
-    """One rule per line: ``category<TAB>regex-or-literal`` (a plain word
-    is just a regex that matches itself)."""
-    rules = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            category, pattern = line.split("\t", 1)
-        except ValueError:
-            raise ValueError(f"tag rule line {lineno}: expected category<TAB>pattern")
-        rules.append(TagRule(category=category.strip(), pattern=re.compile(pattern.strip())))
-    return rules
-
-
-def tag_sensitive(tokens, rules: list[TagRule], vocab: dict[str, int]) -> TaggedPrompt:
-    """Mark sensitive spans by matching rules against the detokenized words.
-
-    A rule may match up to MAX_SPAN_WORDS consecutive words (joined by
+    A pattern may match up to MAX_SPAN_WORDS consecutive words (joined by
     single spaces). Overlaps resolve leftmost-longest.
     """
-    if not rules:
-        raise ValueError("rules must be non-empty")
-    tokens = tuple(tokens)
-    id_to_word = {idx: word for word, idx in vocab.items()}
-    words = [id_to_word[t] for t in tokens]
+    if not patterns:
+        raise ValueError("patterns must be non-empty")
     candidates = []
-    for rule in rules:
+    for pattern in patterns:
         for start in range(len(words)):
             limit = min(MAX_SPAN_WORDS, len(words) - start)
             for length in range(limit, 0, -1):
-                if rule.pattern.fullmatch(" ".join(words[start : start + length])):
+                if pattern.fullmatch(" ".join(words[start : start + length])):
                     candidates.append((start, length))
                     break
     spans = []
@@ -145,7 +118,7 @@ def tag_sensitive(tokens, rules: list[TagRule], vocab: dict[str, int]) -> Tagged
         if start >= next_free:
             spans.append((start, length))
             next_free = start + length
-    return TaggedPrompt(tokens=tokens, spans=tuple(spans))
+    return tuple(spans)
 
 
 @dataclass(frozen=True)

@@ -351,13 +351,6 @@ class UserParty:
         with self._outward_lock:
             self._outward.append(msg)
 
-    def _emit(self, stream_id: int, token: int) -> ProtocolMessage:
-        """Keep the stream's next token, queue it outward; return its TOKEN."""
-        self.streams[stream_id].tokens.append(token)
-        msg = ProtocolMessage(TAG_TOKEN, stream_id, payload=encode_token(token))
-        self._queue_outward(msg)
-        return msg
-
     def authentic_response(self) -> list[int]:
         """Winnow: the response stream at the PRF-derived index."""
         idx = self.vps.idx if self.vps is not None else 0
@@ -373,7 +366,8 @@ class UserParty:
         """Answer one frame of the round schedule: per round, a QUERY names
         each live stream at layers 0 to n_layers - 1 in turn, then one
         TOKEN per stream ends the round; it is kept, queued outward and
-        echoed. An ABORT ends the stream. Any other frame raises."""
+        echoed as the frame received. An ABORT ends the stream. Any other
+        frame raises."""
         msg = deserialize(frame)
         stream = self._live_stream(msg.session_id)
         if msg.tag == TAG_QUERY:
@@ -388,7 +382,9 @@ class UserParty:
                 raise ProtocolError(f"TOKEN for stream {msg.session_id} at layer "
                                     f"{stream.layer} of {self.config.n_layers}")
             stream.layer = 0
-            return [serialize(self._emit(msg.session_id, decode_token(msg.payload)))]
+            stream.tokens.append(decode_token(msg.payload))
+            self._queue_outward(msg)
+            return [frame]
         if msg.tag == TAG_ABORT:
             stream.alive = False
             return []
@@ -458,9 +454,9 @@ def user_prefill(
     for index, (tokens, row) in enumerate(zip(prompts, logits)):
         stream_id = party.user_id * 2**16 + index
         rule = TokenRule(party.temperature, party.sample_seed, _prompt_digest(tokens))
-        party.streams[stream_id] = _UserStream(index, tokens=[], rule=rule)
         token = rule.token(row, 0)
-        party._emit(stream_id, token)
+        party.streams[stream_id] = _UserStream(index, tokens=[token], rule=rule)
+        party._queue_outward(ProtocolMessage(TAG_TOKEN, stream_id, payload=encode_token(token)))
         messages.append(ProtocolMessage(TAG_CONTROL, stream_id,
                                         payload=encode_setup(len(tokens), token)))
 
@@ -639,6 +635,13 @@ class ModelParty:
         return [sid for sid in self.streams if self.decodes(sid)]
 
 
+# On OpenBLAS 0.3.31 a product's row bits depend on its row count M for
+# M < 4 (M = 1 alone; M = 2-3 for the pinned model's 1024x256 product) and
+# not from 4 up (test_model.TestRowCount), so a round run on at least this
+# many trunk rows gives each stream the same logits whatever shares it.
+_MIN_ROUND_ROWS = 4
+
+
 def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
     """The batched QUERY naming stream_ids, with their (S, n_heads,
     head_dim) queries."""
@@ -648,9 +651,9 @@ def _query_frame(stream_ids: list[int], layer: int, qs: np.ndarray) -> bytes:
     ))
 
 
-def _expect(link, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> ProtocolMessage:
-    """The next reply, which must be tag for stream_id/layer/head."""
-    msg = deserialize(link.recv())
+def _expect(frame: bytes, tag: int, stream_id: int, layer: int = 0, head: int = 0) -> ProtocolMessage:
+    """The reply frame, which must be tag for stream_id/layer/head."""
+    msg = deserialize(frame)
     if (msg.tag, msg.session_id, msg.layer, msg.head) != (tag, stream_id, layer, head):
         raise ProtocolError(
             f"out-of-order reply: expected {TAG_NAMES[tag]} {stream_id}/{layer}/{head}, "
@@ -668,15 +671,20 @@ def model_batch_step(
     """Advance every listed (stream_id, link) pair by one token in one
     batched pass.
 
-    The streams run through the model trunk stacked. At each layer the
+    The streams run through the model trunk stacked, padded to at least
+    _MIN_ROUND_ROWS rows with copies of the last stream's row; padded rows
+    never reach a QUERY, the arena or the controller. At each layer the
     attention callback sends one QUERY per run of consecutive streams on
     one link, writes the public K/V into the arena and computes every
     stream's public partial in one kernel call (partition._slot_attention),
     and merges them with the PARTIAL replies. The controller draws each
-    stream's token from the logits, identical to running the stream alone,
-    and the stream continues with that draw once the user party's TOKEN
-    reply echoes it. A listed stream that ModelParty.decodes refuses
-    raises before any frame is sent.
+    stream's token from the logits, and the stream continues with that
+    draw once the user party's TOKEN reply echoes it.
+
+    The reply rule: a QUERY is answered by one PARTIAL with the QUERY's
+    session id, layer and count; a TOKEN is answered by the same frame.
+    Any other reply raises. A listed stream that ModelParty.decodes
+    refuses raises before any frame is sent.
     """
     c = model.config
     for sid, _ in sessions:
@@ -695,30 +703,34 @@ def model_batch_step(
         model.public_k, model.public_v, [st.slot for st in states],
         np.array([st.pos - st.prompt_len for st in states]),
     )
+    n = len(states)
+    padded = np.minimum(np.arange(max(n, _MIN_ROUND_ROWS)), n - 1)  # trunk row -> stream
 
     def attend(layer, q, k, v):
-        qs = q.transpose(1, 0, 2)  # (streams, heads, head_dim), the wire's order
+        # (streams, heads, head_dim), the wire's order
+        qs, ks, vs = (a[:, :n].transpose(1, 0, 2) for a in (q, k, v))
         for link, rows, sids in runs:
             link.send(_query_frame(sids, layer, qs[rows]))
         # the public side runs while socket peers compute their partials
-        pub = public(layer, qs, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
+        pub = public(layer, qs, ks, vs)
         replies = [
-            decode_partial(_expect(link, TAG_PARTIAL, sids[0], layer, len(sids)),
+            decode_partial(_expect(link.recv(), TAG_PARTIAL, sids[0], layer, len(sids)),
                            c.n_heads, c.head_dim)
             for link, _, sids in runs
         ]
         a, gamma, m = (np.concatenate(parts) for parts in zip(*replies))
-        out = merge_partial_arrays(a, gamma, m, *pub)
+        out = merge_partial_arrays(a, gamma, m, *pub)[padded]
         return out.transpose(1, 0, 2)
 
-    logits = trunk(model.weights, [st.pending_token for st in states],
-                   [st.pos for st in states], attend)
+    logits = trunk(model.weights, np.array([st.pending_token for st in states])[padded],
+                   np.array([st.pos for st in states])[padded], attend)
     for (sid, link), st, row in zip(sessions, states, logits):
         token = controller.expect(sid, row)
-        sent = encode_token(token)
-        link.send(serialize(ProtocolMessage(TAG_TOKEN, sid, payload=sent)))
-        echo = _expect(link, TAG_TOKEN, sid).payload
-        if echo != sent:
+        sent = serialize(ProtocolMessage(TAG_TOKEN, sid, payload=encode_token(token)))
+        link.send(sent)
+        reply = link.recv()
+        if reply != sent:  # decoded only to name the fault
+            echo = _expect(reply, TAG_TOKEN, sid).payload
             got = f"token {decode_token(echo)}" if len(echo) == 8 else f"a {len(echo)}-byte payload"
             raise ProtocolError(f"stream {sid} echoed {got}, not the controller's draw {token}")
         st.pending_token = token

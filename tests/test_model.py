@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splitdecode import model as model_module
+from splitdecode import protocol
 from splitdecode.model import (
     PREFILL_CHUNK,
     RMS_EPS,
@@ -516,6 +517,32 @@ class TestRowPlacement:
             stack[places] = left
             got = (stack.reshape(2, rows, inner) @ right).reshape(2 * rows, -1)
             assert np.array_equal(got[places], want), rows
+
+
+class TestRowCount:
+    """The premise of batch-invariant decode, checked against the BLAS in
+    use: in every matrix product a decode round's trunk runs at the
+    benchmark's pinned model, each row's bits are the same at every row
+    count M from protocol._MIN_ROUND_ROWS (B) to 128. model_batch_step pads
+    a smaller round to B rows; a BLAS whose kernel for some larger M gave
+    other bits would fail here, by name. The attention products run one
+    query row per stream at any M. At d_model 128 the premise needs B = 16
+    on OpenBLAS 0.3.31's SkylakeX kernels (its 512x128 product changes bits
+    at M = 16), so models of that shape are not batch-invariant."""
+
+    @pytest.mark.parametrize("product", ["d x d", "d x 4d", "4d x d", "d x vocab"])
+    def test_row_bits_do_not_depend_on_row_count(self, product):
+        d, vocab, b = 256, 256, protocol._MIN_ROUND_ROWS
+        inner, cols = {"d x d": (d, d), "d x 4d": (d, 4 * d), "4d x d": (4 * d, d),
+                       "d x vocab": (d, vocab)}[product]
+        g = rng(inner + cols)
+        right = g.standard_normal((inner, cols))
+        left = g.standard_normal((128, inner))
+        # every row in a block of b rows, which has the bits of a b-row
+        # product wherever the block is (TestRowPlacement)
+        want = (left.reshape(-1, b, inner) @ right).reshape(128, cols)
+        for rows in range(b, 129):
+            assert np.array_equal(left[:rows] @ right, want[:rows]), rows
 
 
 class TestInPlaceKernels:

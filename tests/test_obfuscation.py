@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from splitdecode.obfuscation import (
     dump_virtual_prompts,
     gqs,
     multi_segment_gqs,
-    parse_tag_rules,
     prf_index,
     tag_sensitive,
     verify_bound,
@@ -76,40 +76,27 @@ def one_span_prompt(tokens, start, length):
 
 
 class TestTagging:
-    VOCAB = {w: i for i, w in enumerate("alice bob meets at dawn noon".split())}
-
-    def rules(self):
-        return parse_tag_rules("name\talice|bob\ntime\tdawn|noon")
+    PATTERNS = (re.compile("alice|bob"), re.compile("dawn|noon"))
 
     def test_no_match(self):
-        tokens = [self.VOCAB[w] for w in ["meets", "at"]]
-        tagged = tag_sensitive(tokens, self.rules(), self.VOCAB)
-        assert tagged.spans == ()
+        assert tag_sensitive(["meets", "at"], self.PATTERNS) == ()
 
     def test_single_hit_span_length(self):
-        rules = parse_tag_rules("pair\talice bob")
-        tokens = [self.VOCAB[w] for w in ["alice", "bob", "meets"]]
-        tagged = tag_sensitive(tokens, rules, self.VOCAB)
-        assert tagged.spans == ((0, 2),)
+        spans = tag_sensitive(["alice", "bob", "meets"], [re.compile("alice bob")])
+        assert spans == ((0, 2),)
 
     def test_adjacent_hits_stay_separate(self):
-        tokens = [self.VOCAB[w] for w in ["alice", "bob", "at", "dawn"]]
-        tagged = tag_sensitive(tokens, self.rules(), self.VOCAB)
-        assert tagged.spans == ((0, 1), (1, 1), (3, 1))
+        spans = tag_sensitive(["alice", "bob", "at", "dawn"], self.PATTERNS)
+        assert spans == ((0, 1), (1, 1), (3, 1))
 
     def test_leftmost_longest_wins(self):
-        rules = parse_tag_rules("long\talice bob meets\nshort\tbob meets at")
-        tokens = [self.VOCAB[w] for w in ["alice", "bob", "meets", "at", "noon"]]
-        tagged = tag_sensitive(tokens, rules, self.VOCAB)
-        assert tagged.spans == ((0, 3),)
+        patterns = [re.compile("alice bob meets"), re.compile("bob meets at")]
+        spans = tag_sensitive(["alice", "bob", "meets", "at", "noon"], patterns)
+        assert spans == ((0, 3),)
 
     def test_rules_required(self):
         with pytest.raises(ValueError):
-            tag_sensitive([0], [], self.VOCAB)
-
-    def test_rule_file_parse_error(self):
-        with pytest.raises(ValueError):
-            parse_tag_rules("missing-a-tab-separator")
+            tag_sensitive(["alice"], [])
 
     def test_span_validation(self):
         with pytest.raises(ValueError):

@@ -614,34 +614,88 @@ class TestOutOfOrderReply:
     """A reply whose tag, stream or layer is not the one the model party
     waits for is a typed error, on either transport."""
 
-    # field -> edit of the header of the user's layer-1 PARTIAL
+    # case -> (the reply edited: the user's layer-1 PARTIAL or its TOKEN
+    # echoes, the edit of its header)
     EDITS = {
-        "tag": lambda msg: {"tag": TAG_TOKEN},
-        "stream": lambda msg: {"session_id": msg.session_id + 1},
-        "layer": lambda msg: {"layer": 0},
+        "tag": (TAG_PARTIAL, lambda msg: {"tag": TAG_TOKEN}),
+        "stream": (TAG_PARTIAL, lambda msg: {"session_id": msg.session_id + 1}),
+        "layer": (TAG_PARTIAL, lambda msg: {"layer": 0}),
+        "echo_tag": (TAG_TOKEN, lambda msg: {"tag": TAG_PARTIAL}),
+        "echo_stream": (TAG_TOKEN, lambda msg: {"session_id": msg.session_id + 1}),
+        "echo_layer": (TAG_TOKEN, lambda msg: {"layer": 1}),
     }
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("field", sorted(EDITS))
     def test_wrong_reply_header_raises(self, small_weights, transport, field):
+        tag, edit = self.EDITS[field]
         user = decoy_user(small_weights, 1)
         sid = next(iter(user.streams))
         honest = user.handle_frame
 
         def misaddressed(frame):
             replies = honest(frame)
-            if protocol.deserialize(frame).tag != TAG_QUERY:
+            reply = protocol.deserialize(replies[0]) if replies else None
+            if reply is None or reply.tag != tag or (tag == TAG_PARTIAL and reply.layer != 1):
                 return replies
-            reply = protocol.deserialize(replies[0])
-            if reply.layer != 1:
-                return replies
-            return [serialize(dataclasses.replace(reply, **self.EDITS[field](reply)))]
+            return [serialize(dataclasses.replace(reply, **edit(reply)))]
 
         user.handle_frame = misaddressed
+        expected = f"PARTIAL {sid}/1/2" if tag == TAG_PARTIAL else f"TOKEN {sid}/0/0"
         start = time.monotonic()
-        with pytest.raises(ProtocolError, match=f"out-of-order reply: expected PARTIAL {sid}/1/2"):
+        with pytest.raises(ProtocolError, match=f"out-of-order reply: expected {expected}"):
             run_sessions(ModelParty(small_weights), Controller(), [user], 4, transport=transport)
         assert time.monotonic() - start < protocol._USER_JOIN_S
+
+
+@pytest.fixture(scope="module")
+def pinned_shape_weights():
+    """Two layers of the benchmark's pinned model shape, whose products
+    test_model.TestRowCount checks."""
+    return init_model(ModelConfig(
+        n_layers=2, n_heads=4, d_model=256, head_dim=64, vocab_size=256, max_seq=16, seed=3
+    ))
+
+
+def authentic_logits(weights, users, transport) -> np.ndarray:
+    """The logits the controller draws the first user's authentic stream
+    from, over three rounds of run_sessions."""
+    authentic = list(users[0].streams)[users[0].vps.idx]
+    ctrl, seen = Controller(), []
+    expect = ctrl.expect
+
+    def recording(sid, logits):
+        if sid == authentic:
+            seen.append(logits.copy())
+        return expect(sid, logits)
+
+    ctrl.expect = recording
+    run_sessions(ModelParty(weights, stop_at_eos=False), ctrl, users, 3, transport=transport)
+    return np.array(seen)
+
+
+class TestBatchInvariance:
+    """A stream's logits do not depend on what shares its round: a round
+    of fewer than _MIN_ROUND_ROWS streams is padded, so the authentic
+    stream's logits are bit for bit the same alone and beside 1, 2, 3 and
+    15 other users, on either transport."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("lam", [0, 3])
+    def test_logits_do_not_depend_on_other_users(self, pinned_shape_weights, transport, lam):
+        w = pinned_shape_weights
+        others = [rng(u).integers(0, 200, size=4).tolist() for u in range(2, 17)]
+        alone = None
+        for count in (0, 1, 2, 3, 15):
+            users = [decoy_user(w, lam, user_id=1, prompt=(5, 3, 8, 9), span=2)] + [
+                decoy_user(w, lam, user_id=u, prompt=p, span=2)
+                for u, p in zip(range(2, 17), others[:count])
+            ]
+            logits = authentic_logits(w, users, transport)
+            assert logits.shape == (3, 256)
+            if alone is None:
+                alone = logits
+            assert np.array_equal(logits, alone), count
 
 
 class TestMalformedFrame:

@@ -30,6 +30,7 @@ __all__ = [
     "ModelConfig",
     "PREFILL_CHUNK",
     "PromptSetKv",
+    "ROW_BLOCK",
     "Weights",
     "attention_reference",
     "causal_attention",
@@ -46,12 +47,18 @@ __all__ = [
 ROTARY_BASE = 10000.0
 RMS_EPS = 1e-6
 # rows per block of a prefill chunk. Fixed, not tuned per prompt: every
-# prefill then chunks a prompt at the same bounds and runs each product
-# on the same number of rows, which keeps the rows of a prompt set
-# bit-identical to its prompts' lone prefills (see prefill). Each chunk
-# is one pass over the weights, so smaller chunks cost more; at 32,
+# prefill then chunks a prompt at the same bounds and attends each chunk
+# in the same score shape, which keeps the rows of a prompt set
+# bit-identical to its prompts' lone prefills (see prefill). At 32,
 # prompts of up to 32 tokens stay one chunk.
 PREFILL_CHUNK = 32
+# the row count every trunk product may be flattened over: a row's bits
+# are the same in one M-row product as in blocks of ROW_BLOCK rows, or of
+# any multiple of it, whenever M is a multiple of ROW_BLOCK
+# (TestFlatProduct in tests/test_model.py checks this of the BLAS in use).
+# So a stack of blocks of a multiple of ROW_BLOCK rows runs as one product
+# per weight, and a prefill pass can hold several chunks.
+ROW_BLOCK = 16
 
 # Monotonic count of init_model calls, each one weight copy; the bench
 # harness reads the delta around a run to measure weight copies.
@@ -120,14 +127,6 @@ class Weights:
     layers: list[LayerWeights]
     final_gain: np.ndarray
     unembed: np.ndarray
-
-    def tensors(self):
-        """All tensors in _tensor_layout order."""
-        yield self.embed
-        for lw in self.layers:
-            yield from vars(lw).values()
-        yield self.final_gain
-        yield self.unembed
 
 
 def weight_alloc_count() -> int:
@@ -231,15 +230,6 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotary_encode(x: np.ndarray, positions) -> np.ndarray:
-    """Rotate consecutive dimension pairs of x by position-dependent angles.
-
-    x has shape (..., n, head_dim) with one position per row; pair i turns
-    at frequency ROTARY_BASE**(-2i/head_dim).
-    """
-    return _rotate(x, *_rotary_angles(positions, x.shape[-1]))
-
-
 def attention_reference(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Exact softmax attention; the oracle every partition test merges against.
 
@@ -292,10 +282,13 @@ def trunk(weights: Weights, tokens, positions, attend, read=None) -> np.ndarray:
     row by default), with attention left to attend.
 
     tokens and positions are a stack of equal-length blocks, (blocks, m)
-    (a flat sequence is one block). Every matrix product runs once per
-    block, on m rows, as numpy's matmul does for a 3-D stack; a row's
-    bits then depend on m but not on which block holds it, or where.
-    Rows are numbered block by block.
+    (a flat sequence is one block). Rows are numbered block by block. If m
+    is a multiple of ROW_BLOCK, every matrix product runs once, on all of
+    the stack's rows; otherwise once per block, on m rows, as numpy's
+    matmul does for a 3-D stack. Either way a row's bits depend neither
+    on which block holds it, or where, nor on how many blocks there are:
+    a product whose row count is a multiple of ROW_BLOCK gives a row the
+    bits it has in a block of ROW_BLOCK rows (see ROW_BLOCK).
 
     Every layer runs RMS norm, Q/K/V projection with rotary encoding at the
     given positions, then attend(layer, q, k, v) on (n_heads, rows,
@@ -316,6 +309,8 @@ def trunk(weights: Weights, tokens, positions, attend, read=None) -> np.ndarray:
     """
     c = weights.config
     tokens = np.atleast_2d(tokens)
+    if tokens.shape[1] % ROW_BLOCK == 0:
+        tokens = tokens.reshape(1, -1)
     x = weights.embed[tokens]
     n = tokens.size
     if read is not None:
@@ -485,24 +480,71 @@ def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
     return attend
 
 
+def _pass_attention(attends: list, rows: list[int], layers: int):
+    """attend for a trunk pass of consecutive chunks: each chunk's attend
+    (see _set_attention) on its own rows[i] trunk rows, in order, so at
+    every layer a chunk attends over the K/V rows the chunks before it
+    have just written. At the last layer q holds only the rows the trunk
+    reads, which are all the final chunk's."""
+    if len(attends) == 1:
+        return attends[0]
+    bounds = np.cumsum(rows)[:-1]
+
+    def attend(layer, q, k, v):
+        ks, vs = np.split(k, bounds, axis=1), np.split(v, bounds, axis=1)
+        qs = [q[:, :0]] * len(bounds) + [q] if layer == layers - 1 else np.split(q, bounds, axis=1)
+        return np.concatenate([a(layer, *qkv) for a, *qkv in zip(attends, qs, ks, vs)], axis=1)
+
+    return attend
+
+
+def _passes(chunks: list, max_rows: int) -> list[list]:
+    """Consecutive chunks, each (bounds, tokens, positions) with tokens
+    and positions as _chunk_rows lays them out, grouped into trunk
+    passes: chunks whose width is a multiple of ROW_BLOCK share a pass
+    while it holds at most max_rows trunk rows; any other chunk runs
+    alone."""
+    passes, rows, joinable = [], 0, False
+    for chunk in chunks:
+        size, flat = chunk[1].size, chunk[1].shape[1] % ROW_BLOCK == 0
+        if joinable and flat and rows + size <= max_rows:
+            passes[-1].append(chunk)
+            rows += size
+        else:
+            passes.append([chunk])
+            rows = size
+        joinable = flat
+    return passes
+
+
 def prefill(weights: Weights, tokens):
     """Run one prompt, or a set of equal-length prompts, through the model.
 
     tokens is a prompt (a sequence of token ids) or a set of prompts (a
     sequence of such sequences); a prompt runs as a set of one, on the
     same code. The prompts run in fixed chunks [lo, hi) of PREFILL_CHUNK
-    rows, one trunk call each. A chunk's distinct rows run once: the rows
-    of the prompts' common prefix, then each prompt's own rows, packed in
-    blocks of m = hi - lo rows (see _chunk_rows). Each prompt then attends
-    over its own rows :hi (see _set_attention). Every matrix product thus
-    has the shape that prefilling the prompt alone gives it, and only a
-    row's place in the product changes. A row's bits do not depend on its
-    place (TestRowPlacement in tests/test_model.py checks this of the
-    BLAS in use), so every prompt's K/V rows and logits are bit-identical
-    to prefilling it alone.
+    rows. A chunk's distinct rows run once: the rows of the prompts'
+    common prefix, then each prompt's own rows, packed in blocks of m =
+    hi - lo rows (see _chunk_rows). Each prompt then attends over its own
+    rows :hi (see _set_attention), chunk by chunk.
+
+    Consecutive chunks whose m is a multiple of ROW_BLOCK share one trunk
+    call, a pass, while it holds at most max_seq trunk rows; any other
+    chunk runs alone (see _passes). So a pass's peak activations stay
+    those of a lone max_seq-token prompt, or of its one chunk where that
+    is bigger, and each weight product runs once per layer per pass.
+
+    Every attention product thus has the shape that prefilling the prompt
+    alone gives it. A weight product may hold a row at another place, in
+    another number of rows, but a row's bits depend on neither: not on
+    its place (TestRowPlacement in tests/test_model.py checks this of the
+    BLAS in use), and not on the row count where that is a multiple of
+    ROW_BLOCK (TestFlatProduct), while a chunk of another width runs in
+    blocks of m rows, as it does alone. So every prompt's K/V rows and
+    logits are bit-identical to prefilling it alone.
 
     Only each prompt's last row reaches the unembedding: the last layer
-    runs its Q side for no row on every chunk but the final one, and for
+    runs its Q side for no row on every pass but the final one, and for
     each prompt's last row there (see trunk). The K/V rows are the ones a
     full-width run computes; the returned logits agree with full_forward's
     last row to rounding, not bit for bit.
@@ -530,13 +572,22 @@ def prefill(weights: Weights, tokens):
         own = (count, c.n_layers, c.n_heads, n - p, c.head_dim)
         kv = PromptSetKv(np.empty(shared), np.empty(shared), np.empty(own), np.empty(own))
 
+    chunks = []
     for lo in range(0, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
         mid = min(max(p, lo), hi)
-        chunk, positions = _chunk_rows(prompts, lo, mid, hi)
-        # each prompt's last row, the last of its own rows
-        read = mid - lo - 1 + (hi - mid) * np.arange(1, count + 1) if hi == n else []
-        logits = trunk(weights, chunk, positions, _set_attention(kv, lo, mid, hi), read)
+        chunks.append(((lo, mid, hi), *_chunk_rows(prompts, lo, mid, hi)))
+    for group in _passes(chunks, c.max_seq):
+        bounds, rows = [g[0] for g in group], [g[1].size for g in group]
+        # a lone chunk keeps its blocks; a shared pass runs flat
+        m = group[0][1].shape[1] if len(group) == 1 else ROW_BLOCK
+        stack, positions = (np.concatenate([g[i].reshape(-1, m) for g in group]) for i in (1, 2))
+        lo, mid, hi = bounds[-1]
+        # each prompt's last row, the last of its own rows in the final chunk
+        base = sum(rows[:-1]) + mid - lo - 1
+        read = base + (hi - mid) * np.arange(1, count + 1) if hi == n else []
+        attend = _pass_attention([_set_attention(kv, *b) for b in bounds], rows, c.n_layers)
+        logits = trunk(weights, stack, positions, attend, read)
     if single:
         cache.length = n
         return cache, logits[0]

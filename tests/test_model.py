@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from splitdecode.model import (
     PREFILL_CHUNK,
     RMS_EPS,
     ROTARY_BASE,
+    ROW_BLOCK,
     CacheFullError,
     ConfigError,
     KvCache,
@@ -24,14 +30,13 @@ from splitdecode.model import (
     greedy_decode,
     init_model,
     prefill,
-    rotary_encode,
     sample_token,
     trunk,
     weight_alloc_count,
 )
 from splitdecode.numerics import DimensionError
 
-from conftest import rng
+from conftest import rng, rotary_encode, weight_tensors
 
 
 def naive_softmax_attention(Q, K, V, causal):
@@ -96,7 +101,7 @@ class TestConfig:
 class TestInitModel:
     def test_same_seed_byte_identical(self, small_config):
         w1, w2 = init_model(small_config), init_model(small_config)
-        for t1, t2 in zip(w1.tensors(), w2.tensors()):
+        for t1, t2 in zip(weight_tensors(w1), weight_tensors(w2)):
             assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize(
@@ -115,7 +120,9 @@ class TestInitModel:
         before = weight_alloc_count()
         weights = init_model(config)
         assert weight_alloc_count() == before + 1
-        data = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in weights.tensors())
+        data = b"".join(
+            np.ascontiguousarray(t, dtype="<f8").tobytes() for t in weight_tensors(weights)
+        )
         assert len(data) == size
         assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
 
@@ -543,6 +550,73 @@ class TestRowCount:
         want = (left.reshape(-1, b, inner) @ right).reshape(128, cols)
         for rows in range(b, 129):
             assert np.array_equal(left[:rows] @ right, want[:rows]), rows
+
+
+class TestFlatProduct:
+    """The premise of prefill's passes and of trunk's flat products,
+    checked against the BLAS in use: in every weight product the trunk
+    runs at the benchmark's pinned model and at d_model 128 with vocab 64,
+    one M-row product gives each row the bits it gets in blocks of
+    ROW_BLOCK rows and in blocks of 32, at every M that is a multiple of
+    ROW_BLOCK up to 256. A BLAS whose kernel gave other bits at some such
+    M would fail here, by name. TestCrossKernel reruns this under other
+    OpenBLAS kernels."""
+
+    @pytest.mark.parametrize("d,vocab", [(256, 256), (128, 64)])
+    @pytest.mark.parametrize("product", ["d x d", "d x 4d", "4d x d", "d x vocab"])
+    def test_flat_product_keeps_block_bits(self, d, vocab, product):
+        inner, cols = {"d x d": (d, d), "d x 4d": (d, 4 * d), "4d x d": (4 * d, d),
+                       "d x vocab": (d, vocab)}[product]
+        g = rng(d + inner + cols)
+        right = g.standard_normal((inner, cols))
+        left = g.standard_normal((256, inner))
+        blocks = [(left.reshape(-1, b, inner) @ right).reshape(256, cols) for b in (ROW_BLOCK, 32)]
+        for rows in range(ROW_BLOCK, 257, ROW_BLOCK):
+            got = left[:rows] @ right
+            for want in blocks:
+                assert np.array_equal(got, want[:rows]), rows
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((set(line.split()[2:]) for line in f if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+# OpenBLAS core types (OPENBLAS_CORETYPE, read by OpenBLAS builds with
+# DYNAMIC_ARCH) and the CPU flag each one's kernels need
+CORE_TYPES = {"Prescott": "pni", "Nehalem": "sse4_2", "Sandybridge": "avx",
+              "Haswell": "avx2", "Zen": "avx2", "SkylakeX": "avx512f"}
+
+
+class TestCrossKernel:
+    """TestFlatProduct once more in a fresh process per OpenBLAS core type
+    the CPU can run, two at a time, so the premise is checked on the
+    kernels of other CPUs too, not only on the one this CPU picks."""
+
+    def test_flat_product_premise_holds_on_every_core_type(self):
+        flags = _cpu_flags()
+        cores = [core for core, flag in CORE_TYPES.items() if flag in flags]
+        if not cores:
+            pytest.skip("no OpenBLAS x86 core type runs on this CPU")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+
+        def run(core):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+                   "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1", "PYTHONPATH": path}
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 f"{root / 'tests' / 'test_model.py'}::TestFlatProduct"],
+                cwd=root, env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            failed = {core: r.stdout + r.stderr for core, r in zip(cores, pool.map(run, cores))
+                      if r.returncode != 0}
+        assert failed == {}
 
 
 class TestInPlaceKernels:

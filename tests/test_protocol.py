@@ -1563,6 +1563,37 @@ class TestSharedPrefixPrefill:
         assert stored == 124 + 4 * 4
 
 
+class TestPrefillPasses:
+    """prefill runs consecutive chunks whose width is a multiple of
+    ROW_BLOCK in one trunk pass of at most max_seq rows, and any other
+    chunk alone; the passes' rows add up to the chunks' rows."""
+
+    @pytest.mark.parametrize("count,n,p,passes", [
+        # prefill_decoys: three shared chunks and the 64-row tail, one pass
+        (4, 128, 124, [160]),
+        (1, 128, 0, [128]),
+        # the 8-row tail chunk runs alone
+        (1, 40, 0, [32, 8]),
+        # TestPrefillMemory's set: every chunk after the first is over
+        # max_seq rows with the one before it
+        (8, 160, 40, [32, 224, 256, 256, 256]),
+    ], ids=["decoys", "lone 128", "lone 40", "8 x 160"])
+    def test_pass_rows(self, long_weights, count, n, p, passes, monkeypatch):
+        prefix = rng(n).integers(0, 63, size=p).tolist()
+        prompts = [prefix + [i] + rng(n + i).integers(0, 63, size=n - p - 1).tolist()
+                   for i in range(count)]
+        rows, trunk = [], model_module.trunk
+
+        def counting_trunk(weights, tokens, *args, **kwargs):
+            rows.append(np.size(tokens))
+            return trunk(weights, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "trunk", counting_trunk)
+        prefill(long_weights, prompts[0] if count == 1 else prompts)
+        assert rows == passes
+        assert sum(rows) == _set_rows(n, p, count)
+
+
 def record_frames(user):
     """Wrap the user party's frame handler to keep the raw bytes of every
     frame it receives and every reply it sends, for leak scanning."""

@@ -46,9 +46,9 @@ __all__ = [
 
 ROTARY_BASE = 10000.0
 RMS_EPS = 1e-6
-# rows per block of a prefill chunk. Fixed, not tuned per prompt: every
-# prefill then chunks a prompt at the same bounds and attends each chunk
-# in the same score shape, which keeps the rows of a prompt set
+# rows per prefill chunk. Fixed, not tuned per prompt: every prefill then
+# chunks a prompt at the same bounds and scores each chunk in the same
+# (n_heads, hi - lo, hi) shape, which keeps the rows of a prompt set
 # bit-identical to its prompts' lone prefills (see prefill). At 32,
 # prompts of up to 32 tokens stay one chunk.
 PREFILL_CHUNK = 32
@@ -57,7 +57,10 @@ PREFILL_CHUNK = 32
 # any multiple of it, whenever M is a multiple of ROW_BLOCK
 # (TestFlatProduct in tests/test_model.py checks this of the BLAS in use).
 # So a stack of blocks of a multiple of ROW_BLOCK rows runs as one product
-# per weight, and a prefill pass can hold several chunks.
+# per weight, a prefill pass can hold several chunks, a chunk of such a
+# width pads its distinct rows only to a multiple of ROW_BLOCK, and a
+# decoy's attention values product may run on ROW_BLOCK of its chunk's
+# 32 query rows (TestValuesProduct).
 ROW_BLOCK = 16
 
 # Monotonic count of init_model calls, each one weight copy; the bench
@@ -195,9 +198,13 @@ class KvCache:
 
 def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """(x / sqrt(mean(x * x, axis=-1) + RMS_EPS)) * gain, operation for
-    operation and so bit for bit, with every step in one output buffer."""
+    operation and so bit for bit, with every step in one output buffer.
+    The mean is np.mean's own sum-then-divide, without its wrapper."""
     out = np.multiply(x, x)
-    scale = np.sqrt(np.mean(out, axis=-1, keepdims=True) + RMS_EPS)
+    scale = np.add.reduce(out, axis=-1, keepdims=True)
+    scale /= x.shape[-1]
+    scale += RMS_EPS
+    np.sqrt(scale, out=scale)
     np.divide(x, scale, out=out)
     out *= gain
     return out
@@ -221,13 +228,22 @@ def _rotary_angles(positions, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Turn each consecutive dimension pair of x's rows (..., n, head_dim)
-    by the angles whose cos and sin _rotary_angles gave."""
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    """Turn each consecutive dimension pair (even, odd) of x (..., head_dim)
+    to (even * cos - odd * sin, even * sin + odd * cos), by the angles
+    whose cos and sin _rotary_angles gave, broadcast against x's pairs
+    (..., head_dim // 2).
+
+    It works on a pair view of x: two products over all of x, [even,
+    odd] * cos and * sin, then one subtraction and one addition over half
+    of it, in the first product's buffer. Those are the plain
+    expression's IEEE operations, the addition's operands swapped, so the
+    bits are the same."""
+    pairs = x.reshape(*x.shape[:-1], x.shape[-1] // 2, 2)
+    out = pairs * cos[..., None]
+    turn = pairs * sin[..., None]
+    out[..., 0] -= turn[..., 1]
+    out[..., 1] += turn[..., 0]
+    return out.reshape(x.shape)
 
 
 def attention_reference(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -267,10 +283,26 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     The softmax is e = exp(s - max(s)); e / sum(e), computed in the score
     buffer.
     """
+    return _softmax_values(_scores(q, k, _causal_mask(q.shape[-2], k.shape[-2])), v)
+
+
+def _causal_mask(n_q: int, n_k: int) -> np.ndarray | None:
+    """The (n_q, n_k) keys each query row may not see, those past n_k -
+    n_q + i for row i; None for one query row, which sees every key."""
+    return ~np.tri(n_q, n_k, n_k - n_q, dtype=bool) if n_q > 1 else None
+
+
+def _scores(q: np.ndarray, k: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
+    """q k^T, (..., n_q, n_k), with the keys hidden names set to -inf."""
     scores = q @ k.swapaxes(-1, -2)
-    n_q, n_k = scores.shape[-2:]
-    if n_q > 1:
-        np.copyto(scores, -np.inf, where=~np.tri(n_q, n_k, n_k - n_q, dtype=bool))
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
+    return scores
+
+
+def _softmax_values(scores: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(scores) @ v, the softmax e = exp(s - max(s)); e / sum(e)
+    computed row by row in scores, which may be a view."""
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
@@ -296,7 +328,9 @@ def trunk(weights: Weights, tokens, positions, attend, read=None) -> np.ndarray:
     the per-head attention output of q's shape; then the output projection
     and the MLP, each with its residual. attend is the only place callers
     differ: prefill, monolithic decode and two-party decode all share this
-    trunk. The rotary angles are computed once per call, for every layer.
+    trunk. The rotary angles are computed once per call, for every layer,
+    and q and k are rotated in the projection's contiguous (rows, n_heads,
+    head_dim) layout, before the head axis moves to the front.
 
     No later layer reads the last layer's outputs, so there k and v keep
     every row, for attend to store, while q, attention, the output
@@ -317,23 +351,28 @@ def trunk(weights: Weights, tokens, positions, attend, read=None) -> np.ndarray:
         read = np.asarray(read, dtype=np.intp)
         if np.any((read < 0) | (read >= n)):
             raise ValueError(f"read rows {read.tolist()} outside [0, {n})")
-    cos, sin = _rotary_angles(np.ravel(positions), c.head_dim)
+    # (rows, 1, head_dim // 2): one angle per row, alike for every head
+    cos, sin = (a[:, None] for a in _rotary_angles(np.ravel(positions), c.head_dim))
 
-    def heads(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # (blocks, rows, d) @ (d, d) -> (n_heads, blocks * rows, head_dim)
-        return (h @ w).reshape(-1, c.n_heads, c.head_dim).transpose(1, 0, 2)
+    def project(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # (blocks, rows, d) @ (d, d) -> (blocks * rows, n_heads, head_dim)
+        return (h @ w).reshape(-1, c.n_heads, c.head_dim)
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        # (rows, n_heads, head_dim) -> (n_heads, rows, head_dim), a view
+        return x.transpose(1, 0, 2)
 
     last = len(weights.layers) - 1
     for layer, lw in enumerate(weights.layers):
         h = _rms_norm(x, lw.gain_attn)
-        k = _rotate(heads(h, lw.wk), cos, sin)
-        v = heads(h, lw.wv)
+        k = heads(_rotate(project(h, lw.wk), cos, sin))
+        v = heads(project(h, lw.wv))
         if layer == last and read is not None:
             x, h = (a.reshape(n, 1, c.d_model)[read] for a in (x, h))
             cos, sin = cos[read], sin[read]
-        q = _rotate(heads(h, lw.wq), cos, sin)
+        q = _rotate(project(h, lw.wq), cos, sin)
         q *= c.head_dim**-0.5
-        out = attend(layer, q, k, v)
+        out = attend(layer, heads(q), k, v)
         x += out.transpose(1, 0, 2).reshape(x.shape) @ lw.wo
         x += _silu(_rms_norm(x, lw.gain_mlp) @ lw.w_in) @ lw.w_out
     return (_rms_norm(x, weights.final_gain) @ weights.unembed).reshape(-1, c.vocab_size)
@@ -408,13 +447,16 @@ def _common_prefix(prompts: np.ndarray) -> int:
 def _chunk_rows(prompts: np.ndarray, lo: int, mid: int, hi: int):
     """The tokens and positions of the distinct rows of chunk [lo, hi) of
     prompts that agree before mid: the shared rows [lo, mid) once, then
-    each prompt's own rows [mid, hi), as blocks of hi - lo rows, the last
-    block padded with copies of the last row."""
+    each prompt's own rows [mid, hi). They come as blocks of ROW_BLOCK
+    rows where hi - lo is a multiple of it, and of hi - lo rows
+    otherwise, the last block padded with copies of the last row. Either
+    block keeps the rows' bits (see ROW_BLOCK), and the smaller one pads
+    less: 44 distinct rows in a 32-row chunk run as 48, not 64."""
     tokens = np.concatenate([prompts[0, lo:mid], prompts[:, mid:hi].ravel()])
     positions = np.concatenate([np.arange(lo, mid), np.tile(np.arange(mid, hi), len(prompts))])
-    m = hi - lo
-    rows = np.minimum(np.arange(-(-len(tokens) // m) * m), len(tokens) - 1)
-    return tokens[rows].reshape(-1, m), positions[rows].reshape(-1, m)
+    block = ROW_BLOCK if (hi - lo) % ROW_BLOCK == 0 else hi - lo
+    rows = np.minimum(np.arange(-(-len(tokens) // block) * block), len(tokens) - 1)
+    return tokens[rows].reshape(-1, block), positions[rows].reshape(-1, block)
 
 
 def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
@@ -424,19 +466,32 @@ def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
     shared + i * own.
 
     It writes the chunk's shared K/V rows once, and each prompt's own
-    rows into its slot, then attends each prompt's chunk rows over its
-    rows :hi, in the (n_heads, hi - lo, hi) score shape a lone prompt's
-    chunk has. Those rows are views of kv, gathered into one array only
-    for a chunk that needs both shared and own rows. Each output row goes
-    back to its distinct row, and padding rows get zeros. A chunk of
-    shared rows only is attended once, for the first prompt. At the last
-    layer q holds the rows the trunk reads, prompt i's last row at i;
-    each attends as one row, as a lone prompt's final chunk does. A
-    one-row chunk (a decode step is one) takes the general path."""
+    rows into its slot, then scores each prompt's m = hi - lo chunk rows
+    over its rows :hi, in the (n_heads, m, hi) score shape a lone
+    prompt's chunk has, under a causal mask built once per chunk. Those
+    rows are views of kv, gathered into one array only for a chunk that
+    needs both shared and own rows. The first prompt runs softmax and
+    the values product on all m rows, which give the shared rows and its
+    own. The others keep only their own rows, so where m is a multiple
+    of ROW_BLOCK they run both only on their last own rows, rounded up to
+    a multiple of ROW_BLOCK: a values product row has the same bits there
+    as in the m-row product (TestValuesProduct). The scores product keeps
+    all m rows, because its row bits do depend on the row count (see
+    TestValuesProduct). Each output row goes to its distinct row, and
+    padding rows get zeros.
+
+    A chunk that attends one prompt (a lone prompt's, or one of shared
+    rows only) attends on views and returns the kernel's output. At the
+    last layer q holds the rows the trunk reads, prompt i's last row at
+    i; each attends as one row, as a lone prompt's final chunk does. A
+    one-row chunk (a decode step is one) attends one prompt."""
     count, layers, heads, _, head_dim = kv.private_k.shape
     p = kv.shared_k.shape[2]
-    shared, own = mid - lo, hi - mid
+    m, shared, own = hi - lo, mid - lo, hi - mid
     distinct = shared + count * own
+    # the query rows each prompt after the first runs softmax on
+    tail = -(-own // ROW_BLOCK) * ROW_BLOCK if m % ROW_BLOCK == 0 else m
+    hidden = _causal_mask(m, hi)
 
     def own_rows(x: np.ndarray) -> np.ndarray:
         # (heads, rows, head_dim) distinct rows -> (count, heads, own, head_dim)
@@ -468,13 +523,18 @@ def _set_attention(kv: PromptSetKv, lo: int, mid: int, hi: int):
         if one_row:
             a = causal_attention(q.swapaxes(0, 1)[:, :, None], keys, values)
             return a[:, :, 0].swapaxes(0, 1)
-        qs = np.empty((prompts, heads, hi - lo, head_dim))
+        if prompts == 1:
+            # q is the chunk's m rows in order
+            return _softmax_values(_scores(q, keys[0], hidden), values[0])
+        qs = np.empty((prompts, heads, m, head_dim))
         qs[:, :, :shared] = q[:, :shared]
-        qs[:, :, shared:] = own_rows(q)[:prompts]
-        a = causal_attention(qs, keys, values)
-        out = np.zeros_like(q)
-        out[:, :shared] = a[0, :, :shared]
-        out[:, shared:distinct] = a[:, :, shared:].swapaxes(0, 1).reshape(heads, -1, head_dim)
+        qs[:, :, shared:] = own_rows(q)
+        scores = _scores(qs, keys, hidden)
+        out = np.empty_like(q)
+        out[:, : shared + own] = _softmax_values(scores[0], values[0])
+        rest = _softmax_values(scores[1:, :, m - tail :], values[1:])[:, :, tail - own :]
+        out[:, shared + own : distinct] = rest.swapaxes(0, 1).reshape(heads, -1, head_dim)
+        out[:, distinct:] = 0.0
         return out
 
     return attend
@@ -484,16 +544,20 @@ def _pass_attention(attends: list, rows: list[int], layers: int):
     """attend for a trunk pass of consecutive chunks: each chunk's attend
     (see _set_attention) on its own rows[i] trunk rows, in order, so at
     every layer a chunk attends over the K/V rows the chunks before it
-    have just written. At the last layer q holds only the rows the trunk
-    reads, which are all the final chunk's."""
+    have just written, and writes its output into the pass's. At the last
+    layer q holds only the rows the trunk reads, which are all the final
+    chunk's."""
     if len(attends) == 1:
         return attends[0]
-    bounds = np.cumsum(rows)[:-1]
+    ends = np.cumsum(rows)
+    spans = [slice(end - size, end) for end, size in zip(ends, rows)]
+    read = [slice(0, 0)] * (len(spans) - 1) + [slice(None)]
 
     def attend(layer, q, k, v):
-        ks, vs = np.split(k, bounds, axis=1), np.split(v, bounds, axis=1)
-        qs = [q[:, :0]] * len(bounds) + [q] if layer == layers - 1 else np.split(q, bounds, axis=1)
-        return np.concatenate([a(layer, *qkv) for a, *qkv in zip(attends, qs, ks, vs)], axis=1)
+        out = np.empty_like(q)
+        for a, span, qspan in zip(attends, spans, read if layer == layers - 1 else spans):
+            out[:, qspan] = a(layer, q[:, qspan], k[:, span], v[:, span])
+        return out
 
     return attend
 
@@ -524,9 +588,12 @@ def prefill(weights: Weights, tokens):
     sequence of such sequences); a prompt runs as a set of one, on the
     same code. The prompts run in fixed chunks [lo, hi) of PREFILL_CHUNK
     rows. A chunk's distinct rows run once: the rows of the prompts'
-    common prefix, then each prompt's own rows, packed in blocks of m =
-    hi - lo rows (see _chunk_rows). Each prompt then attends over its own
-    rows :hi (see _set_attention), chunk by chunk.
+    common prefix, then each prompt's own rows, packed in blocks of
+    ROW_BLOCK rows where m = hi - lo is a multiple of ROW_BLOCK, else of
+    m rows (see _chunk_rows). Each prompt then attends over its own rows
+    :hi (see _set_attention), chunk by chunk. So a set costs the trunk
+    rows of its distinct rows, rounded up to ROW_BLOCK per chunk, and the
+    prompts after the first add only the attention of their own rows.
 
     Consecutive chunks whose m is a multiple of ROW_BLOCK share one trunk
     call, a pass, while it holds at most max_seq trunk rows; any other
@@ -534,14 +601,17 @@ def prefill(weights: Weights, tokens):
     those of a lone max_seq-token prompt, or of its one chunk where that
     is bigger, and each weight product runs once per layer per pass.
 
-    Every attention product thus has the shape that prefilling the prompt
-    alone gives it. A weight product may hold a row at another place, in
-    another number of rows, but a row's bits depend on neither: not on
-    its place (TestRowPlacement in tests/test_model.py checks this of the
-    BLAS in use), and not on the row count where that is a multiple of
-    ROW_BLOCK (TestFlatProduct), while a chunk of another width runs in
-    blocks of m rows, as it does alone. So every prompt's K/V rows and
-    logits are bit-identical to prefilling it alone.
+    Every scores product thus has the shape that prefilling the prompt
+    alone gives it, and so does every values product but a later
+    prompt's, which may hold fewer of the m rows, a multiple of ROW_BLOCK
+    (TestValuesProduct).
+    A weight product may hold a row at another place, in another number
+    of rows, but a row's bits depend on neither: not on its place
+    (TestRowPlacement in tests/test_model.py checks this of the BLAS in
+    use), and not on the row count where that is a multiple of ROW_BLOCK
+    (TestFlatProduct), while a chunk of another width runs in blocks of m
+    rows, as it does alone. So every prompt's K/V rows and logits are
+    bit-identical to prefilling it alone.
 
     Only each prompt's last row reaches the unembedding: the last layer
     runs its Q side for no row on every pass but the final one, and for
@@ -579,9 +649,8 @@ def prefill(weights: Weights, tokens):
         chunks.append(((lo, mid, hi), *_chunk_rows(prompts, lo, mid, hi)))
     for group in _passes(chunks, c.max_seq):
         bounds, rows = [g[0] for g in group], [g[1].size for g in group]
-        # a lone chunk keeps its blocks; a shared pass runs flat
-        m = group[0][1].shape[1] if len(group) == 1 else ROW_BLOCK
-        stack, positions = (np.concatenate([g[i].reshape(-1, m) for g in group]) for i in (1, 2))
+        # a shared pass's chunks all come in blocks of ROW_BLOCK rows
+        stack, positions = (np.concatenate([g[i] for g in group]) for i in (1, 2))
         lo, mid, hi = bounds[-1]
         # each prompt's last row, the last of its own rows in the final chunk
         base = sum(rows[:-1]) + mid - lo - 1

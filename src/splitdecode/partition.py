@@ -51,10 +51,6 @@ class PartialAttention:
     def empty(cls, head_dim: int) -> "PartialAttention":
         return cls(a=np.zeros(head_dim), gamma=0.0, m=-np.inf)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.gamma == 0.0
-
 
 @dataclass
 class KvPartition:

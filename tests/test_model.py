@@ -577,6 +577,31 @@ class TestFlatProduct:
                 assert np.array_equal(got, want[:rows]), rows
 
 
+class TestValuesProduct:
+    """The premise of prefill's decoy attention rows, checked against the
+    BLAS in use: in the attention values product, softmax weights (rows x
+    keys) @ values (keys x head_dim), a 16-row product gives each row the
+    bits it gets in the 32-row product, at head_dim 8, 16, 32 and 64 and
+    every key count from 1 to 160. So a prompt that keeps only its last
+    own rows of a 32-row chunk may run the product on 16 of them.
+
+    The scores product, q (rows x head_dim) @ K^T, has no such premise:
+    under OpenBLAS 0.3.31's SkylakeX kernels a 16-row and a 32-row
+    product give different row bits at 38 to 75 keys, at head_dim 32 and
+    64. So prefill scores every prompt's chunk at its full width.
+    TestCrossKernel reruns this under other OpenBLAS kernels."""
+
+    @pytest.mark.parametrize("head_dim", [8, 16, 32, 64])
+    def test_sixteen_rows_keep_the_bits_of_thirty_two(self, head_dim):
+        g = rng(head_dim)
+        for keys in range(1, 161):
+            weights = g.random((32, keys))
+            values = g.standard_normal((keys, head_dim))
+            want = weights @ values
+            for rows in (slice(0, 16), slice(16, 32)):
+                assert np.array_equal(weights[rows] @ values, want[rows]), (keys, rows)
+
+
 def _cpu_flags() -> set[str]:
     try:
         with open("/proc/cpuinfo") as f:
@@ -592,9 +617,10 @@ CORE_TYPES = {"Prescott": "pni", "Nehalem": "sse4_2", "Sandybridge": "avx",
 
 
 class TestCrossKernel:
-    """TestFlatProduct once more in a fresh process per OpenBLAS core type
-    the CPU can run, two at a time, so the premise is checked on the
-    kernels of other CPUs too, not only on the one this CPU picks."""
+    """TestFlatProduct and TestValuesProduct once more in a fresh process
+    per OpenBLAS core type the CPU can run, two at a time, so the
+    premises are checked on the kernels of other CPUs too, not only on
+    the one this CPU picks."""
 
     def test_flat_product_premise_holds_on_every_core_type(self):
         flags = _cpu_flags()
@@ -607,9 +633,10 @@ class TestCrossKernel:
         def run(core):
             env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
                    "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1", "PYTHONPATH": path}
+            tests = root / "tests" / "test_model.py"
             return subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 f"{root / 'tests' / 'test_model.py'}::TestFlatProduct"],
+                 f"{tests}::TestFlatProduct", f"{tests}::TestValuesProduct"],
                 cwd=root, env=env, capture_output=True, text=True, timeout=120,
             )
 

@@ -89,7 +89,6 @@ class TestPartials:
     def test_empty_partition_sentinel(self):
         part = KvPartition.single_head(PRIVATE, np.zeros((0, 4)), np.zeros((0, 4)))
         pa = private_partial(np.ones(4), part)
-        assert pa.is_empty
         assert pa.gamma == 0.0 and pa.m == -np.inf
         assert np.array_equal(pa.a, np.zeros(4))
 
@@ -205,7 +204,7 @@ class TestMerge:
         # the overflow-safe evaluation must equal the direct coefficient
         # formulas wherever those are finite
         q, K, V, pvt, pub = split_instance(77, 10, 4)
-        if pvt.is_empty or pub.is_empty:
+        if pvt.gamma == 0.0 or pub.gamma == 0.0:
             pytest.skip("degenerate split drawn")
         alpha = math.exp(pub.m - pvt.m)
         c_pvt = pvt.gamma / (pvt.gamma + alpha * pub.gamma)
@@ -333,7 +332,7 @@ class TestBatchedPublicPartials:
         for i, part in enumerate(parts):
             single = public_partial(qs[i], part)
             if lengths[i] == 0:
-                assert batched[i].is_empty and single.is_empty
+                assert batched[i].gamma == 0.0 and single.gamma == 0.0
             else:
                 assert np.max(np.abs(batched[i].a - single.a)) <= 1e-12
 

@@ -13,6 +13,7 @@ from splitdecode import model as model_module
 from splitdecode import partition, protocol
 from splitdecode.model import (
     PREFILL_CHUNK,
+    ROW_BLOCK,
     ModelConfig,
     decode_step_monolithic,
     greedy_decode,
@@ -1499,13 +1500,16 @@ def _prefill_rows(weights, lam, prompt, span, monkeypatch):
 
 def _set_rows(n, p, prompts):
     """The trunk rows prefill runs for prompts of n tokens that agree on
-    p: per chunk of m rows, its U distinct rows in ceil(U / m) blocks."""
+    p: per chunk of m rows, its U distinct rows in whole blocks, of
+    ROW_BLOCK rows where m is a multiple of ROW_BLOCK and of m rows
+    otherwise."""
     total = 0
     for lo in range(0, n, PREFILL_CHUNK):
         hi = min(lo + PREFILL_CHUNK, n)
         mid = min(max(p, lo), hi)
         distinct = (mid - lo) + prompts * (hi - mid)
-        total += -(-distinct // (hi - lo)) * (hi - lo)
+        block = ROW_BLOCK if (hi - lo) % ROW_BLOCK == 0 else hi - lo
+        total += -(-distinct // block) * block
     return total
 
 
@@ -1547,10 +1551,10 @@ class TestSharedPrefixPrefill:
         # prefill_decoys' shape: 128 tokens, one tagged token at 124. The
         # first three chunks are shared and run once; the last holds the
         # 28 shared rows 96-123 once and each of the 4 streams' 4 own
-        # rows, 44 distinct rows in two blocks of 32
+        # rows, 44 distinct rows in three blocks of 16
         prompt = rng(7).integers(0, 63, size=128).tolist()
         _, rows, _ = _prefill_rows(long_weights, 3, prompt, 124, monkeypatch)
-        assert rows == 96 + 2 * 32 == _set_rows(128, 124, 4)
+        assert rows == 96 + 48 == _set_rows(128, 124, 4)
 
     def test_stored_rows_grow_sub_linearly_in_lambda(self, long_weights):
         # the same shape: the 124 rows before the tag are kept once, and
@@ -1563,25 +1567,30 @@ class TestSharedPrefixPrefill:
         assert stored == 124 + 4 * 4
 
 
+def _tagged_set(count, n, p):
+    """count prompts of n tokens that share their first p and differ at p."""
+    prefix = rng(n).integers(0, 63, size=p).tolist()
+    return [prefix + [i] + rng(n + i).integers(0, 63, size=n - p - 1).tolist()
+            for i in range(count)]
+
+
 class TestPrefillPasses:
     """prefill runs consecutive chunks whose width is a multiple of
     ROW_BLOCK in one trunk pass of at most max_seq rows, and any other
     chunk alone; the passes' rows add up to the chunks' rows."""
 
     @pytest.mark.parametrize("count,n,p,passes", [
-        # prefill_decoys: three shared chunks and the 64-row tail, one pass
-        (4, 128, 124, [160]),
+        # prefill_decoys: three shared chunks and the 48-row tail, one pass
+        (4, 128, 124, [144]),
         (1, 128, 0, [128]),
         # the 8-row tail chunk runs alone
         (1, 40, 0, [32, 8]),
         # TestPrefillMemory's set: every chunk after the first is over
         # max_seq rows with the one before it
-        (8, 160, 40, [32, 224, 256, 256, 256]),
+        (8, 160, 40, [32, 208, 256, 256, 256]),
     ], ids=["decoys", "lone 128", "lone 40", "8 x 160"])
     def test_pass_rows(self, long_weights, count, n, p, passes, monkeypatch):
-        prefix = rng(n).integers(0, 63, size=p).tolist()
-        prompts = [prefix + [i] + rng(n + i).integers(0, 63, size=n - p - 1).tolist()
-                   for i in range(count)]
+        prompts = _tagged_set(count, n, p)
         rows, trunk = [], model_module.trunk
 
         def counting_trunk(weights, tokens, *args, **kwargs):
@@ -1592,6 +1601,34 @@ class TestPrefillPasses:
         prefill(long_weights, prompts[0] if count == 1 else prompts)
         assert rows == passes
         assert sum(rows) == _set_rows(n, p, count)
+
+    def test_softmax_rows_per_layer(self, monkeypatch):
+        # prefill_decoys' set on a model of the pinned depth: at layers
+        # 0-2 the three shared chunks run softmax on their 32 query rows
+        # once, and in the tail chunk the first prompt on all 32 and each
+        # of the other three on its 4 own rows rounded up to 16; the last
+        # layer reads each prompt's last row
+        weights = init_model(ModelConfig(
+            n_layers=4, n_heads=2, d_model=32, head_dim=16, vocab_size=64, max_seq=160, seed=3
+        ))
+        rows, layer = Counter(), [None]
+        trunk, softmax_values = model_module.trunk, model_module._softmax_values
+
+        def layer_trunk(weights, tokens, positions, attend, read=None):
+            def tracked(at, q, k, v):
+                layer[0] = at
+                return attend(at, q, k, v)
+
+            return trunk(weights, tokens, positions, tracked, read)
+
+        def counting_softmax_values(scores, v):
+            rows[layer[0]] += int(np.prod(scores.shape[:-3])) * scores.shape[-2]
+            return softmax_values(scores, v)
+
+        monkeypatch.setattr(model_module, "trunk", layer_trunk)
+        monkeypatch.setattr(model_module, "_softmax_values", counting_softmax_values)
+        prefill(weights, _tagged_set(4, 128, 124))
+        assert [rows[at] for at in range(4)] == [96 + 32 + 3 * 16] * 3 + [4]
 
 
 def record_frames(user):

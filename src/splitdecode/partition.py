@@ -7,6 +7,10 @@ the denominator ``gamma`` relative to its own running max ``m``, and
 ``m`` itself. The merge rescales both denominators to a common max, which
 keeps the combination exact while never exponentiating large scores.
 
+Every partial runs through one kernel, _softmax_partial, which gives
+each query row products of its own: a row's bits do not depend on how
+many rows share the call.
+
 Private partitions (prompt-derived K/V) must never cross a wire: nothing
 in the wire module accepts a KvPartition, and the protocol tests fuzz
 outbound frames to confirm no private rows leak.
@@ -89,35 +93,28 @@ def _head_rows(part: KvPartition, label: str, layer: int, head: int, width: int)
     return K, V
 
 
-def _softmax_partial(qs, K, V, lengths=None, prefix=None):
+def _softmax_partial(qs, parts, lengths=None):
     """The partial kernel: (a, gamma, m) of queries qs (..., d) against
-    their keys and values (..., n, d). lengths, broadcast against
-    qs.shape[:-1], limits each query row to its first lengths keys.
-
-    prefix, for qs of shape (S, heads, d), is a (K, V) pair of shape
-    (heads, p, d) that all S query rows see before their own keys. It is
-    scored against all S queries with one product per head, so each
-    prefix row is read once per call rather than once per query, and the
-    softmax runs over the prefix scores followed by each row's own masked
-    ones. Every query must see at least one key.
+    parts, a list of (K, V) pairs of shape (..., n, d) that broadcast
+    against qs.shape[:-1], read in order as one row list; a part stored
+    once, such as a user's shared (heads, p, d) rows, is read per query
+    row. lengths, broadcast against qs.shape[:-1], limits each query row
+    to the first lengths rows of that list. Every query must see at least
+    one key.
     """
-    scores = (K @ qs[..., None])[..., 0]
+    scores = [(K @ qs[..., None])[..., 0] for K, _ in parts]
+    scores = np.concatenate(scores, axis=-1) if len(parts) > 1 else scores[0]
     n = scores.shape[-1]
     if lengths is not None and np.any(lengths < n):
         scores = np.where(np.arange(n) >= lengths[..., None], -np.inf, scores)
-    if prefix is not None:
-        # (heads, p, d) @ (heads, d, S): the prefix against every query
-        shared = (prefix[0] @ qs.transpose(1, 2, 0)).transpose(2, 0, 1)
-        scores = np.concatenate([shared, scores], axis=-1)
     m = scores.max(axis=-1)
     e = np.exp(scores - m[..., None])
     gamma = e.sum(axis=-1)
-    if prefix is None:
-        a = (e[..., None, :] @ V)[..., 0, :]
-    else:
-        p = prefix[0].shape[1]
-        a = (e[..., None, p:] @ V)[..., 0, :]
-        a += (e[..., :p].transpose(1, 0, 2) @ prefix[1]).transpose(1, 0, 2)
+    a, stop = None, 0
+    for _, V in parts:
+        start, stop = stop, stop + V.shape[-2]
+        term = (e[..., None, start:stop] @ V)[..., 0, :]
+        a = term if a is None else a + term
     return a / gamma[..., None], gamma, m
 
 
@@ -144,7 +141,7 @@ def _slot_attention(K, V, slots: list[int], lens: np.ndarray):
         K[slots, layer, :, lens] = ks
         V[slots, layer, :, lens] = vs
         return _softmax_partial(
-            qs, K[arena, layer, :, :n], V[arena, layer, :, :n], lens[:, None] + 1
+            qs, [(K[arena, layer, :, :n], V[arena, layer, :, :n])], lens[:, None] + 1
         )
 
     return partial
@@ -155,7 +152,7 @@ def _one_partial(q, part: KvPartition, label: str, layer: int, head: int) -> Par
     K, V = _head_rows(part, label, layer, head, q.size)
     if K.shape[0] == 0:
         return PartialAttention.empty(V.shape[1])
-    a, gamma, m = _softmax_partial(q, K, V)
+    a, gamma, m = _softmax_partial(q, [(K, V)])
     return PartialAttention(a=a, gamma=float(gamma), m=float(m))
 
 

@@ -308,12 +308,14 @@ class UserParty:
     rows once in kv.shared_k/shared_v (p is 0 for a single prompt), and
     stream i's n - p rows after them in kv.private_k[i]/private_v[i]. It
     holds p + streams * (n - p) rows per layer and head instead of
-    streams * n. A batched QUERY is answered with one kernel call that
-    reads the shared rows once for all of its streams. During decode the
-    party answers QUERY frames from these rows and keeps, queues outward
-    and echoes each TOKEN, the controller's draw; it sees no logits and
-    draws only token 0, at prefill, which the gate passes unchecked. It
-    needs no weights, and its weights handle is released after prefill.
+    streams * n. A batched QUERY is answered with one kernel call in
+    which each stream reads the shared rows, then its own, so its partial
+    has the same bits whichever streams share the QUERY. During decode
+    the party answers QUERY frames from these rows and keeps, queues
+    outward and echoes each TOKEN, the controller's draw; it sees no
+    logits and draws only token 0, at prefill, which the gate passes
+    unchecked. It needs no weights, and its weights handle is released
+    after prefill.
     """
 
     def __init__(
@@ -392,8 +394,8 @@ class UserParty:
 
     def _answer_query(self, msg: ProtocolMessage) -> bytes:
         """The PARTIAL for a batched QUERY: the private partial of every
-        head of every named stream, in one kernel call over the shared
-        rows and each stream's own."""
+        head of every named stream, in one kernel call whose parts are the
+        shared rows, if any, and each stream's own."""
         c, count = self.config, msg.head
         if msg.layer >= c.n_layers:
             raise ProtocolError(f"QUERY for layer {msg.layer} of a {c.n_layers}-layer model")
@@ -410,15 +412,10 @@ class UserParty:
                                     f"at layer {stream.layer} of {c.n_layers}")
             stream.layer += 1
         arena = _arena_rows([stream.index for stream in streams])
-        kv, shared = self.kv, None
-        if kv.shared_k.shape[2]:
-            shared = (kv.shared_k[msg.layer], kv.shared_v[msg.layer])
-        partial = _softmax_partial(
-            qs.reshape(count, c.n_heads, c.head_dim),
-            kv.private_k[arena, msg.layer],
-            kv.private_v[arena, msg.layer],
-            prefix=shared,
-        )
+        kv, layer = self.kv, msg.layer
+        parts = [(kv.shared_k[layer], kv.shared_v[layer])] if kv.shared_k.shape[2] else []
+        parts.append((kv.private_k[arena, layer], kv.private_v[arena, layer]))
+        partial = _softmax_partial(qs.reshape(count, c.n_heads, c.head_dim), parts)
         return serialize(ProtocolMessage(TAG_PARTIAL, msg.session_id, msg.layer, count,
                                          encode_partial(*partial)))
 

@@ -617,10 +617,10 @@ CORE_TYPES = {"Prescott": "pni", "Nehalem": "sse4_2", "Sandybridge": "avx",
 
 
 class TestCrossKernel:
-    """TestFlatProduct and TestValuesProduct once more in a fresh process
-    per OpenBLAS core type the CPU can run, two at a time, so the
-    premises are checked on the kernels of other CPUs too, not only on
-    the one this CPU picks."""
+    """TestFlatProduct, TestValuesProduct and test_partition's
+    TestStreamInvariance once more in a fresh process per OpenBLAS core
+    type the CPU can run, two at a time, so the premises are checked on
+    the kernels of other CPUs too, not only on the one this CPU picks."""
 
     def test_flat_product_premise_holds_on_every_core_type(self):
         flags = _cpu_flags()
@@ -633,10 +633,11 @@ class TestCrossKernel:
         def run(core):
             env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
                    "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1", "PYTHONPATH": path}
-            tests = root / "tests" / "test_model.py"
+            tests, partition = root / "tests" / "test_model.py", root / "tests" / "test_partition.py"
             return subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 f"{tests}::TestFlatProduct", f"{tests}::TestValuesProduct"],
+                 f"{tests}::TestFlatProduct", f"{tests}::TestValuesProduct",
+                 f"{partition}::TestStreamInvariance"],
                 cwd=root, env=env, capture_output=True, text=True, timeout=120,
             )
 

@@ -241,10 +241,10 @@ class TestSharedPrefixPartial:
     @pytest.mark.parametrize("S,p,tails", CASES)
     def test_equals_partial_over_concatenated_rows(self, S, p, tails):
         qs, (Kp, Vp), K, V, lengths = shared_prefix_instance(S * 100 + p, p, tails)
-        a, gamma, m = _softmax_partial(qs, K, V, lengths[:, None], (Kp, Vp))
+        a, gamma, m = _softmax_partial(qs, [(Kp, Vp), (K, V)], p + lengths[:, None])
         Kc = np.concatenate([np.broadcast_to(Kp, (S, *Kp.shape)), K], axis=2)
         Vc = np.concatenate([np.broadcast_to(Vp, (S, *Vp.shape)), V], axis=2)
-        want_a, want_gamma, want_m = _softmax_partial(qs, Kc, Vc, p + lengths[:, None])
+        want_a, want_gamma, want_m = _softmax_partial(qs, [(Kc, Vc)], p + lengths[:, None])
         assert a.shape == want_a.shape == (S, 3, 8)
         assert np.max(np.abs(a - want_a)) <= 1e-12 * np.max(np.abs(want_a))
         assert np.max(np.abs(gamma / want_gamma - 1)) <= 1e-12
@@ -255,8 +255,8 @@ class TestSharedPrefixPartial:
         qs, (Kp, Vp), K, V, lengths = shared_prefix_instance(S * 100 + p + 1, p, tails)
         public = 1 + np.arange(S) % 3  # 1 to 3 public rows per stream
         Kb, Vb = rng(S * 100 + p + 2).standard_normal((2, S, 3, 3, 8))
-        pvt = _softmax_partial(qs, K, V, lengths[:, None], (Kp, Vp))
-        pub = _softmax_partial(qs, Kb, Vb, public[:, None])
+        pvt = _softmax_partial(qs, [(Kp, Vp), (K, V)], p + lengths[:, None])
+        pub = _softmax_partial(qs, [(Kb, Vb)], public[:, None])
         merged = merge_partial_arrays(*pvt, *pub)
         for s in range(S):
             for h in range(3):
@@ -265,6 +265,35 @@ class TestSharedPrefixPartial:
                 values = np.concatenate([Vp[h], V[s, h, :n], Vb[s, h, :r]])
                 want = attention_reference(qs[s, h], keys, values)[0]
                 assert np.max(np.abs(merged[s, h] - want)) <= 1e-10
+
+
+class TestStreamInvariance:
+    """The premise of the user party's lambda invariance: at the pinned
+    model's head shape, a stream's partial over the shared rows and its
+    own is bit for bit the same whether it is alone in the kernel call or
+    one of S = 2 to 8, with unequal own lengths. Its inputs are copied
+    for the call alone, so they sit elsewhere in memory, as another QUERY's
+    do. This fails, and never skips, on a BLAS that breaks the premise."""
+
+    @staticmethod
+    def partial(qs, shared, K, V, lengths):
+        # the user party's parts: the shared rows, if any, then the own
+        parts = [shared] if shared[0].shape[1] else []
+        return _softmax_partial(qs, parts + [(K, V)], lengths[:, None])
+
+    @pytest.mark.parametrize("p", [0, 9, 124])
+    def test_stream_bits_do_not_depend_on_the_streams_beside_it(self, p):
+        qs, shared, K, V, own = shared_prefix_instance(
+            p, p, (4, 1, 7, 3, 7, 2, 6, 5), heads=4, head_dim=64
+        )
+        lengths = p + own
+        for s in range(8):
+            alone = self.partial(qs[s:s + 1].copy(), shared, K[s:s + 1].copy(),
+                                 V[s:s + 1].copy(), lengths[s:s + 1])
+            for S in range(max(s + 1, 2), 9):
+                batch = self.partial(qs[:S], shared, K[:S], V[:S], lengths[:S])
+                for got, want in zip(batch, alone):
+                    assert np.array_equal(got[s], want[0]), (s, S)
 
 
 class TestSlotAttention:

@@ -658,21 +658,32 @@ def pinned_shape_weights():
     ))
 
 
+@pytest.fixture(scope="module")
+def pinned_shape_long_weights():
+    """pinned_shape_weights' shape with room for 40-token prompts."""
+    return init_model(ModelConfig(
+        n_layers=2, n_heads=4, d_model=256, head_dim=64, vocab_size=256, max_seq=48, seed=3
+    ))
+
+
+class RecordingController(Controller):
+    """A controller that keeps the logits of each stream's draws."""
+
+    def __init__(self):
+        super().__init__()
+        self.logits = {}
+
+    def expect(self, stream_id, logits):
+        self.logits.setdefault(stream_id, []).append(logits.copy())
+        return super().expect(stream_id, logits)
+
+
 def authentic_logits(weights, users, transport) -> np.ndarray:
     """The logits the controller draws the first user's authentic stream
     from, over three rounds of run_sessions."""
-    authentic = list(users[0].streams)[users[0].vps.idx]
-    ctrl, seen = Controller(), []
-    expect = ctrl.expect
-
-    def recording(sid, logits):
-        if sid == authentic:
-            seen.append(logits.copy())
-        return expect(sid, logits)
-
-    ctrl.expect = recording
+    ctrl = RecordingController()
     run_sessions(ModelParty(weights, stop_at_eos=False), ctrl, users, 3, transport=transport)
-    return np.array(seen)
+    return np.array(ctrl.logits[list(users[0].streams)[users[0].vps.idx]])
 
 
 class TestBatchInvariance:
@@ -697,6 +708,76 @@ class TestBatchInvariance:
             if alone is None:
                 alone = logits
             assert np.array_equal(logits, alone), count
+
+
+class TestLambdaInvariance:
+    """The authentic stream's logits do not depend on lambda: each stream
+    reads the shared rows with products of its own, so they are bit for
+    bit the same at lambda 1, 2, 3 and 7, on either transport. Lambda 0
+    is left out: its values product sums one part where lambda >= 1 sums
+    two."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("n,span", [(4, 2), (40, 20), (40, 36)])
+    def test_logits_do_not_depend_on_lambda(self, pinned_shape_long_weights, transport, n, span):
+        w = pinned_shape_long_weights
+        prompt = (5, 3, 8, 9) if n == 4 else rng(span).integers(0, 200, size=n).tolist()
+        want = None
+        for lam in (1, 2, 3, 7):
+            logits = authentic_logits(w, [decoy_user(w, lam, prompt=prompt, span=span)], transport)
+            assert logits.shape == (3, 256)
+            if want is None:
+                want = logits
+            assert np.array_equal(logits, want), lam
+
+
+class TestKernelCalls:
+    """Partial-kernel calls per decode round, at small versions of the
+    perfbench workloads' shapes: the user party makes one per QUERY, the
+    model party one per layer, and monolithic decode none. A change that
+    moves these counts says so."""
+
+    # users, prompt length, lambda, tagged token, transport
+    SHAPES = {
+        "decode_heavy": (4, 16, 1, 0, "inproc"),
+        "prefill_decoys": (2, 12, 3, 8, "inproc"),
+        "socket_stream": (1, 32, 3, 0, "socket"),
+    }
+
+    @staticmethod
+    def count_calls(monkeypatch) -> dict:
+        """Count the kernel's calls per party: the user party calls it as
+        protocol._softmax_partial, the model party through
+        partition._slot_attention."""
+        calls, lock = {"user": 0, "model": 0}, threading.Lock()
+        for module, party in ((protocol, "user"), (partition, "model")):
+            def counted(*args, kernel=module._softmax_partial, party=party):
+                with lock:  # socket user parties answer on their own threads
+                    calls[party] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(module, "_softmax_partial", counted)
+        return calls
+
+    @pytest.mark.parametrize("workload", sorted(SHAPES))
+    def test_calls_per_round(self, small_weights, monkeypatch, workload):
+        count, n, lam, span, transport = self.SHAPES[workload]
+        users = [decoy_user(small_weights, lam, user_id=u, span=span,
+                            prompt=rng(u).integers(0, 60, size=n).tolist())
+                 for u in range(1, count + 1)]
+        calls = self.count_calls(monkeypatch)
+        transcript = run_sessions(ModelParty(small_weights, stop_at_eos=False), Controller(),
+                                  users, 5, transport=transport)
+        rounds, layers = len(transcript.round_s), small_weights.config.n_layers
+        queries = sum(e.tag == TAG_QUERY for e in transcript.entries)
+        assert rounds == 5 and queries == rounds * layers * count
+        assert calls == {"user": queries, "model": rounds * layers}
+
+    def test_monolithic_decode_makes_none(self, small_weights, monkeypatch):
+        # mono_reference's path: prefill, then decode_step_monolithic
+        calls = self.count_calls(monkeypatch)
+        assert len(greedy_decode(small_weights, list(range(16)), 4, stop_at_eos=False)) == 5
+        assert calls == {"user": 0, "model": 0}
 
 
 class TestMalformedFrame:
